@@ -16,8 +16,9 @@ the expected translation error at sigma is ``sigma * sqrt(2 / pi)``.
 
 ``oracle_map`` re-derives mAP by exhaustive quadratic enumeration in pure
 Python. Apart from shared geometry primitives it is written independently
-of the metrics module, as a cross-check for small evaluations (at most 20
-detections; beyond that it refuses rather than crawl).
+of the metrics module, as a cross-check for evaluations of up to
+``MAX_ORACLE_DETECTIONS`` detections (crowded multi-image scenes fit;
+beyond that it refuses rather than crawl).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .records import Annotation, Detection, ImageRecord
 
 CAR_EXTENT = (4.5, 1.8, 1.5)  # length, width, height in meters
 
-MAX_ORACLE_DETECTIONS = 20
+MAX_ORACLE_DETECTIONS = 2000
 
 _DEFAULT_DEPTH_RANGE = (8.0, 50.0)
 
@@ -238,7 +239,7 @@ def corrupt_xy(pred_records: Sequence[ImageRecord], seed: int,
 
 def oracle_map(pred_records: Sequence[ImageRecord], gt_records: Sequence[ImageRecord],
                ladder: ThresholdLadder = DEFAULT_LADDER) -> float:
-    """Brute-force mAP for small scenes, written independently of metrics.
+    """Brute-force mAP, written independently of metrics.
 
     Builds the full ranked TP/FP table per class and threshold pair with
     plain quadratic loops, computes precision and recall at every rank,
