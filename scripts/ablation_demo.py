@@ -103,7 +103,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "one post-processing stage at a time, printing mAP per stage")
     parser.add_argument("--seed", type=int, default=7, help="scene seed (default 7)")
     parser.add_argument("--images", type=int, default=6, help="number of images (default 6)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for evaluation")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; no effect (must be >= 1)")
     args = parser.parse_args(argv)
 
     spec = SceneSpec(seed=args.seed, n_images=args.images,

@@ -47,10 +47,12 @@ from .losses import (
 )
 from .metrics import (
     DEFAULT_LADDER,
+    Evaluation,
     EvaluationReport,
     MatchResult,
     NoClassesError,
     NoMatchesError,
+    NonFiniteError,
     ThresholdLadder,
     average_precision,
     load_ladder,

@@ -5,9 +5,10 @@ Subcommands: ``eval`` (score predictions against ground truth), ``post``
 ``sweep`` (confidence-threshold search), ``synth`` (generate synthetic
 data). Exit codes: 0 success, 1 computation error, 2 input or usage
 error. Reports and records go to files; stdout carries the human summary.
-Evaluation fans out per image to a worker pool (``--jobs``); results are
-merged in image order, so output bytes do not depend on parallelism. The
-only randomness is in ``synth``, driven entirely by ``--seed``.
+``--jobs`` is accepted for compatibility and has no effect (values below
+1 are still rejected): evaluation runs in one thread, so output bytes do
+not depend on it. The only randomness is in ``synth``, driven entirely by
+``--seed``.
 """
 
 from __future__ import annotations
@@ -210,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--ignore", help="ignore-region JSONL; filters predictions and ground truth")
     p_eval.add_argument("--ignore-overlap", type=_unit_interval, default=0.5,
                         help="overlap fraction above which a box is dropped (default 0.5)")
-    p_eval.add_argument("--jobs", type=int, default=1, help="worker threads for matching (default 1)")
+    p_eval.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; no effect (must be >= 1)")
     p_eval.add_argument("--out", help="write the JSON report here")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -241,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lo", type=_unit_interval, default=0.1, help="lowest threshold (default 0.1)")
     p_sweep.add_argument("--hi", type=_unit_interval, default=0.8, help="highest threshold (default 0.8)")
     p_sweep.add_argument("--step", type=_positive, default=0.05, help="grid step (default 0.05)")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="worker threads for matching (default 1)")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="accepted for compatibility; no effect (must be >= 1)")
     p_sweep.add_argument("--out", required=True, help="output curve CSV (threshold,map)")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -8,8 +8,9 @@ Conventions used across the toolkit:
   yaw about the z axis, then pitch about the rotated y axis, then roll about
   the twice-rotated x axis. ``euler_from_quat`` returns each angle in
   ``(-pi, pi]`` with pitch in ``[-pi/2, pi/2]``; within ``GIMBAL_LOCK_MARGIN``
-  of ``pitch = +/-pi/2`` roll and yaw degenerate and a
-  :class:`GimbalLockWarning` is emitted (roll is then reported as 0).
+  of ``pitch = +/-pi/2`` roll and yaw become ill-conditioned and a
+  :class:`GimbalLockWarning` is emitted; at the lock itself roll is
+  reported as 0.
 - Translations are camera-frame coordinates in meters, z along the optical
   axis. Pixels follow the pinhole model ``u = fx * x / z + cx``,
   ``v = fy * y / z + cy``.
@@ -29,6 +30,10 @@ GIMBAL_LOCK_MARGIN = 1e-6
 _UNIT_NORM_SQ_TOL = 1e-12
 
 _ZERO_NORM_TOL = 1e-12
+
+# At gimbal lock one half-angle magnitude of the pitch is 0; below this it
+# is treated as 0 (roll set to 0), which moves the rotation by < 3e-12 rad.
+_LOCK_TOL = 1e-12
 
 
 class ZeroNormError(ValueError):
@@ -170,27 +175,31 @@ def _wrap_angle(a: float) -> float:
 def euler_from_quat(q: Quaternion) -> EulerAngles:
     """Convert a quaternion to intrinsic yaw-pitch-roll angles.
 
-    Near gimbal lock (|pitch| ~ pi/2) roll and yaw are not separately
-    observable; the full twist goes to yaw, roll is 0, and a
-    GimbalLockWarning is emitted.
+    Pitch comes from atan2 of the half-angle magnitudes
+    ``|cos(p/2) +/- sin(p/2)|``, and roll/yaw from the half-angle sum and
+    difference ``(roll +/- yaw) / 2``, so every angle is well conditioned up
+    to the lock itself. Where one of those magnitudes vanishes (pitch at
+    +/-pi/2) roll and yaw are not separately observable: the full twist
+    goes to yaw, roll is 0, and a GimbalLockWarning is emitted.
     """
     q = quat_normalize(q)
-    sin_pitch = 2.0 * (q.w * q.y - q.z * q.x)
-    if abs(sin_pitch) >= 1.0 - 1e-12:
-        pitch = math.copysign(math.pi / 2.0, sin_pitch)
-        if sin_pitch > 0.0:
-            yaw = _wrap_angle(2.0 * math.atan2(q.z, q.w))
+    up = math.hypot(q.w + q.y, q.x - q.z)    # |cos(p/2) + sin(p/2)|
+    down = math.hypot(q.w - q.y, q.x + q.z)  # |cos(p/2) - sin(p/2)|
+    pitch = 2.0 * math.atan2(up, down) - math.pi / 2.0
+    half_diff = math.atan2(q.x - q.z, q.w + q.y)  # (roll - yaw) / 2
+    half_sum = math.atan2(q.x + q.z, q.w - q.y)   # (roll + yaw) / 2
+    if min(up, down) <= _LOCK_TOL:
+        if down <= _LOCK_TOL:
+            half_sum = -half_diff
         else:
-            yaw = _wrap_angle(2.0 * math.atan2(q.x, q.w))
+            half_diff = -half_sum
         warnings.warn("pitch at +/-pi/2: roll/yaw are coupled", GimbalLockWarning, stacklevel=2)
-        return EulerAngles(roll=0.0, pitch=pitch, yaw=yaw)
-    pitch = math.asin(sin_pitch)
-    roll = _wrap_angle(math.atan2(2.0 * (q.w * q.x + q.y * q.z), 1.0 - 2.0 * (q.x * q.x + q.y * q.y)))
-    yaw = _wrap_angle(math.atan2(2.0 * (q.w * q.z + q.x * q.y), 1.0 - 2.0 * (q.y * q.y + q.z * q.z)))
+        return EulerAngles(roll=0.0, pitch=pitch, yaw=_wrap_angle(half_sum - half_diff))
     if abs(pitch) >= math.pi / 2.0 - GIMBAL_LOCK_MARGIN:
         warnings.warn("pitch within 1e-6 of +/-pi/2: roll/yaw are ill-conditioned",
                       GimbalLockWarning, stacklevel=2)
-    return EulerAngles(roll=roll, pitch=pitch, yaw=yaw)
+    return EulerAngles(roll=_wrap_angle(half_sum + half_diff), pitch=pitch,
+                       yaw=_wrap_angle(half_sum - half_diff))
 
 
 def angular_error(q_gt: Quaternion, q_pred: Quaternion) -> float:

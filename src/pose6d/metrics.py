@@ -10,6 +10,15 @@ per class and per pair over the dataset-wide confidence ranking with the
 all-points precision envelope, and mAP is the mean over classes of the
 mean over pairs.
 
+One core matches for ``match``, ``mean_average_precision`` and the sweep:
+``Evaluation`` matches each image once at every pair (each same-class
+distance computed once, each angle at most once and only within the
+loosest gate) and buckets (confidence, TP flag per pair) rows by class.
+``Evaluation.per_class_ap(t)`` scores the confidence >= t prefix of every
+bucket, which is exact: a threshold cuts a suffix of the greedy visiting
+order and leaves the matching of the rest unchanged. Non-finite poses
+raise NonFiniteError (NaN would pass every gate).
+
 Scalar error statistics in the report (translation MAE, angular error
 mean/median, precision/recall, TP/FP/FN counts) are computed from the
 matching at the last ladder pair, which for the default strict-to-loose
@@ -21,16 +30,17 @@ degrees are converted to radians at load time.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import angular_error, iou_2d  # noqa: F401  (iou_2d re-exported)
+from .geometry import angular_error
 from .records import Annotation, Detection, ImageRecord, ParseError, ValidationError
 
 
@@ -40,6 +50,10 @@ class NoMatchesError(ValueError):
 
 class NoClassesError(ValueError):
     """mAP is undefined: no class appears in ground truth or predictions."""
+
+
+class NonFiniteError(ValueError):
+    """A detection or annotation pose has a NaN or infinite component."""
 
 
 @dataclass(frozen=True)
@@ -107,51 +121,60 @@ class MatchResult:
     rot_errors: tuple[float, ...]
 
 
-def _distance(d: Detection, g: Annotation) -> float:
-    a = d.pose.translation
-    b = g.pose.translation
-    return math.dist((a.x, a.y, a.z), (b.x, b.y, b.z))
+def _match_image(image_id: str, dets: Sequence[Detection], anns: Sequence[Annotation],
+                 pairs: Sequence[tuple[float, float]]) -> list[list[tuple]]:
+    """Per pair, the (det index, gt index, distance, angle) hits in visiting order.
+
+    Candidates are sorted by (distance, index), so the first that is free
+    and passes both gates of a pair is the nearest valid one.
+    """
+    loosest = max(t_m for t_m, _ in pairs)
+    targets: dict[int, list] = {}
+    for j, a in enumerate(anns):
+        targets.setdefault(a.class_id, []).append((j, _finite_xyz(a, image_id, "annotation", j)))
+    visits = []
+    for i in sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i)):
+        p = _finite_xyz(dets[i], image_id, "detection", i)
+        near = sorted((dist, j) for j, g in targets.get(dets[i].class_id, ())
+                      if (dist := math.dist(p, g)) <= loosest)
+        if near:
+            visits.append((i, near))
+    angles: dict[tuple[int, int], float] = {}
+    out = []
+    for t_m, r_rad in pairs:
+        taken: set[int] = set()
+        hits = []
+        for i, near in visits:
+            for dist, j in near:
+                if dist > t_m:
+                    break
+                if j in taken:
+                    continue
+                rot = angles.get((i, j))
+                if rot is None:
+                    rot = angles[i, j] = angular_error(anns[j].pose.rotation, dets[i].pose.rotation)
+                if rot <= r_rad:
+                    taken.add(j)
+                    hits.append((i, j, dist, rot))
+                    break
+        out.append(hits)
+    return out
+
+
+def _finite_xyz(item: Detection | Annotation, image_id: str, kind: str, k: int) -> tuple:
+    """The item's translation as (x, y, z), after checking its whole pose is finite."""
+    t, q = item.pose.translation, item.pose.rotation
+    if not all(map(math.isfinite, (t.x, t.y, t.z, q.w, q.x, q.y, q.z))):
+        raise NonFiniteError(f"image {image_id!r}: {kind} {k} has a non-finite pose: {item.pose}")
+    return t.x, t.y, t.z
 
 
 def match(preds: Sequence[Detection], gts: Sequence[Annotation],
           pair: tuple[float, float]) -> MatchResult:
     """Greedily match one image's detections to its ground truth."""
-    t_m, r_rad = pair
-    if not (t_m > 0.0 and r_rad > 0.0):
-        raise ValueError(f"thresholds must be positive, got ({t_m}, {r_rad})")
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i].confidence, i))
-    taken = [False] * len(gts)
-    pairs: list[tuple[int, int]] = []
-    trans_errors: list[float] = []
-    rot_errors: list[float] = []
-    for i in order:
-        det = preds[i]
-        best_j = -1
-        best_dist = math.inf
-        best_rot = 0.0
-        for j, gt in enumerate(gts):
-            if taken[j] or gt.class_id != det.class_id:
-                continue
-            dist = _distance(det, gt)
-            if dist > t_m or dist >= best_dist:
-                continue
-            rot = angular_error(gt.pose.rotation, det.pose.rotation)
-            if rot > r_rad:
-                continue
-            best_j, best_dist, best_rot = j, dist, rot
-        if best_j >= 0:
-            taken[best_j] = True
-            pairs.append((i, best_j))
-            trans_errors.append(best_dist)
-            rot_errors.append(best_rot)
-    matched_preds = {i for i, _ in pairs}
-    return MatchResult(
-        pairs=tuple(pairs),
-        unmatched_pred=tuple(i for i in range(len(preds)) if i not in matched_preds),
-        unmatched_gt=tuple(j for j in range(len(gts)) if not taken[j]),
-        trans_errors=tuple(trans_errors),
-        rot_errors=tuple(rot_errors),
-    )
+    ladder = ThresholdLadder(pairs=(tuple(pair),))
+    evaluation = Evaluation([ImageRecord("", tuple(preds))], [ImageRecord("", tuple(gts))], ladder)
+    return evaluation.last[0]
 
 
 def average_precision(flags: Sequence[bool], num_gt: int) -> float:
@@ -275,88 +298,83 @@ def _index_by_image(records: Sequence[ImageRecord], what: str) -> dict[str, Imag
     return out
 
 
-def mean_average_precision(
-    pred_records: Sequence[ImageRecord],
-    gt_records: Sequence[ImageRecord],
-    ladder: ThresholdLadder = DEFAULT_LADDER,
-    *,
-    jobs: int = 1,
-) -> tuple[float, EvaluationReport]:
+class Evaluation:
+    """A dataset matched once at every ladder pair, then scored on demand.
+
+    Images are aligned by ``image_id``; an image on one side only
+    contributes misses or false positives. ``buckets[c]`` holds class c's
+    negated confidences in ranking order, one TP-flag column per pair and
+    its ground-truth count; ``last`` each image's last-pair matching.
+    ``jobs`` has no effect; it is accepted for compatibility and must be >= 1.
+    """
+
+    def __init__(self, pred_records: Sequence[ImageRecord], gt_records: Sequence[ImageRecord],
+                 ladder: ThresholdLadder = DEFAULT_LADDER, *, jobs: int = 1):
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        pred_by_id = _index_by_image(pred_records, "predictions")
+        gt_by_id = _index_by_image(gt_records, "ground truth")
+        gt_count = Counter(a.class_id for r in gt_records for a in r.items)
+        rows = defaultdict(list, {c: [] for c in gt_count})
+        self.last: list[MatchResult] = []
+        for image_id in list(gt_by_id) + [i for i in pred_by_id if i not in gt_by_id]:
+            dets = pred_by_id[image_id].items if image_id in pred_by_id else ()
+            anns = gt_by_id[image_id].items if image_id in gt_by_id else ()
+            per_pair = _match_image(image_id, dets, anns, ladder.pairs)
+            matched = [{h[0] for h in hits} for hits in per_pair]
+            for i, d in enumerate(dets):
+                rows[d.class_id].append((d.confidence, tuple(i in m for m in matched)))
+            hits = per_pair[-1]
+            taken = {h[1] for h in hits}
+            self.last.append(MatchResult(
+                pairs=tuple((h[0], h[1]) for h in hits),
+                unmatched_pred=tuple(i for i in range(len(dets)) if i not in matched[-1]),
+                unmatched_gt=tuple(j for j in range(len(anns)) if j not in taken),
+                trans_errors=tuple(h[2] for h in hits), rot_errors=tuple(h[3] for h in hits)))
+        self.buckets: dict[int, tuple[list[float], list[tuple[bool, ...]], int]] = {}
+        for c, class_rows in rows.items():
+            class_rows.sort(key=lambda r: -r[0])  # stable: ties keep image, then input order
+            columns = [tuple(r[1][p] for r in class_rows) for p in range(len(ladder.pairs))]
+            self.buckets[c] = ([-r[0] for r in class_rows], columns, gt_count[c])
+
+    def per_class_ap(self, threshold: float = 0.0) -> dict[int, tuple[float, ...]]:
+        """AP per class and pair over the detections with confidence >= threshold;
+        classes with neither ground truth nor a detection left are excluded."""
+        out = {}
+        for c, (neg_conf, columns, num_gt) in sorted(self.buckets.items()):
+            k = bisect.bisect_right(neg_conf, -threshold)
+            if k or num_gt:
+                out[c] = tuple(average_precision(flags[:k], num_gt) for flags in columns)
+        if not out:
+            raise NoClassesError("no class appears in ground truth or predictions")
+        return out
+
+    def mean_ap(self, threshold: float = 0.0) -> float:
+        return _mean([_mean(aps) for aps in self.per_class_ap(threshold).values()])
+
+
+def mean_average_precision(pred_records: Sequence[ImageRecord], gt_records: Sequence[ImageRecord],
+                           ladder: ThresholdLadder = DEFAULT_LADDER, *,
+                           jobs: int = 1) -> tuple[float, EvaluationReport]:
     """Evaluate predictions against ground truth over a threshold ladder.
 
-    Returns ``(mAP, report)``. Images are aligned by ``image_id``; images
-    present on only one side contribute misses or false positives. Classes
-    absent from both sides are excluded from the mean; if no class appears
-    at all, NoClassesError is raised. Matching is independent per image,
-    so with ``jobs > 1`` images are matched on a worker pool; results are
-    merged in image order and are identical at any parallelism.
+    Returns ``(mAP, report)``; images are aligned as in ``Evaluation``.
+    Classes absent from both sides are excluded from the mean; if no class
+    appears at all, NoClassesError is raised. ``jobs`` has no effect: it is
+    accepted for compatibility and must be >= 1.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    pred_by_id = _index_by_image(pred_records, "predictions")
-    gt_by_id = _index_by_image(gt_records, "ground truth")
-    image_ids = [r.image_id for r in gt_records]
-    image_ids += [r.image_id for r in pred_records if r.image_id not in gt_by_id]
-
-    empty: tuple = ()
-    tasks = [(pred_by_id[i].items if i in pred_by_id else empty,
-              gt_by_id[i].items if i in gt_by_id else empty) for i in image_ids]
-
-    def run(task: tuple) -> list[MatchResult]:
-        dets, anns = task
-        return [match(dets, anns, pair) for pair in ladder.pairs]
-
-    if jobs == 1 or len(tasks) <= 1:
-        per_image = [run(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_image = list(pool.map(run, tasks))
-
-    classes = sorted({a.class_id for _, anns in tasks for a in anns}
-                     | {d.class_id for dets, _ in tasks for d in dets})
-    if not classes:
-        raise NoClassesError("no class appears in ground truth or predictions")
-    gt_count = {c: 0 for c in classes}
-    for _, anns in tasks:
-        for a in anns:
-            gt_count[a.class_id] += 1
-
-    per_class_ap: dict[int, tuple[float, ...]] = {}
-    for c in classes:
-        aps = []
-        for p in range(len(ladder.pairs)):
-            rows = []  # (confidence, image seq, det index, is TP)
-            for seq, (dets, _) in enumerate(tasks):
-                matched = {i for i, _ in per_image[seq][p].pairs}
-                for di, det in enumerate(dets):
-                    if det.class_id == c:
-                        rows.append((det.confidence, seq, di, di in matched))
-            rows.sort(key=lambda r: (-r[0], r[1], r[2]))
-            aps.append(average_precision([r[3] for r in rows], gt_count[c]))
-        per_class_ap[c] = tuple(aps)
-
+    evaluation = Evaluation(pred_records, gt_records, ladder, jobs=jobs)
+    per_class_ap = evaluation.per_class_ap()
     mean_ap = _mean([_mean(aps) for aps in per_class_ap.values()])
-
-    last = [result[-1] for result in per_image]
+    last = evaluation.last
     try:
         mae: float | None = translation_mae(last)
         rot_mean, rot_median = rotation_error_stats(last)
     except NoMatchesError:
         mae = rot_mean = rot_median = None
     precision, recall = precision_recall(last)
-    tp = sum(len(m.pairs) for m in last)
-    fp = sum(len(m.unmatched_pred) for m in last)
-    fn = sum(len(m.unmatched_gt) for m in last)
-
-    report = EvaluationReport(
-        ladder=ladder,
-        per_class_ap=per_class_ap,
-        mean_ap=mean_ap,
-        mae_trans=mae,
-        rot_error_mean=rot_mean,
-        rot_error_median=rot_median,
-        precision=precision,
-        recall=recall,
-        tp=tp, fp=fp, fn=fn,
-    )
-    return mean_ap, report
+    return mean_ap, EvaluationReport(
+        ladder=ladder, per_class_ap=per_class_ap, mean_ap=mean_ap, mae_trans=mae,
+        rot_error_mean=rot_mean, rot_error_median=rot_median, precision=precision, recall=recall,
+        tp=sum(len(m.pairs) for m in last), fp=sum(len(m.unmatched_pred) for m in last),
+        fn=sum(len(m.unmatched_gt) for m in last))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .geometry import BBox2D, CameraIntrinsics, Pose, backproject, bbox_center, iou_2d
-from .metrics import ThresholdLadder, DEFAULT_LADDER, mean_average_precision
+from .metrics import DEFAULT_LADDER, Evaluation, ThresholdLadder
 from .records import Detection, IgnoreRegions, ImageRecord
 
 
@@ -78,10 +78,14 @@ def recover_xy_records(records: Sequence[ImageRecord], k: CameraIntrinsics) -> l
     return [replace(r, items=tuple(recover_xy(d, k) for d in r.items)) for r in records]
 
 
-def apply_confidence_threshold(records: Sequence[ImageRecord], threshold: float) -> list[ImageRecord]:
-    """Keep detections with confidence >= threshold; images always survive."""
+def _check_threshold(threshold: float) -> None:
     if not (0.0 <= threshold <= 1.0):
         raise ValueError(f"threshold must be within [0, 1], got {threshold}")
+
+
+def apply_confidence_threshold(records: Sequence[ImageRecord], threshold: float) -> list[ImageRecord]:
+    """Keep detections with confidence >= threshold; images always survive."""
+    _check_threshold(threshold)
     return [replace(r, items=tuple(d for d in r.items if d.confidence >= threshold))
             for r in records]
 
@@ -182,28 +186,22 @@ def ensemble_max(model_outputs: Sequence[Sequence[ImageRecord]],
     return merged
 
 
-def sweep_threshold(
-    pred_records: Sequence[ImageRecord],
-    gt_records: Sequence[ImageRecord],
-    sweep: ThresholdSweep = ThresholdSweep(),
-    ladder: ThresholdLadder = DEFAULT_LADDER,
-    *,
-    jobs: int = 1,
-) -> tuple[list[tuple[float, float]], float]:
+def sweep_threshold(pred_records: Sequence[ImageRecord], gt_records: Sequence[ImageRecord],
+                    sweep: ThresholdSweep = ThresholdSweep(),
+                    ladder: ThresholdLadder = DEFAULT_LADDER,
+                    *, jobs: int = 1) -> tuple[list[tuple[float, float]], float]:
     """Evaluate mAP at every threshold on the grid.
 
     Returns ``(curve, best)`` where ``curve`` is a list of
     ``(threshold, mAP)`` in grid order and ``best`` is the threshold with
-    the highest mAP, ties resolved toward the smallest threshold.
+    the highest mAP, ties resolved toward the smallest threshold. Matching
+    runs once, on the unthresholded input, and each grid point is scored
+    on the confidence >= t prefix of every class ranking (see ``metrics``).
+    ``jobs`` has no effect; it is accepted for compatibility and must be >= 1.
     """
+    evaluation = Evaluation(pred_records, gt_records, ladder, jobs=jobs)
     curve = []
-    best_t = None
-    best_map = -math.inf
     for t in sweep.thresholds():
-        value, _ = mean_average_precision(
-            apply_confidence_threshold(pred_records, t), gt_records, ladder, jobs=jobs)
-        curve.append((t, value))
-        if value > best_map:
-            best_t, best_map = t, value
-    assert best_t is not None
-    return curve, best_t
+        _check_threshold(t)
+        curve.append((t, evaluation.mean_ap(t)))
+    return curve, max(curve, key=lambda e: e[1])[0]  # max keeps the first of equals

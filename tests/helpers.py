@@ -9,12 +9,21 @@ from pose6d import (
     BBox2D,
     Detection,
     ImageRecord,
+    NoiseSpec,
     Pose,
     Quaternion,
+    SceneSpec,
     Translation,
+    generate_scene,
+    perturb,
 )
 
 IDENTITY = Quaternion(1.0, 0.0, 0.0, 0.0)
+
+# a noisy detector like the benchmark's: sigma_t 0.5 m, sigma_r 0.2 rad,
+# miss 0.2, false positives 0.5 per object, true-positive confidence 0.3-1.0
+CROWDED_NOISE = NoiseSpec(translation_sigma=0.5, rotation_sigma=0.2, miss_rate=0.2,
+                          false_positive_rate=0.5, tp_confidence=(0.3, 1.0))
 
 
 def det(x: float, y: float, z: float, *, confidence: float = 0.9, class_id: int = 0,
@@ -64,3 +73,11 @@ def with_extra(records, image_index: int, *extra):
     out[image_index] = replace(out[image_index],
                                items=out[image_index].items + tuple(extra))
     return out
+
+
+def crowded_scene(seed: int):
+    """(predictions, ground truth) of 6 images x 20-40 objects in 3 classes."""
+    spec = SceneSpec(seed=seed, n_images=6, objects_per_image=(20, 40), n_classes=3,
+                     noise=CROWDED_NOISE)
+    gts, camera = generate_scene(spec)
+    return perturb(gts, CROWDED_NOISE, seed + 1000, camera), gts

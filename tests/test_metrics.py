@@ -14,7 +14,9 @@ from pose6d import (
     EulerAngles,
     NoClassesError,
     NoMatchesError,
+    NonFiniteError,
     NoiseSpec,
+    Quaternion,
     ParseError,
     SceneSpec,
     ThresholdLadder,
@@ -155,6 +157,43 @@ class TestMatch:
     def test_invalid_pair_is_rejected(self):
         with pytest.raises(ValueError):
             match([], [], (0.0, 1.0))
+
+
+NAN_TRANSLATION = det(math.nan, 0.0, 10.0)
+NAN_QUATERNION = det(0.0, 0.0, 10.0, quat=Quaternion(math.nan, 0.0, 0.0, 0.0))
+
+
+class TestNonFinitePoses:
+    # NaN fails every "beyond the gate" comparison, so these used to match
+    # the ground truth at (0, 0, 10) and score mAP 1.0
+    @pytest.mark.parametrize("bad", [NAN_TRANSLATION, NAN_QUATERNION])
+    def test_match_rejects_a_non_finite_detection(self, bad):
+        with pytest.raises(NonFiniteError):
+            match([bad], [ann(0.0, 0.0, 10.0)], PAIR)
+
+    @pytest.mark.parametrize("bad", [NAN_TRANSLATION, NAN_QUATERNION])
+    def test_map_rejects_a_non_finite_detection(self, bad):
+        with pytest.raises(NonFiniteError, match="detection 0"):
+            mean_average_precision([image("a", bad)], [image("a", ann(0.0, 0.0, 10.0))])
+
+    @pytest.mark.parametrize("bad", [
+        ann(math.inf, 0.0, 10.0),
+        ann(0.0, 0.0, 10.0, quat=Quaternion(1.0, math.nan, 0.0, 0.0)),
+    ])
+    def test_non_finite_annotation_is_rejected(self, bad):
+        with pytest.raises(NonFiniteError, match="annotation 0"):
+            mean_average_precision([image("a", det(0.0, 0.0, 10.0))], [image("a", bad)])
+        with pytest.raises(NonFiniteError):
+            match([], [bad], PAIR)
+
+    def test_unmatchable_non_finite_detection_is_still_rejected(self):
+        # no same-class target anywhere: the pose is never compared, yet checked
+        preds = [image("b", det(0.0, math.inf, 10.0, class_id=5))]
+        with pytest.raises(NonFiniteError, match="image 'b'"):
+            mean_average_precision(preds, [image("a", ann(0.0, 0.0, 10.0))])
+
+    def test_is_a_value_error(self):
+        assert issubclass(NonFiniteError, ValueError)
 
 
 class TestAveragePrecision:

@@ -10,6 +10,8 @@ from pose6d import (
     EmptyEnsembleError,
     EnsembleConfig,
     IgnoreRegions,
+    NonFiniteError,
+    Quaternion,
     ThresholdSweep,
     Translation,
     apply_confidence_threshold,
@@ -22,7 +24,7 @@ from pose6d import (
     sweep_threshold,
 )
 
-from helpers import ann, as_detection, det, image, with_extra
+from helpers import ann, as_detection, crowded_scene, det, image, with_extra
 
 K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0)
 
@@ -299,3 +301,37 @@ class TestSweepThreshold:
     def test_parallel_sweep_matches_serial(self):
         preds, gts = self.perfect_scene()
         assert sweep_threshold(preds, gts, jobs=4) == sweep_threshold(preds, gts)
+
+    def test_invalid_jobs_count_is_rejected(self):
+        preds, gts = self.perfect_scene()
+        with pytest.raises(ValueError):
+            sweep_threshold(preds, gts, jobs=0)
+
+    @pytest.mark.parametrize("bad", [
+        det(math.nan, 0.0, 10.0, confidence=0.9),
+        det(0.0, 0.0, 10.0, confidence=0.9, quat=Quaternion(math.nan, 0.0, 0.0, 0.0)),
+    ])
+    def test_non_finite_pose_is_rejected(self, bad):
+        with pytest.raises(NonFiniteError):
+            sweep_threshold([image("a", bad)], [image("a", ann(0.0, 0.0, 10.0))])
+
+    def test_sweep_computes_no_more_angles_than_one_evaluation(self, monkeypatch):
+        # matching is shared across the grid, so a 15-point sweep does the
+        # angle work of a single mAP call on the unthresholded input
+        import pose6d.metrics
+
+        calls = 0
+        real = pose6d.metrics.angular_error
+
+        def counting(q_gt, q_pred):
+            nonlocal calls
+            calls += 1
+            return real(q_gt, q_pred)
+
+        monkeypatch.setattr(pose6d.metrics, "angular_error", counting)
+        preds, gts = crowded_scene(700)
+        mean_average_precision(preds, gts)
+        per_evaluation, calls = calls, 0
+        sweep_threshold(preds, gts)
+        assert len(ThresholdSweep().thresholds()) == 15
+        assert 0 < calls <= per_evaluation

@@ -17,33 +17,17 @@ from pose6d import (
     DEFAULT_LADDER,
     EulerAngles,
     NoClassesError,
-    NoiseSpec,
-    SceneSpec,
     ThresholdLadder,
     ThresholdSweep,
     angular_error,
     apply_confidence_threshold,
-    generate_scene,
     mean_average_precision,
     oracle_map,
-    perturb,
     quat_from_euler,
     sweep_threshold,
 )
 
-from helpers import IDENTITY, ann, as_detection, det, image
-
-# the benchmark's noisy detector: sigma_t 0.5 m, sigma_r 0.2 rad, miss 0.2,
-# false positives 0.5 per object, true-positive confidence 0.3-1.0
-NOISE = NoiseSpec(translation_sigma=0.5, rotation_sigma=0.2, miss_rate=0.2,
-                  false_positive_rate=0.5, tp_confidence=(0.3, 1.0))
-
-
-def crowded_scene(seed: int):
-    """6 images x 20-40 objects, 3 classes, like a sweep-dense input."""
-    spec = SceneSpec(seed=seed, n_images=6, objects_per_image=(20, 40), n_classes=3, noise=NOISE)
-    gts, camera = generate_scene(spec)
-    return perturb(gts, NOISE, seed + 1000, camera), gts
+from helpers import IDENTITY, ann, as_detection, crowded_scene, det, image
 
 
 def rotated(roll: float):
@@ -128,9 +112,12 @@ class TestAdversarialScenes:
                                         (2.0, angular_error(IDENTITY, rotated(0.2)))))
         gts = [image("a", ann(0.0, 0.0, 10.0), ann(10.0, 0.0, 10.0), ann(20.0, 0.0, 10.0))]
         preds = [image("a",
-                       det(1.0, 0.0, 10.0, confidence=0.9, quat=rotated(0.1)),    # on both gates
-                       det(math.nextafter(11.0, 12.0), 0.0, 10.0, confidence=0.8),  # just beyond 1 m
-                       det(20.0, 2.0, 10.0, confidence=0.7, quat=rotated(0.2)))]  # on the 2nd pair's gates
+                       # on both gates of the first pair
+                       det(1.0, 0.0, 10.0, confidence=0.9, quat=rotated(0.1)),
+                       # just beyond 1 m
+                       det(math.nextafter(11.0, 12.0), 0.0, 10.0, confidence=0.8),
+                       # on both gates of the second pair
+                       det(20.0, 2.0, 10.0, confidence=0.7, quat=rotated(0.2)))]
         _, report = mean_average_precision(preds, gts, ladder)
         assert report.per_class_ap[0][0] == pytest.approx(1.0 / 3.0)
         assert_refereed(preds, gts, ladder)
