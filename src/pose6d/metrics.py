@@ -289,6 +289,11 @@ def precision_recall(matches: Iterable[MatchResult]) -> tuple[float | None, floa
     return precision, recall
 
 
+def _check_threshold(threshold: float) -> None:
+    if not (0.0 <= threshold <= 1.0):
+        raise ValueError(f"threshold must be within [0, 1], got {threshold}")
+
+
 def _index_by_image(records: Sequence[ImageRecord], what: str) -> dict[str, ImageRecord]:
     out: dict[str, ImageRecord] = {}
     for record in records:
@@ -340,6 +345,7 @@ class Evaluation:
     def per_class_ap(self, threshold: float = 0.0) -> dict[int, tuple[float, ...]]:
         """AP per class and pair over the detections with confidence >= threshold;
         classes with neither ground truth nor a detection left are excluded."""
+        _check_threshold(threshold)
         out = {}
         for c, (neg_conf, columns, num_gt) in sorted(self.buckets.items()):
             k = bisect.bisect_right(neg_conf, -threshold)
@@ -353,19 +359,25 @@ class Evaluation:
         return _mean([_mean(aps) for aps in self.per_class_ap(threshold).values()])
 
 
-def mean_average_precision(pred_records: Sequence[ImageRecord], gt_records: Sequence[ImageRecord],
-                           ladder: ThresholdLadder = DEFAULT_LADDER, *,
-                           jobs: int = 1) -> tuple[float, EvaluationReport]:
+def mean_average_precision(
+    pred_records: Sequence[ImageRecord],
+    gt_records: Sequence[ImageRecord],
+    ladder: ThresholdLadder = DEFAULT_LADDER,
+    *,
+    jobs: int = 1,
+) -> tuple[float, EvaluationReport]:
     """Evaluate predictions against ground truth over a threshold ladder.
 
-    Returns ``(mAP, report)``; images are aligned as in ``Evaluation``.
-    Classes absent from both sides are excluded from the mean; if no class
-    appears at all, NoClassesError is raised. ``jobs`` has no effect: it is
-    accepted for compatibility and must be >= 1.
+    Returns ``(mAP, report)``. Images are aligned by ``image_id``; images
+    present on only one side contribute misses or false positives. Classes
+    absent from both sides are excluded from the mean; if no class appears
+    at all, NoClassesError is raised. ``jobs`` has no effect: it is accepted
+    for compatibility, must be >= 1, and results are identical at any value.
     """
     evaluation = Evaluation(pred_records, gt_records, ladder, jobs=jobs)
     per_class_ap = evaluation.per_class_ap()
     mean_ap = _mean([_mean(aps) for aps in per_class_ap.values()])
+
     last = evaluation.last
     try:
         mae: float | None = translation_mae(last)
@@ -373,8 +385,19 @@ def mean_average_precision(pred_records: Sequence[ImageRecord], gt_records: Sequ
     except NoMatchesError:
         mae = rot_mean = rot_median = None
     precision, recall = precision_recall(last)
-    return mean_ap, EvaluationReport(
-        ladder=ladder, per_class_ap=per_class_ap, mean_ap=mean_ap, mae_trans=mae,
-        rot_error_mean=rot_mean, rot_error_median=rot_median, precision=precision, recall=recall,
-        tp=sum(len(m.pairs) for m in last), fp=sum(len(m.unmatched_pred) for m in last),
-        fn=sum(len(m.unmatched_gt) for m in last))
+    tp = sum(len(m.pairs) for m in last)
+    fp = sum(len(m.unmatched_pred) for m in last)
+    fn = sum(len(m.unmatched_gt) for m in last)
+
+    report = EvaluationReport(
+        ladder=ladder,
+        per_class_ap=per_class_ap,
+        mean_ap=mean_ap,
+        mae_trans=mae,
+        rot_error_mean=rot_mean,
+        rot_error_median=rot_median,
+        precision=precision,
+        recall=recall,
+        tp=tp, fp=fp, fn=fn,
+    )
+    return mean_ap, report

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .geometry import BBox2D, CameraIntrinsics, Pose, backproject, bbox_center, iou_2d
-from .metrics import DEFAULT_LADDER, Evaluation, ThresholdLadder
+from .metrics import DEFAULT_LADDER, Evaluation, ThresholdLadder, _check_threshold
 from .records import Detection, IgnoreRegions, ImageRecord
 
 
@@ -76,11 +76,6 @@ def recover_xy(det: Detection, k: CameraIntrinsics) -> Detection:
 
 def recover_xy_records(records: Sequence[ImageRecord], k: CameraIntrinsics) -> list[ImageRecord]:
     return [replace(r, items=tuple(recover_xy(d, k) for d in r.items)) for r in records]
-
-
-def _check_threshold(threshold: float) -> None:
-    if not (0.0 <= threshold <= 1.0):
-        raise ValueError(f"threshold must be within [0, 1], got {threshold}")
 
 
 def apply_confidence_threshold(records: Sequence[ImageRecord], threshold: float) -> list[ImageRecord]:
@@ -186,10 +181,14 @@ def ensemble_max(model_outputs: Sequence[Sequence[ImageRecord]],
     return merged
 
 
-def sweep_threshold(pred_records: Sequence[ImageRecord], gt_records: Sequence[ImageRecord],
-                    sweep: ThresholdSweep = ThresholdSweep(),
-                    ladder: ThresholdLadder = DEFAULT_LADDER,
-                    *, jobs: int = 1) -> tuple[list[tuple[float, float]], float]:
+def sweep_threshold(
+    pred_records: Sequence[ImageRecord],
+    gt_records: Sequence[ImageRecord],
+    sweep: ThresholdSweep = ThresholdSweep(),
+    ladder: ThresholdLadder = DEFAULT_LADDER,
+    *,
+    jobs: int = 1,
+) -> tuple[list[tuple[float, float]], float]:
     """Evaluate mAP at every threshold on the grid.
 
     Returns ``(curve, best)`` where ``curve`` is a list of
@@ -200,8 +199,5 @@ def sweep_threshold(pred_records: Sequence[ImageRecord], gt_records: Sequence[Im
     ``jobs`` has no effect; it is accepted for compatibility and must be >= 1.
     """
     evaluation = Evaluation(pred_records, gt_records, ladder, jobs=jobs)
-    curve = []
-    for t in sweep.thresholds():
-        _check_threshold(t)
-        curve.append((t, evaluation.mean_ap(t)))
+    curve = [(t, evaluation.mean_ap(t)) for t in sweep.thresholds()]
     return curve, max(curve, key=lambda e: e[1])[0]  # max keeps the first of equals

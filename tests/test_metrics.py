@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from pose6d import (
     DEFAULT_LADDER,
     EulerAngles,
+    Evaluation,
     NoClassesError,
     NoMatchesError,
     NonFiniteError,
@@ -308,6 +309,12 @@ class TestMeanAveragePrecision:
         preds, gts = perfect_setup()
         with pytest.raises(ValueError):
             mean_average_precision(preds, gts, jobs=0)
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, math.nan])
+    def test_scoring_threshold_outside_the_unit_interval_is_rejected(self, threshold):
+        preds, gts = perfect_setup()
+        with pytest.raises(ValueError, match="threshold"):
+            Evaluation(preds, gts).per_class_ap(threshold)
 
     @pytest.mark.parametrize("seed", [3, 11, 27])
     def test_parallel_matching_changes_nothing(self, seed):
