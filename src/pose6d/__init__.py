@@ -47,7 +47,6 @@ from .losses import (
 )
 from .metrics import (
     DEFAULT_LADDER,
-    Evaluation,
     EvaluationReport,
     MatchResult,
     NoClassesError,

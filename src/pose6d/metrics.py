@@ -10,14 +10,9 @@ per class and per pair over the dataset-wide confidence ranking with the
 all-points precision envelope, and mAP is the mean over classes of the
 mean over pairs.
 
-One core matches for ``match``, ``mean_average_precision`` and the sweep:
-``Evaluation`` matches each image once at every pair (each same-class
-distance computed once, each angle at most once and only within the
-loosest gate) and buckets (confidence, TP flag per pair) rows by class.
-``Evaluation.per_class_ap(t)`` scores the confidence >= t prefix of every
-bucket, which is exact: a threshold cuts a suffix of the greedy visiting
-order and leaves the matching of the rest unchanged. Non-finite poses
-raise NonFiniteError (NaN would pass every gate).
+``match``, ``mean_average_precision`` and ``sweep_threshold`` share one
+matching core, ``Evaluation``: match once, score many (see its docstring).
+Non-finite poses raise NonFiniteError (NaN would pass every gate).
 
 Scalar error statistics in the report (translation MAE, angular error
 mean/median, precision/recall, TP/FP/FN counts) are computed from the
@@ -121,20 +116,21 @@ class MatchResult:
     rot_errors: tuple[float, ...]
 
 
-def _match_image(image_id: str, dets: Sequence[Detection], anns: Sequence[Annotation],
-                 pairs: Sequence[tuple[float, float]]) -> list[list[tuple]]:
+def _match_image(dets: Sequence[Detection], anns: Sequence[Annotation],
+                 pairs: Sequence[tuple[float, float]], where: str = "") -> list[list[tuple]]:
     """Per pair, the (det index, gt index, distance, angle) hits in visiting order.
 
     Candidates are sorted by (distance, index), so the first that is free
-    and passes both gates of a pair is the nearest valid one.
+    and passes both gates of a pair is the nearest valid one. ``where``
+    prefixes NonFiniteError messages.
     """
     loosest = max(t_m for t_m, _ in pairs)
     targets: dict[int, list] = {}
     for j, a in enumerate(anns):
-        targets.setdefault(a.class_id, []).append((j, _finite_xyz(a, image_id, "annotation", j)))
+        targets.setdefault(a.class_id, []).append((j, _finite_xyz(a, where, "annotation", j)))
     visits = []
     for i in sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i)):
-        p = _finite_xyz(dets[i], image_id, "detection", i)
+        p = _finite_xyz(dets[i], where, "detection", i)
         near = sorted((dist, j) for j, g in targets.get(dets[i].class_id, ())
                       if (dist := math.dist(p, g)) <= loosest)
         if near:
@@ -161,20 +157,29 @@ def _match_image(image_id: str, dets: Sequence[Detection], anns: Sequence[Annota
     return out
 
 
-def _finite_xyz(item: Detection | Annotation, image_id: str, kind: str, k: int) -> tuple:
+def _finite_xyz(item: Detection | Annotation, where: str, kind: str, k: int) -> tuple:
     """The item's translation as (x, y, z), after checking its whole pose is finite."""
     t, q = item.pose.translation, item.pose.rotation
     if not all(map(math.isfinite, (t.x, t.y, t.z, q.w, q.x, q.y, q.z))):
-        raise NonFiniteError(f"image {image_id!r}: {kind} {k} has a non-finite pose: {item.pose}")
+        raise NonFiniteError(f"{where}{kind} {k} has a non-finite pose: {item.pose}")
     return t.x, t.y, t.z
+
+
+def _match_result(hits: Sequence[tuple], num_dets: int, num_gts: int) -> MatchResult:
+    """The MatchResult of one pair's ``_match_image`` hits."""
+    matched, taken = {h[0] for h in hits}, {h[1] for h in hits}
+    return MatchResult(
+        pairs=tuple((h[0], h[1]) for h in hits),
+        unmatched_pred=tuple(i for i in range(num_dets) if i not in matched),
+        unmatched_gt=tuple(j for j in range(num_gts) if j not in taken),
+        trans_errors=tuple(h[2] for h in hits), rot_errors=tuple(h[3] for h in hits))
 
 
 def match(preds: Sequence[Detection], gts: Sequence[Annotation],
           pair: tuple[float, float]) -> MatchResult:
     """Greedily match one image's detections to its ground truth."""
     ladder = ThresholdLadder(pairs=(tuple(pair),))
-    evaluation = Evaluation([ImageRecord("", tuple(preds))], [ImageRecord("", tuple(gts))], ladder)
-    return evaluation.last[0]
+    return _match_result(_match_image(preds, gts, ladder.pairs)[0], len(preds), len(gts))
 
 
 def average_precision(flags: Sequence[bool], num_gt: int) -> float:
@@ -294,6 +299,11 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError(f"threshold must be within [0, 1], got {threshold}")
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+
 def _index_by_image(records: Sequence[ImageRecord], what: str) -> dict[str, ImageRecord]:
     out: dict[str, ImageRecord] = {}
     for record in records:
@@ -304,19 +314,21 @@ def _index_by_image(records: Sequence[ImageRecord], what: str) -> dict[str, Imag
 
 
 class Evaluation:
-    """A dataset matched once at every ladder pair, then scored on demand.
+    """A dataset matched once at every ladder pair, then scored per threshold.
 
-    Images are aligned by ``image_id``; an image on one side only
-    contributes misses or false positives. ``buckets[c]`` holds class c's
-    negated confidences in ranking order, one TP-flag column per pair and
-    its ground-truth count; ``last`` each image's last-pair matching.
-    ``jobs`` has no effect; it is accepted for compatibility and must be >= 1.
+    Images are aligned by ``image_id``; an image on one side only adds
+    misses or false positives. Per image, each same-class distance is
+    computed once and each angle at most once, within the loosest gate.
+    ``buckets[c]`` holds class c's negated confidences in ranking order, a
+    TP-flag column per pair and its ground-truth count; ``last`` each
+    image's last-pair matching. ``per_class_ap(t)`` scores the confidence
+    >= t prefix of each bucket. That equals thresholding at t and matching
+    again: a threshold cuts a suffix of the greedy visiting order and
+    leaves the matching of the rest unchanged.
     """
 
     def __init__(self, pred_records: Sequence[ImageRecord], gt_records: Sequence[ImageRecord],
-                 ladder: ThresholdLadder = DEFAULT_LADDER, *, jobs: int = 1):
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
+                 ladder: ThresholdLadder = DEFAULT_LADDER):
         pred_by_id = _index_by_image(pred_records, "predictions")
         gt_by_id = _index_by_image(gt_records, "ground truth")
         gt_count = Counter(a.class_id for r in gt_records for a in r.items)
@@ -325,17 +337,11 @@ class Evaluation:
         for image_id in list(gt_by_id) + [i for i in pred_by_id if i not in gt_by_id]:
             dets = pred_by_id[image_id].items if image_id in pred_by_id else ()
             anns = gt_by_id[image_id].items if image_id in gt_by_id else ()
-            per_pair = _match_image(image_id, dets, anns, ladder.pairs)
+            per_pair = _match_image(dets, anns, ladder.pairs, f"image {image_id!r}: ")
             matched = [{h[0] for h in hits} for hits in per_pair]
             for i, d in enumerate(dets):
                 rows[d.class_id].append((d.confidence, tuple(i in m for m in matched)))
-            hits = per_pair[-1]
-            taken = {h[1] for h in hits}
-            self.last.append(MatchResult(
-                pairs=tuple((h[0], h[1]) for h in hits),
-                unmatched_pred=tuple(i for i in range(len(dets)) if i not in matched[-1]),
-                unmatched_gt=tuple(j for j in range(len(anns)) if j not in taken),
-                trans_errors=tuple(h[2] for h in hits), rot_errors=tuple(h[3] for h in hits)))
+            self.last.append(_match_result(per_pair[-1], len(dets), len(anns)))
         self.buckets: dict[int, tuple[list[float], list[tuple[bool, ...]], int]] = {}
         for c, class_rows in rows.items():
             class_rows.sort(key=lambda r: -r[0])  # stable: ties keep image, then input order
@@ -355,8 +361,10 @@ class Evaluation:
             raise NoClassesError("no class appears in ground truth or predictions")
         return out
 
-    def mean_ap(self, threshold: float = 0.0) -> float:
-        return _mean([_mean(aps) for aps in self.per_class_ap(threshold).values()])
+
+def _class_mean(per_class_ap: dict[int, tuple[float, ...]]) -> float:
+    """mAP: the mean over classes of the mean over ladder pairs."""
+    return _mean([_mean(aps) for aps in per_class_ap.values()])
 
 
 def mean_average_precision(
@@ -374,9 +382,10 @@ def mean_average_precision(
     at all, NoClassesError is raised. ``jobs`` has no effect: it is accepted
     for compatibility, must be >= 1, and results are identical at any value.
     """
-    evaluation = Evaluation(pred_records, gt_records, ladder, jobs=jobs)
+    _check_jobs(jobs)
+    evaluation = Evaluation(pred_records, gt_records, ladder)
     per_class_ap = evaluation.per_class_ap()
-    mean_ap = _mean([_mean(aps) for aps in per_class_ap.values()])
+    mean_ap = _class_mean(per_class_ap)
 
     last = evaluation.last
     try:

@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .geometry import BBox2D, CameraIntrinsics, Pose, backproject, bbox_center, iou_2d
-from .metrics import DEFAULT_LADDER, Evaluation, ThresholdLadder, _check_threshold
+from .metrics import (DEFAULT_LADDER, Evaluation, ThresholdLadder, _check_jobs, _check_threshold,
+                      _class_mean)
 from .records import Detection, IgnoreRegions, ImageRecord
 
 
@@ -194,10 +195,10 @@ def sweep_threshold(
     Returns ``(curve, best)`` where ``curve`` is a list of
     ``(threshold, mAP)`` in grid order and ``best`` is the threshold with
     the highest mAP, ties resolved toward the smallest threshold. Matching
-    runs once, on the unthresholded input, and each grid point is scored
-    on the confidence >= t prefix of every class ranking (see ``metrics``).
+    runs once, on the unthresholded input (see ``metrics.Evaluation``).
     ``jobs`` has no effect; it is accepted for compatibility and must be >= 1.
     """
-    evaluation = Evaluation(pred_records, gt_records, ladder, jobs=jobs)
-    curve = [(t, evaluation.mean_ap(t)) for t in sweep.thresholds()]
+    _check_jobs(jobs)
+    evaluation = Evaluation(pred_records, gt_records, ladder)
+    curve = [(t, _class_mean(evaluation.per_class_ap(t))) for t in sweep.thresholds()]
     return curve, max(curve, key=lambda e: e[1])[0]  # max keeps the first of equals

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from pose6d import (
     DEFAULT_LADDER,
     EulerAngles,
-    Evaluation,
     NoClassesError,
     NoMatchesError,
     NonFiniteError,
@@ -34,6 +33,8 @@ from pose6d import (
     rotation_error_stats,
     translation_mae,
 )
+
+from pose6d.metrics import Evaluation
 
 from helpers import ann, as_detection, det, image
 
@@ -169,7 +170,7 @@ class TestNonFinitePoses:
     # the ground truth at (0, 0, 10) and score mAP 1.0
     @pytest.mark.parametrize("bad", [NAN_TRANSLATION, NAN_QUATERNION])
     def test_match_rejects_a_non_finite_detection(self, bad):
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(NonFiniteError, match="^detection 0 has"):
             match([bad], [ann(0.0, 0.0, 10.0)], PAIR)
 
     @pytest.mark.parametrize("bad", [NAN_TRANSLATION, NAN_QUATERNION])
