@@ -20,16 +20,8 @@ from dataclasses import replace
 from typing import Callable
 
 from .geometry import extent_bbox
-from .metrics import (
-    DEFAULT_LADDER,
-    NoClassesError,
-    NoMatchesError,
-    ThresholdLadder,
-    load_ladder,
-    mean_average_precision,
-)
+from .metrics import DEFAULT_LADDER, ThresholdLadder, load_ladder, mean_average_precision
 from .postprocess import (
-    EmptyEnsembleError,
     EnsembleConfig,
     ThresholdSweep,
     apply_confidence_threshold,
@@ -283,15 +275,9 @@ def main(argv: list[str] | None = None) -> int:
     func: Callable[[argparse.Namespace], int] = args.func
     try:
         return func(args)
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (NoClassesError, NoMatchesError, EmptyEnsembleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

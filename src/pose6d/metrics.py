@@ -26,7 +26,6 @@ degrees are converted to radians at load time.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import statistics
 from collections import Counter, defaultdict
@@ -36,7 +35,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .geometry import angular_error
-from .records import Annotation, Detection, ImageRecord, ParseError, ValidationError
+from .records import (Annotation, Detection, ImageRecord, ParseError, ValidationError,
+                      _index_by_image, _read_json)
 
 
 class NoMatchesError(ValueError):
@@ -93,12 +93,7 @@ def parse_ladder(data: object) -> ThresholdLadder:
 
 
 def load_ladder(path: str) -> ThresholdLadder:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.lineno, "", f"invalid JSON ({exc.msg})") from exc
-    return parse_ladder(data)
+    return parse_ladder(_read_json(path))
 
 
 @dataclass(frozen=True)
@@ -302,15 +297,6 @@ def _check_threshold(threshold: float) -> None:
 def _check_jobs(jobs: int) -> None:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-
-
-def _index_by_image(records: Sequence[ImageRecord], what: str) -> dict[str, ImageRecord]:
-    out: dict[str, ImageRecord] = {}
-    for record in records:
-        if record.image_id in out:
-            raise ValueError(f"duplicate image_id {record.image_id!r} in {what}")
-        out[record.image_id] = record
-    return out
 
 
 class Evaluation:

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 from .geometry import BBox2D, CameraIntrinsics, Pose, backproject, bbox_center, iou_2d
 from .metrics import (DEFAULT_LADDER, Evaluation, ThresholdLadder, _check_jobs, _check_threshold,
                       _class_mean)
-from .records import Detection, IgnoreRegions, ImageRecord
+from .records import Detection, IgnoreRegions, ImageRecord, _index_by_image
 
 
 class EmptyEnsembleError(ValueError):
@@ -56,9 +56,10 @@ class ThresholdSweep:
             raise ValueError(f"step must be positive, got {self.step}")
 
     def thresholds(self) -> list[float]:
-        """Grid lo, lo+step, ... up to hi inclusive (within rounding)."""
+        """Grid lo, lo+step, ... up to hi inclusive; a last point that rounding
+        carries past hi is clamped to hi."""
         count = int(math.floor((self.hi - self.lo) / self.step + 1e-9)) + 1
-        return [round(self.lo + i * self.step, 12) for i in range(count)]
+        return [min(round(self.lo + i * self.step, 12), self.hi) for i in range(count)]
 
 
 def _require_bbox(det: Detection, stage: str) -> BBox2D:
@@ -148,24 +149,21 @@ def ensemble_max(model_outputs: Sequence[Sequence[ImageRecord]],
     same-class detection whose IoU with the seed reaches the threshold.
     Seeds are emitted unchanged, in cluster-creation order, so every output
     detection is one of the inputs. Image order follows first appearance
-    across models; the image set is the union.
+    across models; the image set is the union. An image_id repeated within
+    one model's output raises ValueError.
     """
     if not model_outputs:
         raise EmptyEnsembleError("ensemble needs at least one model output")
-    image_order: list[str] = []
     pools: dict[str, list[tuple[Detection, int, int]]] = {}
     for model_idx, records in enumerate(model_outputs):
-        for record in records:
-            if record.image_id not in pools:
-                pools[record.image_id] = []
-                image_order.append(record.image_id)
-            pool = pools[record.image_id]
+        for record in _index_by_image(records, "predictions").values():
+            pool = pools.setdefault(record.image_id, [])
             for det in record.items:
                 _require_bbox(det, "ensemble_max")
                 pool.append((det, model_idx, len(pool)))
     merged = []
-    for image_id in image_order:
-        pool = sorted(pools[image_id], key=lambda e: (-e[0].confidence, e[1], e[2]))
+    for image_id, pool in pools.items():
+        pool = sorted(pool, key=lambda e: (-e[0].confidence, e[1], e[2]))
         assigned = [False] * len(pool)
         seeds = []
         for s, (seed, _, _) in enumerate(pool):

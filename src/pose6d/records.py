@@ -13,6 +13,8 @@ meters, a rotation as exactly one of ``quaternion`` ``[w, x, y, z]`` or
 [0, 1]. Quaternions are normalized at load time; serialization always
 writes the stored quaternion, at full round-trip precision, so
 ``parse(serialize(records))`` reproduces the records field-exactly.
+The three kinds share one reader and one writer: the name of a line's
+list picks the record type and the item parser from one table.
 
 A single-class CSV compatibility reader is also provided: rows are
 ``image_id, S`` where ``S`` is a space-separated sequence of repeating
@@ -30,7 +32,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Union
+from functools import partial
+from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
 from .geometry import (
     BBox2D,
@@ -39,14 +42,13 @@ from .geometry import (
     Pose,
     Quaternion,
     Translation,
-    ZeroNormError,
     quat_from_euler,
     quat_normalize,
 )
 
 
-class ParseError(ValueError):
-    """Input text that does not decode into the expected shape."""
+class _LocatedError(ValueError):
+    """An input error at a 1-based line and field path."""
 
     def __init__(self, line: int, path: str, message: str):
         super().__init__(f"line {line}: {path}: {message}" if path else f"line {line}: {message}")
@@ -54,13 +56,18 @@ class ParseError(ValueError):
         self.path = path
 
 
-class ValidationError(ValueError):
+class ParseError(_LocatedError):
+    """Input text that does not decode into the expected shape."""
+
+
+class ValidationError(_LocatedError):
     """Decoded value that violates a record invariant."""
 
-    def __init__(self, line: int, path: str, message: str):
-        super().__init__(f"line {line}: {path}: {message}")
-        self.line = line
-        self.path = path
+
+def _check_depth(pose: Pose, kind: str) -> None:
+    """Objects are in front of the camera: a pose with z <= 0 (or NaN) is rejected."""
+    if not pose.translation.z > 0.0:
+        raise ValueError(f"{kind} depth must be positive, got z={pose.translation.z}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,7 @@ class Detection:
     def __post_init__(self) -> None:
         if not (0.0 <= self.confidence <= 1.0):
             raise ValueError(f"confidence must be within [0, 1], got {self.confidence}")
+        _check_depth(self.pose, "detection")
 
 
 @dataclass(frozen=True)
@@ -82,14 +90,23 @@ class Annotation:
     bbox: BBox2D | None = None
 
     def __post_init__(self) -> None:
-        if not self.pose.translation.z > 0.0:
-            raise ValueError(f"annotation depth must be positive, got z={self.pose.translation.z}")
+        _check_depth(self.pose, "annotation")
 
 
 @dataclass(frozen=True)
 class ImageRecord:
     image_id: str
     items: tuple
+
+
+def _index_by_image(records: Sequence[ImageRecord], what: str) -> dict[str, ImageRecord]:
+    """Records by ``image_id``, in input order; a repeated id raises ValueError."""
+    out: dict[str, ImageRecord] = {}
+    for record in records:
+        if record.image_id in out:
+            raise ValueError(f"duplicate image_id {record.image_id!r} in {what}")
+        out[record.image_id] = record
+    return out
 
 
 @dataclass(frozen=True)
@@ -108,18 +125,7 @@ def _iter_lines(stream: Lines) -> Iterator[tuple[int, str]]:
             yield number, line
 
 
-def _decode_line(number: int, line: str) -> dict:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(number, "", f"invalid JSON ({exc.msg})") from exc
-    if not isinstance(obj, dict):
-        raise ParseError(number, "", f"expected a JSON object, got {type(obj).__name__}")
-    return obj
-
-
-def _get_image_id(number: int, obj: dict, seen: set[str]) -> str:
-    image_id = obj.get("image_id")
+def _get_image_id(number: int, image_id: object, seen: set[str]) -> str:
     if not isinstance(image_id, str) or not image_id:
         raise ParseError(number, "image_id", "must be a non-empty string")
     if image_id in seen:
@@ -137,131 +143,124 @@ def _number(number: int, value: object, path: str) -> float:
     return out
 
 
-def _number_list(number: int, obj: dict, key: str, count: int, path: str) -> list[float]:
-    value = obj.get(key)
+def _number_list(number: int, value: object, count: int, path: str) -> list[float]:
     if not isinstance(value, list) or len(value) != count:
-        raise ParseError(number, f"{path}.{key}", f"must be a list of {count} numbers")
-    return [_number(number, v, f"{path}.{key}[{i}]") for i, v in enumerate(value)]
+        raise ParseError(number, path, f"must be a list of {count} numbers")
+    return [_number(number, v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-def _parse_class_id(number: int, obj: dict, path: str) -> int:
-    value = obj.get("class_id")
-    if isinstance(value, bool) or not isinstance(value, int):
+def _located(number: int, path: str, build: Callable, *args):
+    """``build(*args)``, with the ValueError it raises located at ``path``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValidationError(number, path, str(exc)) from exc
+
+
+def _box(number: int, value: object, path: str) -> BBox2D:
+    return _located(number, path, BBox2D, *_number_list(number, value, 4, path))
+
+
+def _parse_item(kind: type, number: int, obj: object, path: str) -> Detection | Annotation:
+    """One detection or annotation. Fields are checked in a fixed order, so the
+    error names the first bad one; only detections read ``confidence``."""
+    if not isinstance(obj, dict):
+        raise ParseError(number, path, f"expected an object, got {type(obj).__name__}")
+    class_id = obj.get("class_id")
+    if isinstance(class_id, bool) or not isinstance(class_id, int):
         raise ParseError(number, f"{path}.class_id", "must be an integer")
-    if value < 0:
-        raise ValidationError(number, f"{path}.class_id", f"must be >= 0, got {value}")
-    return value
-
-
-def _parse_rotation(number: int, obj: dict, path: str) -> Quaternion:
+    if class_id < 0:
+        raise ValidationError(number, f"{path}.class_id", f"must be >= 0, got {class_id}")
+    fields = {"class_id": class_id}
+    if kind is Detection:
+        confidence = _number(number, obj.get("confidence"), f"{path}.confidence")
+        if not (0.0 <= confidence <= 1.0):
+            raise ValidationError(number, f"{path}.confidence",
+                                  f"must be within [0, 1], got {confidence}")
+        fields["confidence"] = confidence
+    bbox = None if obj.get("bbox") is None else _box(number, obj["bbox"], f"{path}.bbox")
     has_quat = "quaternion" in obj
-    has_euler = "euler" in obj
-    if has_quat == has_euler:
+    if has_quat == ("euler" in obj):
         raise ParseError(number, path, "exactly one of 'quaternion' or 'euler' is required")
     if has_quat:
-        w, x, y, z = _number_list(number, obj, "quaternion", 4, path)
-        try:
-            return quat_normalize(Quaternion(w, x, y, z))
-        except ZeroNormError as exc:
-            raise ValidationError(number, f"{path}.quaternion", str(exc)) from exc
-    roll, pitch, yaw = _number_list(number, obj, "euler", 3, path)
-    return quat_from_euler(EulerAngles(roll=roll, pitch=pitch, yaw=yaw))
-
-
-def _parse_translation(number: int, obj: dict, path: str, require_front: bool) -> Translation:
-    x, y, z = _number_list(number, obj, "translation", 3, path)
-    if require_front and z <= 0.0:
+        q = Quaternion(*_number_list(number, obj["quaternion"], 4, f"{path}.quaternion"))
+        rotation = _located(number, f"{path}.quaternion", quat_normalize, q)
+    else:
+        euler = EulerAngles(*_number_list(number, obj["euler"], 3, f"{path}.euler"))
+        rotation = quat_from_euler(euler)
+    x, y, z = _number_list(number, obj.get("translation"), 3, f"{path}.translation")
+    if z <= 0.0:
         raise ValidationError(number, f"{path}.translation.z", f"must be > 0, got {z}")
-    return Translation(x, y, z)
+    return kind(bbox=bbox, pose=Pose(rotation, Translation(x, y, z)), **fields)
 
 
-def _parse_bbox(number: int, obj: dict, path: str) -> BBox2D | None:
-    if "bbox" not in obj or obj["bbox"] is None:
-        return None
-    x1, y1, x2, y2 = _number_list(number, obj, "bbox", 4, path)
-    try:
-        return BBox2D(x1, y1, x2, y2)
-    except ValueError as exc:
-        raise ValidationError(number, f"{path}.bbox", str(exc)) from exc
+def _box_values(box: BBox2D) -> list[float]:
+    return [box.x1, box.y1, box.x2, box.y2]
 
 
-def _parse_detection(number: int, obj: dict, path: str) -> Detection:
-    if not isinstance(obj, dict):
-        raise ParseError(number, path, f"expected an object, got {type(obj).__name__}")
-    class_id = _parse_class_id(number, obj, path)
-    confidence = _number(number, obj.get("confidence"), f"{path}.confidence")
-    if not (0.0 <= confidence <= 1.0):
-        raise ValidationError(number, f"{path}.confidence", f"must be within [0, 1], got {confidence}")
-    bbox = _parse_bbox(number, obj, path)
-    rotation = _parse_rotation(number, obj, path)
-    translation = _parse_translation(number, obj, path, require_front=True)
-    return Detection(class_id=class_id, confidence=confidence, bbox=bbox,
-                     pose=Pose(rotation, translation))
+def _item_dict(item: Detection | Annotation) -> dict:
+    out: dict = {"class_id": item.class_id}
+    if isinstance(item, Detection):
+        out["confidence"] = item.confidence
+    if item.bbox is not None:
+        out["bbox"] = _box_values(item.bbox)
+    q = item.pose.rotation
+    t = item.pose.translation
+    out["quaternion"] = [q.w, q.x, q.y, q.z]
+    out["translation"] = [t.x, t.y, t.z]
+    return out
 
 
-def _parse_annotation(number: int, obj: dict, path: str) -> Annotation:
-    if not isinstance(obj, dict):
-        raise ParseError(number, path, f"expected an object, got {type(obj).__name__}")
-    class_id = _parse_class_id(number, obj, path)
-    bbox = _parse_bbox(number, obj, path)
-    rotation = _parse_rotation(number, obj, path)
-    translation = _parse_translation(number, obj, path, require_front=True)
-    return Annotation(class_id=class_id, pose=Pose(rotation, translation), bbox=bbox)
+# list key of a JSONL line -> (record type, its item field, item parser, item writer)
+_KINDS: dict[str, tuple[type, str, Callable, Callable]] = {
+    "detections": (ImageRecord, "items", partial(_parse_item, Detection), _item_dict),
+    "annotations": (ImageRecord, "items", partial(_parse_item, Annotation), _item_dict),
+    "rects": (IgnoreRegions, "rects", _box, _box_values),
+}
+
+
+def _parse_jsonl(stream: Lines, key: str) -> list:
+    """Read JSONL whose lines carry ``image_id`` and a ``key`` list of items."""
+    record_type, _, parse_item, _ = _KINDS[key]
+    records = []
+    seen: set[str] = set()
+    for number, line in _iter_lines(stream):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(number, "", f"invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise ParseError(number, "", f"expected a JSON object, got {type(obj).__name__}")
+        image_id = _get_image_id(number, obj.get("image_id"), seen)
+        items = obj.get(key)
+        if not isinstance(items, list):
+            raise ParseError(number, key, "must be a list")
+        records.append(record_type(image_id, tuple(parse_item(number, item, f"{key}[{i}]")
+                                                   for i, item in enumerate(items))))
+    return records
+
+
+def _serialize_jsonl(records: Iterable, stream: IO[str], key: str) -> None:
+    """Write records as canonical JSONL (inverse of ``_parse_jsonl``)."""
+    _, field, _, write_item = _KINDS[key]
+    for record in records:
+        obj = {"image_id": record.image_id, key: [write_item(i) for i in getattr(record, field)]}
+        stream.write(json.dumps(obj) + "\n")
 
 
 def parse_predictions(stream: Lines) -> list[ImageRecord]:
     """Read prediction JSONL into one ImageRecord of Detections per image."""
-    records: list[ImageRecord] = []
-    seen: set[str] = set()
-    for number, line in _iter_lines(stream):
-        obj = _decode_line(number, line)
-        image_id = _get_image_id(number, obj, seen)
-        items = obj.get("detections")
-        if not isinstance(items, list):
-            raise ParseError(number, "detections", "must be a list")
-        dets = tuple(_parse_detection(number, item, f"detections[{i}]")
-                     for i, item in enumerate(items))
-        records.append(ImageRecord(image_id=image_id, items=dets))
-    return records
+    return _parse_jsonl(stream, "detections")
 
 
 def parse_ground_truth(stream: Lines) -> list[ImageRecord]:
     """Read ground-truth JSONL into one ImageRecord of Annotations per image."""
-    records: list[ImageRecord] = []
-    seen: set[str] = set()
-    for number, line in _iter_lines(stream):
-        obj = _decode_line(number, line)
-        image_id = _get_image_id(number, obj, seen)
-        items = obj.get("annotations")
-        if not isinstance(items, list):
-            raise ParseError(number, "annotations", "must be a list")
-        anns = tuple(_parse_annotation(number, item, f"annotations[{i}]")
-                     for i, item in enumerate(items))
-        records.append(ImageRecord(image_id=image_id, items=anns))
-    return records
+    return _parse_jsonl(stream, "annotations")
 
 
 def parse_ignore(stream: Lines) -> list[IgnoreRegions]:
     """Read ignore-region JSONL (one set of rectangles per image)."""
-    out: list[IgnoreRegions] = []
-    seen: set[str] = set()
-    for number, line in _iter_lines(stream):
-        obj = _decode_line(number, line)
-        image_id = _get_image_id(number, obj, seen)
-        rects_raw = obj.get("rects")
-        if not isinstance(rects_raw, list):
-            raise ParseError(number, "rects", "must be a list")
-        rects = []
-        for i, rect in enumerate(rects_raw):
-            if not isinstance(rect, list) or len(rect) != 4:
-                raise ParseError(number, f"rects[{i}]", "must be a list of 4 numbers")
-            vals = [_number(number, v, f"rects[{i}][{j}]") for j, v in enumerate(rect)]
-            try:
-                rects.append(BBox2D(*vals))
-            except ValueError as exc:
-                raise ValidationError(number, f"rects[{i}]", str(exc)) from exc
-        out.append(IgnoreRegions(image_id=image_id, rects=tuple(rects)))
-    return out
+    return _parse_jsonl(stream, "rects")
 
 
 def parse_csv_compat(stream: Lines) -> list[ImageRecord]:
@@ -272,12 +271,7 @@ def parse_csv_compat(stream: Lines) -> list[ImageRecord]:
         if "," not in line:
             raise ParseError(number, "", "expected 'image_id, prediction string'")
         image_id, _, body = line.partition(",")
-        image_id = image_id.strip()
-        if not image_id:
-            raise ParseError(number, "image_id", "must be a non-empty string")
-        if image_id in seen:
-            raise ParseError(number, "image_id", f"duplicate image_id {image_id!r}")
-        seen.add(image_id)
+        image_id = _get_image_id(number, image_id.strip(), seen)
         tokens = body.split()
         if len(tokens) % 7 != 0:
             raise ParseError(number, "", f"token count {len(tokens)} is not a multiple of 7")
@@ -291,9 +285,7 @@ def parse_csv_compat(stream: Lines) -> list[ImageRecord]:
                     value = float(token)
                 except ValueError as exc:
                     raise ParseError(number, f"{path}.{name}", f"not a number: {token!r}") from exc
-                if not math.isfinite(value):
-                    raise ValidationError(number, f"{path}.{name}", f"must be finite, got {value}")
-                vals.append(value)
+                vals.append(_number(number, value, f"{path}.{name}"))
             pitch, yaw, roll, x, y, z, confidence = vals
             if not (0.0 <= confidence <= 1.0):
                 raise ValidationError(number, f"{path}.confidence",
@@ -307,95 +299,77 @@ def parse_csv_compat(stream: Lines) -> list[ImageRecord]:
     return records
 
 
-def _item_dict(item: Detection | Annotation) -> dict:
-    out: dict = {"class_id": item.class_id}
-    if isinstance(item, Detection):
-        out["confidence"] = item.confidence
-    if item.bbox is not None:
-        out["bbox"] = [item.bbox.x1, item.bbox.y1, item.bbox.x2, item.bbox.y2]
-    q = item.pose.rotation
-    t = item.pose.translation
-    out["quaternion"] = [q.w, q.x, q.y, q.z]
-    out["translation"] = [t.x, t.y, t.z]
-    return out
-
-
 def serialize_predictions(records: Iterable[ImageRecord], stream: IO[str]) -> None:
     """Write prediction records as canonical JSONL (inverse of parse_predictions)."""
-    for record in records:
-        obj = {"image_id": record.image_id,
-               "detections": [_item_dict(d) for d in record.items]}
-        stream.write(json.dumps(obj) + "\n")
+    _serialize_jsonl(records, stream, "detections")
 
 
 def serialize_ground_truth(records: Iterable[ImageRecord], stream: IO[str]) -> None:
     """Write ground-truth records as canonical JSONL (inverse of parse_ground_truth)."""
-    for record in records:
-        obj = {"image_id": record.image_id,
-               "annotations": [_item_dict(a) for a in record.items]}
-        stream.write(json.dumps(obj) + "\n")
+    _serialize_jsonl(records, stream, "annotations")
 
 
 def serialize_ignore(regions: Iterable[IgnoreRegions], stream: IO[str]) -> None:
-    for region in regions:
-        obj = {"image_id": region.image_id,
-               "rects": [[r.x1, r.y1, r.x2, r.y2] for r in region.rects]}
-        stream.write(json.dumps(obj) + "\n")
+    _serialize_jsonl(regions, stream, "rects")
+
+
+def _load(path: str, parse: Callable[[IO[str]], object]):
+    with open(path, "r", encoding="utf-8") as handle:
+        return parse(handle)
+
+
+def _save(records: Iterable, path: str, serialize: Callable[[Iterable, IO[str]], None]) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        serialize(records, handle)
 
 
 def load_predictions(path: str) -> list[ImageRecord]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_predictions(handle)
+    return _load(path, parse_predictions)
 
 
 def load_ground_truth(path: str) -> list[ImageRecord]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_ground_truth(handle)
+    return _load(path, parse_ground_truth)
 
 
 def load_ignore(path: str) -> list[IgnoreRegions]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_ignore(handle)
+    return _load(path, parse_ignore)
 
 
 def load_csv_compat(path: str) -> list[ImageRecord]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_csv_compat(handle)
+    return _load(path, parse_csv_compat)
 
 
 def save_predictions(records: Iterable[ImageRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        serialize_predictions(records, handle)
+    _save(records, path, serialize_predictions)
 
 
 def save_ground_truth(records: Iterable[ImageRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        serialize_ground_truth(records, handle)
+    _save(records, path, serialize_ground_truth)
 
 
 def save_ignore(regions: Iterable[IgnoreRegions], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        serialize_ignore(regions, handle)
+    _save(regions, path, serialize_ignore)
+
+
+def _read_json(path: str) -> object:
+    """Decode a whole JSON file; a syntax error raises ParseError at its line."""
+    try:
+        return _load(path, json.load)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, "", f"invalid JSON ({exc.msg})") from exc
 
 
 def load_camera(path: str) -> CameraIntrinsics:
     """Read pinhole intrinsics from a JSON file with keys fx, fy, cx, cy."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.lineno, "", f"invalid JSON ({exc.msg})") from exc
+    obj = _read_json(path)
     if not isinstance(obj, dict):
         raise ParseError(1, "", f"expected a JSON object, got {type(obj).__name__}")
-    values = {}
+    values = []
     for key in ("fx", "fy", "cx", "cy"):
         if key not in obj:
             raise ParseError(1, key, "missing required key")
-        values[key] = _number(1, obj[key], key)
-    try:
-        return CameraIntrinsics(**values)
-    except ValueError as exc:
-        raise ValidationError(1, "fx/fy", str(exc)) from exc
+        values.append(_number(1, obj[key], key))
+    return _located(1, "fx/fy", CameraIntrinsics, *values)
 
 
 def save_camera(k: CameraIntrinsics, path: str) -> None:

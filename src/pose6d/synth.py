@@ -40,7 +40,7 @@ from .geometry import (
     quat_multiply,
     quat_normalize,
 )
-from .metrics import DEFAULT_LADDER, ThresholdLadder
+from .metrics import DEFAULT_LADDER, NoClassesError, ThresholdLadder
 from .records import Annotation, Detection, ImageRecord
 
 CAR_EXTENT = (4.5, 1.8, 1.5)  # length, width, height in meters
@@ -261,7 +261,7 @@ def oracle_map(pred_records: Sequence[ImageRecord], gt_records: Sequence[ImageRe
         classes.update(d.class_id for d in dets)
         classes.update(a.class_id for a in anns)
     if not classes:
-        raise ValueError("no class appears in ground truth or predictions")
+        raise NoClassesError("no class appears in ground truth or predictions")
 
     class_means = []
     for c in sorted(classes):

@@ -238,10 +238,10 @@ class TestSynth:
 
 class TestExitCodes:
     def test_missing_input_file(self, tmp_path, camera_path):
-        code, _, err = run(["eval", "--pred", str(tmp_path / "nope.jsonl"),
-                            "--gt", str(tmp_path / "nope.jsonl"), "--camera", camera_path])
+        missing = str(tmp_path / "nope.jsonl")
+        code, _, err = run(["eval", "--pred", missing, "--gt", missing, "--camera", camera_path])
         assert code == EXIT_INPUT
-        assert "error" in err
+        assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
 
     def test_malformed_predictions(self, tmp_path, camera_path):
         pred_path = tmp_path / "bad.jsonl"
@@ -251,7 +251,18 @@ class TestExitCodes:
         code, _, err = run(["eval", "--pred", str(pred_path), "--gt", gt_path,
                             "--camera", camera_path])
         assert code == EXIT_INPUT
-        assert "line 1" in err
+        assert err == ("error: line 1: invalid JSON "
+                       "(Expecting property name enclosed in double quotes)\n")
+
+    def test_invalid_camera_values(self, tmp_path, perfect_files):
+        pred, gt, _ = perfect_files
+        camera_path = tmp_path / "flat.json"
+        camera_path.write_text(json.dumps({"fx": 0.0, "fy": 1000.0, "cx": 960.0, "cy": 540.0}),
+                               encoding="utf-8")
+        code, _, err = run(["eval", "--pred", pred, "--gt", gt, "--camera", str(camera_path)])
+        assert code == EXIT_INPUT
+        assert err == ("error: line 1: fx/fy: focal lengths must be positive, "
+                       "got fx=0.0, fy=1000.0\n")
 
     def test_unknown_subcommand(self):
         assert run(["frobnicate"])[0] == EXIT_INPUT
@@ -272,7 +283,7 @@ class TestExitCodes:
         code, _, err = run(["eval", "--pred", pred_path, "--gt", gt_path,
                             "--camera", camera_path])
         assert code == EXIT_COMPUTE
-        assert "no class" in err
+        assert err == "error: no class appears in ground truth or predictions\n"
 
     def test_invalid_synth_spec(self, tmp_path):
         code, _, err = run(["synth", "--objects-min", "5", "--objects-max", "2",
@@ -297,8 +308,9 @@ class TestExitCodes:
     def test_ensemble_without_bboxes_is_a_compute_error(self, tmp_path):
         pred_path = str(tmp_path / "m.jsonl")
         save_predictions([image("a", det(0.0, 0.0, 10.0, confidence=0.5))], pred_path)
-        code, _, _ = run(["ensemble", pred_path, "--out", str(tmp_path / "out.jsonl")])
+        code, _, err = run(["ensemble", pred_path, "--out", str(tmp_path / "out.jsonl")])
         assert code == EXIT_COMPUTE
+        assert err == "error: ensemble_max requires detections with a bbox\n"
 
     def test_out_of_range_argument_values(self, tmp_path, perfect_files):
         pred, gt, camera = perfect_files

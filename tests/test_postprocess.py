@@ -159,6 +159,11 @@ class TestEnsembleMax:
         merged = ensemble_max([[image("a", d)], [image("a", d)]])
         assert merged == [image("a", d)]
 
+    def test_a_repeated_image_within_one_model_is_rejected(self):
+        d = boxed_det(0.0, 10.0, confidence=0.9)
+        with pytest.raises(ValueError, match=r"^duplicate image_id 'a' in predictions$"):
+            ensemble_max([[image("b", d)], [image("a", d), image("a", d)]])
+
     def test_the_most_confident_overlap_wins_and_is_emitted_unchanged(self):
         strong = boxed_det(0.0, 10.0, confidence=0.9)
         weak = boxed_det(0.05, 10.0, confidence=0.8)
@@ -248,6 +253,14 @@ class TestThresholdSweepGrid:
     def test_step_larger_than_the_range(self):
         assert ThresholdSweep(lo=0.1, hi=0.2, step=0.5).thresholds() == [0.1]
 
+    @pytest.mark.parametrize("lo, hi, step, expected", [
+        (0.0, 1.0, 1.0 / (3.0 - 5e-10), [0.0, 0.333333333389, 0.666666666778, 1.0]),
+        (0.1, 0.8, 0.7 / (2.0 - 5e-10), [0.1, 0.450000000087, 0.8]),
+    ])
+    def test_rounding_never_carries_the_last_point_past_hi(self, lo, hi, step, expected):
+        # unclamped, the last points were 1.000000000167 and 0.800000000175
+        assert ThresholdSweep(lo=lo, hi=hi, step=step).thresholds() == expected
+
     @pytest.mark.parametrize("kwargs", [
         {"lo": 0.5, "hi": 0.4},
         {"lo": -0.1},
@@ -291,6 +304,11 @@ class TestSweepThreshold:
         assert by_threshold[0.25] == 0.5  # 0.28 and 0.26 still survive here
         assert by_threshold[0.3] == 1.0   # junk class gone entirely
         assert best == 0.3
+
+    def test_a_grid_ending_at_one_sweeps_to_one(self):
+        preds, gts = self.perfect_scene()
+        curve, _ = sweep_threshold(preds, gts, ThresholdSweep(lo=0.0, hi=1.0, step=1.0 / (3.0 - 5e-10)))
+        assert curve[-1] == (1.0, 0.0)
 
     def test_custom_grid_and_ladder_are_honored(self):
         preds, gts = self.perfect_scene()

@@ -34,17 +34,18 @@ from pose6d import (
     save_ground_truth,
     save_ignore,
     save_predictions,
+    serialize_ground_truth,
     serialize_ignore,
     serialize_predictions,
 )
 
-from helpers import ann, det, image
+from helpers import IDENTITY, ann, det, image
 
 
-def roundtrip_predictions(records):
+def roundtrip(records, serialize=serialize_predictions, parse=parse_predictions):
     buffer = io.StringIO()
-    serialize_predictions(records, buffer)
-    return parse_predictions(io.StringIO(buffer.getvalue()))
+    serialize(records, buffer)
+    return parse(io.StringIO(buffer.getvalue()))
 
 
 def pred_line(**overrides) -> str:
@@ -62,6 +63,14 @@ def pred_line(**overrides) -> str:
     elif overrides:
         obj["detections"][0].update(overrides)
     return json.dumps(obj)
+
+
+def gt_line(drop=(), **overrides) -> str:
+    item = {"class_id": 0, "quaternion": [1.0, 0.0, 0.0, 0.0], "translation": [1.0, 2.0, 10.0]}
+    item.update(overrides)
+    for key in drop:
+        del item[key]
+    return json.dumps({"image_id": "img_a", "annotations": [item]})
 
 
 unit_interval = st.floats(0.0, 1.0)
@@ -88,12 +97,30 @@ def detections(draw):
 
 
 @st.composite
-def prediction_records(draw):
+def annotations(draw):
+    d = draw(detections())
+    return Annotation(class_id=d.class_id, pose=d.pose, bbox=d.bbox)
+
+
+@st.composite
+def boxes(draw):
+    x1, y1 = draw(coords), draw(coords)
+    return BBox2D(x1, y1, x1 + draw(st.floats(0.1, 100.0)), y1 + draw(st.floats(0.1, 100.0)))
+
+
+@st.composite
+def image_records(draw, items=detections):
     n = draw(st.integers(0, 3))
     return [
-        ImageRecord(image_id=f"img_{i}", items=tuple(draw(detections()) for _ in range(n)))
+        ImageRecord(image_id=f"img_{i}", items=tuple(draw(items()) for _ in range(n)))
         for i in range(draw(st.integers(1, 3)))
     ]
+
+
+@st.composite
+def ignore_records(draw):
+    return [IgnoreRegions(f"img_{i}", tuple(draw(boxes()) for _ in range(draw(st.integers(0, 3)))))
+            for i in range(draw(st.integers(1, 3)))]
 
 
 class TestPredictionRoundTrip:
@@ -105,11 +132,11 @@ class TestPredictionRoundTrip:
                       quat=quat_normalize(Quaternion(0.3, -0.4, 0.5, 0.7)))),
             image("img_b"),
         ]
-        assert roundtrip_predictions(records) == records
+        assert roundtrip(records) == records
 
-    @given(prediction_records())
+    @given(image_records())
     def test_random_records_survive_field_exactly(self, records):
-        assert roundtrip_predictions(records) == records
+        assert roundtrip(records) == records
 
     def test_file_round_trip(self, tmp_path):
         records = [image("only", det(0.5, -1.5, 12.0, confidence=1.0 / 3.0))]
@@ -155,6 +182,10 @@ class TestGroundTruthRoundTrip:
         save_ground_truth(records, path)
         assert load_ground_truth(path) == records
 
+    @given(image_records(items=annotations))
+    def test_random_records_survive_field_exactly(self, records):
+        assert roundtrip(records, serialize_ground_truth, parse_ground_truth) == records
+
     def test_no_confidence_key_in_output(self, tmp_path):
         path = str(tmp_path / "gt.jsonl")
         save_ground_truth([image("a", ann(0.0, 0.0, 5.0))], path)
@@ -172,6 +203,10 @@ class TestIgnoreRoundTrip:
         save_ignore(regions, path)
         with open(path, encoding="utf-8") as handle:
             assert parse_ignore(handle) == regions
+
+    @given(ignore_records())
+    def test_random_regions_survive_field_exactly(self, regions):
+        assert roundtrip(regions, serialize_ignore, parse_ignore) == regions
 
     def test_bad_rect_is_located(self):
         buffer = io.StringIO()
@@ -212,6 +247,65 @@ class TestParseErrors:
         assert err.value.line == 1
         assert err.value.path == path_part
 
+    @pytest.mark.parametrize("line, exc_type, message", [
+        (gt_line(drop=["translation"]), ParseError,
+         "annotations[0].translation: must be a list of 3 numbers"),
+        (gt_line(translation=[0.0, 5.0]), ParseError,
+         "annotations[0].translation: must be a list of 3 numbers"),
+        (gt_line(translation=[0.0, "5", 10.0]), ParseError,
+         "annotations[0].translation[1]: must be a number, got str"),
+        (gt_line(translation=[0.0, 0.0, math.inf]), ValidationError,
+         "annotations[0].translation[2]: must be finite, got inf"),
+        (gt_line(translation=[0.0, 0.0, 0.0]), ValidationError,
+         "annotations[0].translation.z: must be > 0, got 0.0"),
+        (gt_line(translation=[0.0, 0.0, -3]), ValidationError,
+         "annotations[0].translation.z: must be > 0, got -3.0"),
+        (gt_line(bbox=[10.0, 0.0, 5.0, 5.0]), ValidationError,
+         "annotations[0].bbox: degenerate box (10.0, 0.0, 5.0, 5.0): requires x1 < x2 and y1 < y2"),
+        (gt_line(bbox=[0.0, 0.0, 5.0]), ParseError,
+         "annotations[0].bbox: must be a list of 4 numbers"),
+        (gt_line(bbox=[0.0, 0.0, 5.0, True]), ParseError,
+         "annotations[0].bbox[3]: must be a number, got bool"),
+        (gt_line(euler=[0.0, 0.0, 0.0]), ParseError,
+         "annotations[0]: exactly one of 'quaternion' or 'euler' is required"),
+        (gt_line(drop=["quaternion"]), ParseError,
+         "annotations[0]: exactly one of 'quaternion' or 'euler' is required"),
+        (gt_line(drop=["quaternion"], euler=[0.0, 0.0]), ParseError,
+         "annotations[0].euler: must be a list of 3 numbers"),
+        (gt_line(drop=["quaternion"], euler=[0.0, None, 0.0]), ParseError,
+         "annotations[0].euler[1]: must be a number, got NoneType"),
+        (gt_line(quaternion=[0.0, 0.0, 0.0, 0.0]), ValidationError,
+         "annotations[0].quaternion: cannot normalize quaternion with norm 0.0"),
+        (gt_line(quaternion="identity"), ParseError,
+         "annotations[0].quaternion: must be a list of 4 numbers"),
+        (gt_line(drop=["class_id"]), ParseError, "annotations[0].class_id: must be an integer"),
+        (gt_line(class_id="0"), ParseError, "annotations[0].class_id: must be an integer"),
+        (gt_line(class_id=-1), ValidationError, "annotations[0].class_id: must be >= 0, got -1"),
+        (json.dumps({"image_id": "a", "annotations": [3]}), ParseError,
+         "annotations[0]: expected an object, got int"),
+    ])
+    def test_bad_ground_truth_line_message(self, line, exc_type, message):
+        with pytest.raises(exc_type) as err:
+            parse_ground_truth([line])
+        assert type(err.value) is exc_type
+        assert str(err.value) == f"line 1: {message}"
+
+    @pytest.mark.parametrize("rects, exc_type, message", [
+        ({}, ParseError, "rects: must be a list"),
+        ([5], ParseError, "rects[0]: must be a list of 4 numbers"),
+        ([[0.0, 0.0, 1.0]], ParseError, "rects[0]: must be a list of 4 numbers"),
+        ([[0.0, 0.0, 1.0, 1.0, 1.0]], ParseError, "rects[0]: must be a list of 4 numbers"),
+        ([[0.0, 0.0, "1", 1.0]], ParseError, "rects[0][2]: must be a number, got str"),
+        ([[0.0, 0.0, math.inf, 1.0]], ValidationError, "rects[0][2]: must be finite, got inf"),
+        ([[0.0, 0.0, 1.0, 1.0], [2.0, 2.0, 1.0, 1.0]], ValidationError,
+         "rects[1]: degenerate box (2.0, 2.0, 1.0, 1.0): requires x1 < x2 and y1 < y2"),
+    ])
+    def test_bad_ignore_line_message(self, rects, exc_type, message):
+        with pytest.raises(exc_type) as err:
+            parse_ignore(["", json.dumps({"image_id": "a", "rects": rects})])
+        assert type(err.value) is exc_type
+        assert str(err.value) == f"line 2: {message}"
+
     def test_infinity_literal_is_rejected_as_non_finite(self):
         # json.loads accepts bare Infinity tokens; validation must not
         line = pred_line().replace("10.0", "Infinity")
@@ -244,6 +338,18 @@ class TestConstructorValidation:
     def test_annotation_depth_must_be_positive(self):
         with pytest.raises(ValueError):
             ann(0.0, 0.0, -5.0)
+
+    def test_detection_depth_must_be_positive(self):
+        box = BBox2D(0.0, 0.0, 10.0, 10.0)
+        with pytest.raises(ValueError, match=r"^detection depth must be positive, got z=-5$"):
+            Detection(0, 0.9, box, Pose(IDENTITY, Translation(0, 0, -5)))
+
+    @pytest.mark.parametrize("z", [0.0, -1e-300, math.nan])
+    @pytest.mark.parametrize("make, kind", [(det, "detection"), (ann, "annotation")])
+    def test_depth_message_is_shared(self, make, kind, z):
+        with pytest.raises(ValueError) as err:
+            make(0.0, 0.0, z)
+        assert str(err.value) == f"{kind} depth must be positive, got z={z}"
 
 
 class TestCsvCompat:

@@ -8,6 +8,7 @@ from pose6d import (
     CAR_EXTENT,
     MAX_ORACLE_DETECTIONS,
     CameraIntrinsics,
+    NoClassesError,
     NoiseSpec,
     SceneSpec,
     TooLargeError,
@@ -226,6 +227,14 @@ class TestOracle:
     def test_no_classes_is_an_error(self):
         with pytest.raises(ValueError):
             oracle_map([image("a")], [image("a")])
+
+    def test_no_classes_raises_the_same_error_as_the_metric(self):
+        with pytest.raises(NoClassesError) as oracle_err:
+            oracle_map([], [])
+        with pytest.raises(NoClassesError) as metric_err:
+            mean_average_precision([], [])
+        assert type(oracle_err.value) is type(metric_err.value)
+        assert str(oracle_err.value) == str(metric_err.value)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_agrees_with_the_ranking_formulation_on_noisy_scenes(self, seed):
