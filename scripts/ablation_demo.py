@@ -15,7 +15,7 @@ building the damaged inputs. Rerunning with one seed reproduces the
 table exactly.
 
 Usage:
-    python3 scripts/ablation_demo.py [--seed N] [--images N] [--jobs N]
+    python3 scripts/ablation_demo.py [--seed N] [--images N]
 """
 
 from __future__ import annotations
@@ -88,9 +88,8 @@ def _with_planted(records: Sequence[ImageRecord],
     return [replace(r, items=r.items + planted) for r in records]
 
 
-def _row(label: str, preds: Sequence[ImageRecord], gts: Sequence[ImageRecord],
-         jobs: int) -> EvaluationReport:
-    value, report = mean_average_precision(preds, gts, jobs=jobs)
+def _row(label: str, preds: Sequence[ImageRecord], gts: Sequence[ImageRecord]) -> EvaluationReport:
+    value, report = mean_average_precision(preds, gts)
     dets = sum(len(r.items) for r in preds)
     mae = "n/a" if report.mae_trans is None else f"{report.mae_trans:.3f}"
     print(f"{label:<44} {dets:>5} {value:>8.4f} {mae:>8}")
@@ -103,8 +102,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "one post-processing stage at a time, printing mAP per stage")
     parser.add_argument("--seed", type=int, default=7, help="scene seed (default 7)")
     parser.add_argument("--images", type=int, default=6, help="number of images (default 6)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; no effect (must be >= 1)")
     args = parser.parse_args(argv)
 
     spec = SceneSpec(seed=args.seed, n_images=args.images,
@@ -127,24 +124,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     print(f"{'stage':<44} {'dets':>5} {'mAP':>8} {'MAE(m)':>8}")
     print("-" * 68)
 
-    _row("raw detector output", models[0], gt, args.jobs)
+    _row("raw detector output", models[0], gt)
 
     recovered = recover_xy_records(models[0], camera)
-    _row("+ lateral recovery from box centers", recovered, gt, args.jobs)
+    _row("+ lateral recovery from box centers", recovered, gt)
 
-    _, best_t = sweep_threshold(recovered, gt, jobs=args.jobs)
+    _, best_t = sweep_threshold(recovered, gt)
     thresholded = apply_confidence_threshold(recovered, best_t)
-    _row(f"+ confidence threshold (best t = {best_t})", thresholded, gt, args.jobs)
+    _row(f"+ confidence threshold (best t = {best_t})", thresholded, gt)
 
     pool = [apply_confidence_threshold(recover_xy_records(m, camera), best_t)
             for m in models]
     merged = ensemble_max(pool)
-    _row(f"+ max-ensemble over {N_MODELS} models", merged, gt, args.jobs)
+    _row(f"+ max-ensemble over {N_MODELS} models", merged, gt)
 
     regions = [IgnoreRegions(image_id=r.image_id, rects=(CLUTTER_ZONE,)) for r in gt]
     final_preds = filter_ignore(merged, regions)
     final_gt = filter_ignore(gt, regions)
-    report = _row("+ ignore-region filter", final_preds, final_gt, args.jobs)
+    report = _row("+ ignore-region filter", final_preds, final_gt)
 
     print()
     print(report.to_text(), end="")

@@ -5,10 +5,7 @@ Subcommands: ``eval`` (score predictions against ground truth), ``post``
 ``sweep`` (confidence-threshold search), ``synth`` (generate synthetic
 data). Exit codes: 0 success, 1 computation error, 2 input or usage
 error. Reports and records go to files; stdout carries the human summary.
-``--jobs`` is accepted for compatibility and has no effect (values below
-1 are still rejected): evaluation runs in one thread, so output bytes do
-not depend on it. The only randomness is in ``synth``, driven entirely by
-``--seed``.
+The only randomness is in ``synth``, driven entirely by ``--seed``.
 """
 
 from __future__ import annotations
@@ -98,7 +95,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         regions = load_ignore(args.ignore)
         preds = filter_ignore(preds, regions, args.ignore_overlap)
         gts = filter_ignore(_ensure_gt_bboxes(gts, camera), regions, args.ignore_overlap)
-    _, report = mean_average_precision(preds, gts, ladder, jobs=args.jobs)
+    _, report = mean_average_precision(preds, gts, ladder)
     sys.stdout.write(report.to_text())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -121,7 +118,7 @@ def cmd_post(args: argparse.Namespace) -> int:
 
 
 def cmd_ensemble(args: argparse.Namespace) -> int:
-    config = EnsembleConfig(iou_threshold=args.iou, mode=args.mode)
+    config = EnsembleConfig(iou_threshold=args.iou)
     models = [load_predictions(path) for path in args.inputs]
     save_predictions(ensemble_max(models, config), args.out)
     return EXIT_OK
@@ -137,7 +134,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    curve, best = sweep_threshold(preds, gts, sweep, ladder, jobs=args.jobs)
+    curve, best = sweep_threshold(preds, gts, sweep, ladder)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("threshold,map\n")
         for t, value in curve:
@@ -203,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--ignore", help="ignore-region JSONL; filters predictions and ground truth")
     p_eval.add_argument("--ignore-overlap", type=_unit_interval, default=0.5,
                         help="overlap fraction above which a box is dropped (default 0.5)")
-    p_eval.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; no effect (must be >= 1)")
     p_eval.add_argument("--out", help="write the JSON report here")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -224,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens.add_argument("inputs", nargs="+", help="prediction JSONL files, one per model")
     p_ens.add_argument("--iou", type=_unit_interval, default=0.5,
                        help="same-class IoU at or above which detections merge (default 0.5)")
-    p_ens.add_argument("--mode", choices=("max",), default="max",
-                       help="cluster representative rule (default max)")
     p_ens.add_argument("--out", required=True, help="output predictions JSONL")
     p_ens.set_defaults(func=cmd_ensemble)
 
@@ -235,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lo", type=_unit_interval, default=0.1, help="lowest threshold (default 0.1)")
     p_sweep.add_argument("--hi", type=_unit_interval, default=0.8, help="highest threshold (default 0.8)")
     p_sweep.add_argument("--step", type=_positive, default=0.05, help="grid step (default 0.05)")
-    p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="accepted for compatibility; no effect (must be >= 1)")
     p_sweep.add_argument("--out", required=True, help="output curve CSV (threshold,map)")
     p_sweep.set_defaults(func=cmd_sweep)
 

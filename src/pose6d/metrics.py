@@ -294,11 +294,6 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError(f"threshold must be within [0, 1], got {threshold}")
 
 
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-
-
 class Evaluation:
     """A dataset matched once at every ladder pair, then scored per threshold.
 
@@ -357,18 +352,14 @@ def mean_average_precision(
     pred_records: Sequence[ImageRecord],
     gt_records: Sequence[ImageRecord],
     ladder: ThresholdLadder = DEFAULT_LADDER,
-    *,
-    jobs: int = 1,
 ) -> tuple[float, EvaluationReport]:
     """Evaluate predictions against ground truth over a threshold ladder.
 
     Returns ``(mAP, report)``. Images are aligned by ``image_id``; images
     present on only one side contribute misses or false positives. Classes
     absent from both sides are excluded from the mean; if no class appears
-    at all, NoClassesError is raised. ``jobs`` has no effect: it is accepted
-    for compatibility, must be >= 1, and results are identical at any value.
+    at all, NoClassesError is raised.
     """
-    _check_jobs(jobs)
     evaluation = Evaluation(pred_records, gt_records, ladder)
     per_class_ap = evaluation.per_class_ap()
     mean_ap = _class_mean(per_class_ap)

@@ -22,8 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .geometry import BBox2D, CameraIntrinsics, Pose, backproject, bbox_center, iou_2d
-from .metrics import (DEFAULT_LADDER, Evaluation, ThresholdLadder, _check_jobs, _check_threshold,
-                      _class_mean)
+from .metrics import DEFAULT_LADDER, Evaluation, ThresholdLadder, _check_threshold, _class_mean
 from .records import Detection, IgnoreRegions, ImageRecord, _index_by_image
 
 
@@ -34,13 +33,10 @@ class EmptyEnsembleError(ValueError):
 @dataclass(frozen=True)
 class EnsembleConfig:
     iou_threshold: float = 0.5
-    mode: str = "max"
 
     def __post_init__(self) -> None:
         if not (0.0 < self.iou_threshold <= 1.0):
             raise ValueError(f"iou_threshold must be in (0, 1], got {self.iou_threshold}")
-        if self.mode != "max":
-            raise ValueError(f"unknown ensemble mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -52,14 +48,15 @@ class ThresholdSweep:
     def __post_init__(self) -> None:
         if not (0.0 <= self.lo <= self.hi <= 1.0):
             raise ValueError(f"sweep bounds must satisfy 0 <= lo <= hi <= 1, got [{self.lo}, {self.hi}]")
-        if not self.step > 0.0:
-            raise ValueError(f"step must be positive, got {self.step}")
+        if not self.step >= 1e-9:  # well above the 1e-12 rounding of grid points
+            raise ValueError(f"step must be at least 1e-9, got {self.step}")
 
     def thresholds(self) -> list[float]:
-        """Grid lo, lo+step, ... up to hi inclusive; a last point that rounding
-        carries past hi is clamped to hi."""
+        """Grid lo, lo+step, ... up to hi inclusive, strictly increasing; each
+        point is rounded to 12 decimals and clamped into [lo, hi]."""
         count = int(math.floor((self.hi - self.lo) / self.step + 1e-9)) + 1
-        return [min(round(self.lo + i * self.step, 12), self.hi) for i in range(count)]
+        return [min(max(round(self.lo + i * self.step, 12), self.lo), self.hi)
+                for i in range(count)]
 
 
 def _require_bbox(det: Detection, stage: str) -> BBox2D:
@@ -185,8 +182,6 @@ def sweep_threshold(
     gt_records: Sequence[ImageRecord],
     sweep: ThresholdSweep = ThresholdSweep(),
     ladder: ThresholdLadder = DEFAULT_LADDER,
-    *,
-    jobs: int = 1,
 ) -> tuple[list[tuple[float, float]], float]:
     """Evaluate mAP at every threshold on the grid.
 
@@ -194,9 +189,7 @@ def sweep_threshold(
     ``(threshold, mAP)`` in grid order and ``best`` is the threshold with
     the highest mAP, ties resolved toward the smallest threshold. Matching
     runs once, on the unthresholded input (see ``metrics.Evaluation``).
-    ``jobs`` has no effect; it is accepted for compatibility and must be >= 1.
     """
-    _check_jobs(jobs)
     evaluation = Evaluation(pred_records, gt_records, ladder)
     curve = [(t, _class_mean(evaluation.per_class_ap(t))) for t in sweep.thresholds()]
     return curve, max(curve, key=lambda e: e[1])[0]  # max keeps the first of equals

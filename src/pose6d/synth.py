@@ -40,8 +40,8 @@ from .geometry import (
     quat_multiply,
     quat_normalize,
 )
-from .metrics import DEFAULT_LADDER, NoClassesError, ThresholdLadder
-from .records import Annotation, Detection, ImageRecord
+from .metrics import DEFAULT_LADDER, NoClassesError, NonFiniteError, ThresholdLadder
+from .records import Annotation, Detection, ImageRecord, _index_by_image
 
 CAR_EXTENT = (4.5, 1.8, 1.5)  # length, width, height in meters
 
@@ -244,20 +244,24 @@ def oracle_map(pred_records: Sequence[ImageRecord], gt_records: Sequence[ImageRe
     Builds the full ranked TP/FP table per class and threshold pair with
     plain quadratic loops, computes precision and recall at every rank,
     and integrates the running precision envelope segment by segment.
-    Refuses more than MAX_ORACLE_DETECTIONS total detections.
+    Refuses more than MAX_ORACLE_DETECTIONS total detections. Like
+    metrics, it rejects a repeated image_id and a non-finite pose.
     """
     total = sum(len(r.items) for r in pred_records)
     if total > MAX_ORACLE_DETECTIONS:
         raise TooLargeError(f"{total} detections exceed the oracle cap of {MAX_ORACLE_DETECTIONS}")
 
-    gt_ids = [r.image_id for r in gt_records]
-    gt_map = {r.image_id: r.items for r in gt_records}
-    pred_map = {r.image_id: r.items for r in pred_records}
-    image_ids = gt_ids + [r.image_id for r in pred_records if r.image_id not in gt_map]
+    pred_map = {i: r.items for i, r in _index_by_image(pred_records, "predictions").items()}
+    gt_map = {i: r.items for i, r in _index_by_image(gt_records, "ground truth").items()}
+    image_ids = list(gt_map) + [i for i in pred_map if i not in gt_map]
     images = [(pred_map.get(i, ()), gt_map.get(i, ())) for i in image_ids]
 
     classes = set()
     for dets, anns in images:
+        for item in dets + anns:
+            t, q = item.pose.translation, item.pose.rotation
+            if not all(map(math.isfinite, (t.x, t.y, t.z, q.w, q.x, q.y, q.z))):
+                raise NonFiniteError(f"non-finite pose: {item.pose}")
         classes.update(d.class_id for d in dets)
         classes.update(a.class_id for a in anns)
     if not classes:

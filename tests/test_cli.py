@@ -71,18 +71,6 @@ class TestEval:
         assert report["counts"] == {"tp": 3, "fp": 0, "fn": 0}
         assert report["mae_trans"] == 0.0
 
-    def test_parallel_evaluation_is_byte_identical(self, tmp_path, perfect_files):
-        pred, gt, camera = perfect_files
-        outputs = []
-        for jobs, name in (("1", "r1.json"), ("8", "r8.json")):
-            path = str(tmp_path / name)
-            code, out, _ = run(["eval", "--pred", pred, "--gt", gt, "--camera", camera,
-                                "--jobs", jobs, "--out", path])
-            assert code == EXIT_OK
-            with open(path, "rb") as handle:
-                outputs.append((out, handle.read()))
-        assert outputs[0] == outputs[1]
-
     def test_custom_ladder_file(self, tmp_path, perfect_files):
         pred, gt, camera = perfect_files
         ladder_path = tmp_path / "ladder.json"
@@ -297,6 +285,13 @@ class TestExitCodes:
                           "--lo", "0.8", "--hi", "0.2", "--out", str(tmp_path / "c.csv")])
         assert code == EXIT_INPUT
 
+    def test_sweep_step_below_the_floor(self, tmp_path, perfect_files):
+        pred, gt, camera = perfect_files
+        code, _, err = run(["sweep", "--pred", pred, "--gt", gt, "--camera", camera,
+                            "--step", "1e-13", "--out", str(tmp_path / "c.csv")])
+        assert code == EXIT_INPUT
+        assert err == "error: step must be at least 1e-9, got 1e-13\n"
+
     def test_bad_ladder_file(self, tmp_path, perfect_files):
         pred, gt, camera = perfect_files
         ladder_path = tmp_path / "ladder.json"
@@ -311,6 +306,18 @@ class TestExitCodes:
         code, _, err = run(["ensemble", pred_path, "--out", str(tmp_path / "out.jsonl")])
         assert code == EXIT_COMPUTE
         assert err == "error: ensemble_max requires detections with a bbox\n"
+
+    @pytest.mark.parametrize("command, removed", [
+        ("eval", ["--jobs", "1"]),
+        ("sweep", ["--jobs", "1"]),
+        ("ensemble", ["--mode", "max"]),
+    ], ids=["eval-jobs", "sweep-jobs", "ensemble-mode"])
+    def test_removed_options_are_unrecognized(self, tmp_path, perfect_files, command, removed):
+        pred, gt, camera = perfect_files
+        inputs = [pred] if command == "ensemble" else ["--pred", pred, "--gt", gt, "--camera", camera]
+        code, _, err = run([command, *inputs, *removed, "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(removed)}\n")
 
     def test_out_of_range_argument_values(self, tmp_path, perfect_files):
         pred, gt, camera = perfect_files

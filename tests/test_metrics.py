@@ -306,24 +306,11 @@ class TestMeanAveragePrecision:
         with pytest.raises(NoClassesError):
             mean_average_precision([image("a")], [image("a")])
 
-    def test_invalid_jobs_count_is_rejected(self):
-        preds, gts = perfect_setup()
-        with pytest.raises(ValueError):
-            mean_average_precision(preds, gts, jobs=0)
-
     @pytest.mark.parametrize("threshold", [-0.1, 1.5, math.nan])
     def test_scoring_threshold_outside_the_unit_interval_is_rejected(self, threshold):
         preds, gts = perfect_setup()
         with pytest.raises(ValueError, match="threshold"):
             Evaluation(preds, gts).per_class_ap(threshold)
-
-    @pytest.mark.parametrize("seed", [3, 11, 27])
-    def test_parallel_matching_changes_nothing(self, seed):
-        preds, gts = noisy_scene(seed)
-        value_1, report_1 = mean_average_precision(preds, gts, jobs=1)
-        value_8, report_8 = mean_average_precision(preds, gts, jobs=8)
-        assert value_1 == value_8
-        assert report_1.to_json_dict() == report_8.to_json_dict()
 
     @pytest.mark.parametrize("seed", [5, 19])
     def test_record_order_changes_nothing(self, seed):

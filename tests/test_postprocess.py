@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pose6d import (
     BBox2D,
@@ -231,7 +233,6 @@ class TestEnsembleMax:
     @pytest.mark.parametrize("kwargs", [
         {"iou_threshold": 0.0},
         {"iou_threshold": 1.2},
-        {"mode": "vote"},
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -260,6 +261,28 @@ class TestThresholdSweepGrid:
     def test_rounding_never_carries_the_last_point_past_hi(self, lo, hi, step, expected):
         # unclamped, the last points were 1.000000000167 and 0.800000000175
         assert ThresholdSweep(lo=lo, hi=hi, step=step).thresholds() == expected
+
+    @pytest.mark.parametrize("lo, hi, step", [
+        (0.0, 1e-12, 1e-13),  # gave six 0.0 points
+        (0.9562671161355, 0.9562671161517821, 1e-12),  # repeated a point
+        (0.0, 1.0, 9.99e-10),
+    ])
+    def test_steps_below_the_floor_are_rejected(self, lo, hi, step):
+        with pytest.raises(ValueError, match=f"^step must be at least 1e-9, got {step}$"):
+            ThresholdSweep(lo=lo, hi=hi, step=step)
+
+    def test_rounding_never_puts_the_first_point_below_lo(self):
+        # unclamped, the first point was 0.956267116135
+        grid = ThresholdSweep(lo=0.9562671161355, hi=0.95626712, step=1e-9).thresholds()
+        assert grid[:2] == [0.9562671161355, 0.956267117135]
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 2000.0), st.floats(1e-9, 1.0))
+    @example(0.9562671161355, 10.0, 1e-9)
+    def test_grid_is_strictly_increasing_within_its_bounds(self, lo, points, step):
+        hi = min(lo + points * step, 1.0)
+        grid = ThresholdSweep(lo=lo, hi=hi, step=step).thresholds()
+        assert lo <= grid[0] and grid[-1] <= hi
+        assert all(a < b for a, b in zip(grid, grid[1:]))
 
     @pytest.mark.parametrize("kwargs", [
         {"lo": 0.5, "hi": 0.4},
@@ -315,15 +338,6 @@ class TestSweepThreshold:
         curve, best = sweep_threshold(preds, gts, ThresholdSweep(lo=0.2, hi=0.3, step=0.1))
         assert [t for t, _ in curve] == [0.2, 0.3]
         assert best == 0.2
-
-    def test_parallel_sweep_matches_serial(self):
-        preds, gts = self.perfect_scene()
-        assert sweep_threshold(preds, gts, jobs=4) == sweep_threshold(preds, gts)
-
-    def test_invalid_jobs_count_is_rejected(self):
-        preds, gts = self.perfect_scene()
-        with pytest.raises(ValueError):
-            sweep_threshold(preds, gts, jobs=0)
 
     @pytest.mark.parametrize("bad", [
         det(math.nan, 0.0, 10.0, confidence=0.9),

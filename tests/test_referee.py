@@ -17,6 +17,8 @@ from pose6d import (
     DEFAULT_LADDER,
     EulerAngles,
     NoClassesError,
+    NonFiniteError,
+    Quaternion,
     ThresholdLadder,
     ThresholdSweep,
     angular_error,
@@ -153,6 +155,40 @@ class TestAdversarialScenes:
         # a grid that stops before the detection is cut scores normally
         curve, best = sweep_threshold(preds, gts, ThresholdSweep(lo=0.1, hi=0.3, step=0.1))
         assert curve == [(0.1, 0.0), (0.2, 0.0), (0.3, 0.0)] and best == 0.1
+
+
+HIT = ann(0.0, 0.0, 10.0)
+
+
+class TestRejectedInputs:
+    """The oracle refuses what the metric refuses, with the same error type."""
+
+    @pytest.mark.parametrize("preds, gts, message", [
+        # keeping the last record, the oracle scored this 0.0
+        ([image("a", as_detection(HIT, 0.9)), image("a", det(30.0, 0.0, 10.0, confidence=0.8))],
+         [image("a", HIT)], "duplicate image_id 'a' in predictions"),
+        ([image("a", as_detection(HIT, 0.9))], [image("a", HIT), image("a", HIT)],
+         "duplicate image_id 'a' in ground truth"),
+    ], ids=["predictions", "ground truth"])
+    def test_a_repeated_image_id_raises_the_metrics_error(self, preds, gts, message):
+        for score in (oracle_map, mean_average_precision):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                score(preds, gts)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("component", ["translation", "quaternion"])
+    @pytest.mark.parametrize("side", ["predictions", "ground truth"])
+    def test_a_non_finite_pose_raises_non_finite_error(self, side, component, value):
+        make = det if side == "predictions" else ann
+        if component == "translation":
+            bad = make(value, 0.0, 10.0)
+        else:
+            bad = make(0.0, 0.0, 10.0, quat=Quaternion(value, 0.0, 0.0, 0.0))
+        preds = [image("a", bad if side == "predictions" else as_detection(HIT, 0.9))]
+        gts = [image("a", bad if side == "ground truth" else HIT)]
+        for score in (oracle_map, mean_average_precision):
+            with pytest.raises(NonFiniteError):
+                score(preds, gts)
 
 
 # small lattice scenes: many exact distance ties, exact gate hits, confidence
