@@ -51,7 +51,6 @@ from .metrics import (
     MatchResult,
     NoClassesError,
     NoMatchesError,
-    NonFiniteError,
     ThresholdLadder,
     average_precision,
     load_ladder,
@@ -78,6 +77,7 @@ from .records import (
     Detection,
     IgnoreRegions,
     ImageRecord,
+    NonFiniteError,
     ParseError,
     ValidationError,
     load_camera,

@@ -67,6 +67,14 @@ def _non_negative(text: str) -> float:
     return value
 
 
+def _config(build: Callable):
+    """``build()``; a configuration it rejects is an input error (exit 2)."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _load_preds(path: str, fmt: str):
     return load_csv_compat(path) if fmt == "csv" else load_predictions(path)
 
@@ -118,22 +126,17 @@ def cmd_post(args: argparse.Namespace) -> int:
 
 
 def cmd_ensemble(args: argparse.Namespace) -> int:
-    config = EnsembleConfig(iou_threshold=args.iou)
+    config = _config(lambda: EnsembleConfig(iou_threshold=args.iou))
     models = [load_predictions(path) for path in args.inputs]
     save_predictions(ensemble_max(models, config), args.out)
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    load_camera(args.camera)  # validated up front; matching itself is camera-free
     ladder = _load_ladder_arg(args.ladder)
     preds = _load_preds(args.pred, args.format)
     gts = load_ground_truth(args.gt)
-    try:
-        sweep = ThresholdSweep(lo=args.lo, hi=args.hi, step=args.step)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    sweep = _config(lambda: ThresholdSweep(lo=args.lo, hi=args.hi, step=args.step))
     curve, best = sweep_threshold(preds, gts, sweep, ladder)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("threshold,map\n")
@@ -147,26 +150,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     import os
 
-    try:
-        noise = NoiseSpec(
+    spec = _config(lambda: SceneSpec(
+        seed=args.seed,
+        n_images=args.images,
+        objects_per_image=(args.objects_min, args.objects_max),
+        depth_range=(args.depth_min, args.depth_max),
+        n_classes=args.classes,
+        noise=NoiseSpec(
             translation_sigma=args.trans_sigma,
             rotation_sigma=args.rot_sigma,
             miss_rate=args.miss_rate,
             false_positive_rate=args.fp_rate,
             tp_confidence=(args.tp_conf[0], args.tp_conf[1]),
             fp_confidence=(args.fp_conf[0], args.fp_conf[1]),
-        )
-        spec = SceneSpec(
-            seed=args.seed,
-            n_images=args.images,
-            objects_per_image=(args.objects_min, args.objects_max),
-            depth_range=(args.depth_min, args.depth_max),
-            n_classes=args.classes,
-            noise=noise,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        ),
+    ))
     gt_records, camera = generate_scene(spec)
     pred_records = perturb(gt_records, spec.noise, spec.seed, camera)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -180,11 +178,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_io_args(sub: argparse.ArgumentParser, gt: bool) -> None:
+def _add_io_args(sub: argparse.ArgumentParser, gt: bool, camera: bool) -> None:
     sub.add_argument("--pred", required=True, help="predictions file (JSONL, or CSV with --format csv)")
     if gt:
         sub.add_argument("--gt", required=True, help="ground-truth JSONL file")
-    sub.add_argument("--camera", required=True, help="camera intrinsics JSON file")
+    if camera:
+        sub.add_argument("--camera", required=True, help="camera intrinsics JSON file")
     sub.add_argument("--format", choices=("jsonl", "csv"), default="jsonl",
                      help="prediction input format (default jsonl)")
 
@@ -195,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     p_eval = subparsers.add_parser("eval", help="score predictions against ground truth")
-    _add_io_args(p_eval, gt=True)
+    _add_io_args(p_eval, gt=True, camera=True)
     p_eval.add_argument("--ladder", help="threshold ladder JSON file (default: built-in ladder)")
     p_eval.add_argument("--ignore", help="ignore-region JSONL; filters predictions and ground truth")
     p_eval.add_argument("--ignore-overlap", type=_unit_interval, default=0.5,
@@ -204,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_post = subparsers.add_parser("post", help="apply post-processing stages")
-    _add_io_args(p_post, gt=False)
+    _add_io_args(p_post, gt=False, camera=True)
     p_post.add_argument("--recover-xy", action="store_true",
                         help="re-derive x, y from the box center at the predicted depth")
     p_post.add_argument("--threshold", type=_unit_interval,
@@ -223,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens.set_defaults(func=cmd_ensemble)
 
     p_sweep = subparsers.add_parser("sweep", help="search the confidence threshold by mAP")
-    _add_io_args(p_sweep, gt=True)
+    _add_io_args(p_sweep, gt=True, camera=False)
     p_sweep.add_argument("--ladder", help="threshold ladder JSON file (default: built-in ladder)")
     p_sweep.add_argument("--lo", type=_unit_interval, default=0.1, help="lowest threshold (default 0.1)")
     p_sweep.add_argument("--hi", type=_unit_interval, default=0.8, help="highest threshold (default 0.8)")
@@ -266,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     func: Callable[[argparse.Namespace], int] = args.func
     try:
         return func(args)
-    except (ParseError, ValidationError, OSError) as exc:
+    except (ParseError, ValidationError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:

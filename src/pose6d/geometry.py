@@ -14,7 +14,7 @@ Conventions used across the toolkit:
 - Translations are camera-frame coordinates in meters, z along the optical
   axis. Pixels follow the pinhole model ``u = fx * x / z + cx``,
   ``v = fy * y / z + cy``.
-- 2D boxes are pixel-space ``(x1, y1, x2, y2)`` with ``x1 < x2, y1 < y2``.
+- 2D boxes are pixel-space ``(x1, y1, x2, y2)``, finite, with ``x1 < x2, y1 < y2``.
 """
 
 from __future__ import annotations
@@ -110,6 +110,9 @@ class BBox2D:
     y2: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.x1, self.y1, self.x2, self.y2))):
+            raise ValueError(f"box coordinates must be finite, got "
+                             f"({self.x1}, {self.y1}, {self.x2}, {self.y2})")
         if not (self.x1 < self.x2 and self.y1 < self.y2):
             raise ValueError(
                 f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2}): "

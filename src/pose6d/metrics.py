@@ -12,7 +12,6 @@ mean over pairs.
 
 ``match``, ``mean_average_precision`` and ``sweep_threshold`` share one
 matching core, ``Evaluation``: match once, score many (see its docstring).
-Non-finite poses raise NonFiniteError (NaN would pass every gate).
 
 Scalar error statistics in the report (translation MAE, angular error
 mean/median, precision/recall, TP/FP/FN counts) are computed from the
@@ -45,10 +44,6 @@ class NoMatchesError(ValueError):
 
 class NoClassesError(ValueError):
     """mAP is undefined: no class appears in ground truth or predictions."""
-
-
-class NonFiniteError(ValueError):
-    """A detection or annotation pose has a NaN or infinite component."""
 
 
 @dataclass(frozen=True)
@@ -112,20 +107,21 @@ class MatchResult:
 
 
 def _match_image(dets: Sequence[Detection], anns: Sequence[Annotation],
-                 pairs: Sequence[tuple[float, float]], where: str = "") -> list[list[tuple]]:
+                 pairs: Sequence[tuple[float, float]]) -> list[list[tuple]]:
     """Per pair, the (det index, gt index, distance, angle) hits in visiting order.
 
     Candidates are sorted by (distance, index), so the first that is free
-    and passes both gates of a pair is the nearest valid one. ``where``
-    prefixes NonFiniteError messages.
+    and passes both gates of a pair is the nearest valid one.
     """
     loosest = max(t_m for t_m, _ in pairs)
     targets: dict[int, list] = {}
     for j, a in enumerate(anns):
-        targets.setdefault(a.class_id, []).append((j, _finite_xyz(a, where, "annotation", j)))
+        t = a.pose.translation
+        targets.setdefault(a.class_id, []).append((j, (t.x, t.y, t.z)))
     visits = []
     for i in sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i)):
-        p = _finite_xyz(dets[i], where, "detection", i)
+        t = dets[i].pose.translation
+        p = (t.x, t.y, t.z)
         near = sorted((dist, j) for j, g in targets.get(dets[i].class_id, ())
                       if (dist := math.dist(p, g)) <= loosest)
         if near:
@@ -150,14 +146,6 @@ def _match_image(dets: Sequence[Detection], anns: Sequence[Annotation],
                     break
         out.append(hits)
     return out
-
-
-def _finite_xyz(item: Detection | Annotation, where: str, kind: str, k: int) -> tuple:
-    """The item's translation as (x, y, z), after checking its whole pose is finite."""
-    t, q = item.pose.translation, item.pose.rotation
-    if not all(map(math.isfinite, (t.x, t.y, t.z, q.w, q.x, q.y, q.z))):
-        raise NonFiniteError(f"{where}{kind} {k} has a non-finite pose: {item.pose}")
-    return t.x, t.y, t.z
 
 
 def _match_result(hits: Sequence[tuple], num_dets: int, num_gts: int) -> MatchResult:
@@ -318,7 +306,7 @@ class Evaluation:
         for image_id in list(gt_by_id) + [i for i in pred_by_id if i not in gt_by_id]:
             dets = pred_by_id[image_id].items if image_id in pred_by_id else ()
             anns = gt_by_id[image_id].items if image_id in gt_by_id else ()
-            per_pair = _match_image(dets, anns, ladder.pairs, f"image {image_id!r}: ")
+            per_pair = _match_image(dets, anns, ladder.pairs)
             matched = [{h[0] for h in hits} for hits in per_pair]
             for i, d in enumerate(dets):
                 rows[d.class_id].append((d.confidence, tuple(i in m for m in matched)))

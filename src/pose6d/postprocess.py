@@ -25,6 +25,8 @@ from .geometry import BBox2D, CameraIntrinsics, Pose, backproject, bbox_center, 
 from .metrics import DEFAULT_LADDER, Evaluation, ThresholdLadder, _check_threshold, _class_mean
 from .records import Detection, IgnoreRegions, ImageRecord, _index_by_image
 
+_MAX_GRID_POINTS = 100_001  # a 1e-5 step over [0, 1]
+
 
 class EmptyEnsembleError(ValueError):
     """Ensemble of zero model outputs is undefined."""
@@ -50,13 +52,17 @@ class ThresholdSweep:
             raise ValueError(f"sweep bounds must satisfy 0 <= lo <= hi <= 1, got [{self.lo}, {self.hi}]")
         if not self.step >= 1e-9:  # well above the 1e-12 rounding of grid points
             raise ValueError(f"step must be at least 1e-9, got {self.step}")
+        if (size := self._size()) > _MAX_GRID_POINTS:
+            raise ValueError(f"grid of {size} points exceeds the cap of {_MAX_GRID_POINTS}")
+
+    def _size(self) -> int:
+        return int(math.floor((self.hi - self.lo) / self.step + 1e-9)) + 1
 
     def thresholds(self) -> list[float]:
         """Grid lo, lo+step, ... up to hi inclusive, strictly increasing; each
         point is rounded to 12 decimals and clamped into [lo, hi]."""
-        count = int(math.floor((self.hi - self.lo) / self.step + 1e-9)) + 1
         return [min(max(round(self.lo + i * self.step, 12), self.lo), self.hi)
-                for i in range(count)]
+                for i in range(self._size())]
 
 
 def _require_bbox(det: Detection, stage: str) -> BBox2D:
@@ -70,7 +76,7 @@ def recover_xy(det: Detection, k: CameraIntrinsics) -> Detection:
     box = _require_bbox(det, "recover_xy")
     u, v = bbox_center(box)
     t = backproject(u, v, det.pose.translation.z, k)
-    return replace(det, pose=Pose(det.pose.rotation, t))
+    return Detection(det.class_id, det.confidence, box, Pose(det.pose.rotation, t))
 
 
 def recover_xy_records(records: Sequence[ImageRecord], k: CameraIntrinsics) -> list[ImageRecord]:

@@ -12,7 +12,8 @@ meters, a rotation as exactly one of ``quaternion`` ``[w, x, y, z]`` or
 ``[x1, y1, x2, y2]`` in pixels, and for detections a ``confidence`` in
 [0, 1]. Quaternions are normalized at load time; serialization always
 writes the stored quaternion, at full round-trip precision, so
-``parse(serialize(records))`` reproduces the records field-exactly.
+``parse(serialize(records))`` reproduces field-exactly any records that
+can be built with unit quaternions: items check the reader's invariants.
 The three kinds share one reader and one writer: the name of a line's
 list picks the record type and the item parser from one table.
 
@@ -64,10 +65,19 @@ class ValidationError(_LocatedError):
     """Decoded value that violates a record invariant."""
 
 
-def _check_depth(pose: Pose, kind: str) -> None:
-    """Objects are in front of the camera: a pose with z <= 0 (or NaN) is rejected."""
-    if not pose.translation.z > 0.0:
-        raise ValueError(f"{kind} depth must be positive, got z={pose.translation.z}")
+class NonFiniteError(ValueError):
+    """A detection or annotation pose has a NaN or infinite component."""
+
+
+def _check_item(item: Detection | Annotation, kind: str) -> None:
+    """The reader's item invariants: z > 0 (so not NaN), a finite pose, an int class_id >= 0."""
+    t, q = item.pose.translation, item.pose.rotation
+    if not t.z > 0.0:
+        raise ValueError(f"{kind} depth must be positive, got z={t.z}")
+    if not all(map(math.isfinite, (t.x, t.y, t.z, q.w, q.x, q.y, q.z))):
+        raise NonFiniteError(f"{kind} has a non-finite pose: {item.pose}")
+    if isinstance(item.class_id, bool) or not isinstance(item.class_id, int) or item.class_id < 0:
+        raise ValueError(f"{kind} class_id must be an integer >= 0, got {item.class_id!r}")
 
 
 @dataclass(frozen=True)
@@ -80,7 +90,7 @@ class Detection:
     def __post_init__(self) -> None:
         if not (0.0 <= self.confidence <= 1.0):
             raise ValueError(f"confidence must be within [0, 1], got {self.confidence}")
-        _check_depth(self.pose, "detection")
+        _check_item(self, "detection")
 
 
 @dataclass(frozen=True)
@@ -90,7 +100,7 @@ class Annotation:
     bbox: BBox2D | None = None
 
     def __post_init__(self) -> None:
-        _check_depth(self.pose, "annotation")
+        _check_item(self, "annotation")
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from .geometry import (
     quat_multiply,
     quat_normalize,
 )
-from .metrics import DEFAULT_LADDER, NoClassesError, NonFiniteError, ThresholdLadder
+from .metrics import DEFAULT_LADDER, NoClassesError, ThresholdLadder
 from .records import Annotation, Detection, ImageRecord, _index_by_image
 
 CAR_EXTENT = (4.5, 1.8, 1.5)  # length, width, height in meters
@@ -245,7 +245,7 @@ def oracle_map(pred_records: Sequence[ImageRecord], gt_records: Sequence[ImageRe
     plain quadratic loops, computes precision and recall at every rank,
     and integrates the running precision envelope segment by segment.
     Refuses more than MAX_ORACLE_DETECTIONS total detections. Like
-    metrics, it rejects a repeated image_id and a non-finite pose.
+    metrics, it rejects a repeated image_id.
     """
     total = sum(len(r.items) for r in pred_records)
     if total > MAX_ORACLE_DETECTIONS:
@@ -256,14 +256,7 @@ def oracle_map(pred_records: Sequence[ImageRecord], gt_records: Sequence[ImageRe
     image_ids = list(gt_map) + [i for i in pred_map if i not in gt_map]
     images = [(pred_map.get(i, ()), gt_map.get(i, ())) for i in image_ids]
 
-    classes = set()
-    for dets, anns in images:
-        for item in dets + anns:
-            t, q = item.pose.translation, item.pose.rotation
-            if not all(map(math.isfinite, (t.x, t.y, t.z, q.w, q.x, q.y, q.z))):
-                raise NonFiniteError(f"non-finite pose: {item.pose}")
-        classes.update(d.class_id for d in dets)
-        classes.update(a.class_id for a in anns)
+    classes = {item.class_id for dets, anns in images for item in dets + anns}
     if not classes:
         raise NoClassesError("no class appears in ground truth or predictions")
 

@@ -173,10 +173,9 @@ class TestEnsemble:
 
 class TestSweep:
     def test_writes_curve_and_prints_the_best(self, tmp_path, perfect_files):
-        pred, gt, camera = perfect_files
+        pred, gt, _ = perfect_files
         curve_path = str(tmp_path / "curve.csv")
-        code, out, _ = run(["sweep", "--pred", pred, "--gt", gt, "--camera", camera,
-                            "--out", curve_path])
+        code, out, _ = run(["sweep", "--pred", pred, "--gt", gt, "--out", curve_path])
         assert code == EXIT_OK
         assert out.strip() == "best threshold: 0.1 (mAP 1.000000)"
         with open(curve_path, encoding="utf-8") as handle:
@@ -186,9 +185,9 @@ class TestSweep:
         assert lines[1] == "0.1,1.0"
 
     def test_custom_bounds(self, tmp_path, perfect_files):
-        pred, gt, camera = perfect_files
+        pred, gt, _ = perfect_files
         curve_path = str(tmp_path / "curve.csv")
-        code, out, _ = run(["sweep", "--pred", pred, "--gt", gt, "--camera", camera,
+        code, out, _ = run(["sweep", "--pred", pred, "--gt", gt,
                             "--lo", "0.2", "--hi", "0.4", "--step", "0.1",
                             "--out", curve_path])
         assert code == EXIT_OK
@@ -280,17 +279,30 @@ class TestExitCodes:
         assert "objects_per_image" in err
 
     def test_invalid_sweep_bounds(self, tmp_path, perfect_files):
-        pred, gt, camera = perfect_files
-        code, _, _ = run(["sweep", "--pred", pred, "--gt", gt, "--camera", camera,
+        pred, gt, _ = perfect_files
+        code, _, _ = run(["sweep", "--pred", pred, "--gt", gt,
                           "--lo", "0.8", "--hi", "0.2", "--out", str(tmp_path / "c.csv")])
         assert code == EXIT_INPUT
 
     def test_sweep_step_below_the_floor(self, tmp_path, perfect_files):
-        pred, gt, camera = perfect_files
-        code, _, err = run(["sweep", "--pred", pred, "--gt", gt, "--camera", camera,
+        pred, gt, _ = perfect_files
+        code, _, err = run(["sweep", "--pred", pred, "--gt", gt,
                             "--step", "1e-13", "--out", str(tmp_path / "c.csv")])
         assert code == EXIT_INPUT
         assert err == "error: step must be at least 1e-9, got 1e-13\n"
+
+    def test_sweep_grid_beyond_the_cap(self, tmp_path, perfect_files):
+        pred, gt, _ = perfect_files
+        code, _, err = run(["sweep", "--pred", pred, "--gt", gt, "--lo", "0", "--hi", "1",
+                            "--step", "1e-9", "--out", str(tmp_path / "c.csv")])
+        assert code == EXIT_INPUT
+        assert err == "error: grid of 1000000000 points exceeds the cap of 100001\n"
+
+    def test_ensemble_iou_zero_is_an_input_error(self, tmp_path, perfect_files):
+        pred, _, _ = perfect_files
+        code, _, err = run(["ensemble", pred, "--iou", "0", "--out", str(tmp_path / "out.jsonl")])
+        assert code == EXIT_INPUT
+        assert err == "error: iou_threshold must be in (0, 1], got 0.0\n"
 
     def test_bad_ladder_file(self, tmp_path, perfect_files):
         pred, gt, camera = perfect_files
@@ -311,10 +323,12 @@ class TestExitCodes:
         ("eval", ["--jobs", "1"]),
         ("sweep", ["--jobs", "1"]),
         ("ensemble", ["--mode", "max"]),
-    ], ids=["eval-jobs", "sweep-jobs", "ensemble-mode"])
+        ("sweep", ["--camera", "camera.json"]),
+    ], ids=["eval-jobs", "sweep-jobs", "ensemble-mode", "sweep-camera"])
     def test_removed_options_are_unrecognized(self, tmp_path, perfect_files, command, removed):
         pred, gt, camera = perfect_files
-        inputs = [pred] if command == "ensemble" else ["--pred", pred, "--gt", gt, "--camera", camera]
+        inputs = {"eval": ["--pred", pred, "--gt", gt, "--camera", camera],
+                  "sweep": ["--pred", pred, "--gt", gt], "ensemble": [pred]}[command]
         code, _, err = run([command, *inputs, *removed, "--out", str(tmp_path / "out")])
         assert code == EXIT_INPUT
         assert err.endswith(f"error: unrecognized arguments: {' '.join(removed)}\n")

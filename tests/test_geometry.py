@@ -257,6 +257,17 @@ class TestBoxes:
         with pytest.raises(ValueError):
             BBox2D(*coords)
 
+    @pytest.mark.parametrize("coords, shown", [
+        # such a box used to construct, save as Infinity and then fail to load
+        ((0.0, 0.0, math.inf, 10.0), "(0.0, 0.0, inf, 10.0)"),
+        ((-math.inf, 0.0, 1.0, 1.0), "(-inf, 0.0, 1.0, 1.0)"),
+        ((0.0, math.nan, 1.0, 1.0), "(0.0, nan, 1.0, 1.0)"),
+    ])
+    def test_non_finite_boxes_are_rejected(self, coords, shown):
+        with pytest.raises(ValueError) as err:
+            BBox2D(*coords)
+        assert str(err.value) == f"box coordinates must be finite, got {shown}"
+
     def test_center_and_area(self):
         b = BBox2D(1.0, 2.0, 5.0, 10.0)
         assert bbox_center(b) == (3.0, 6.0)

@@ -1,7 +1,5 @@
 """Recovery, thresholding, ignore filtering, ensembling, and sweep tests."""
 
-import math
-
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -12,8 +10,6 @@ from pose6d import (
     EmptyEnsembleError,
     EnsembleConfig,
     IgnoreRegions,
-    NonFiniteError,
-    Quaternion,
     ThresholdSweep,
     Translation,
     apply_confidence_threshold,
@@ -271,6 +267,20 @@ class TestThresholdSweepGrid:
         with pytest.raises(ValueError, match=f"^step must be at least 1e-9, got {step}$"):
             ThresholdSweep(lo=lo, hi=hi, step=step)
 
+    def test_the_cap_allows_a_1e_5_step_over_the_unit_interval(self):
+        grid = ThresholdSweep(lo=0.0, hi=1.0, step=1e-5).thresholds()
+        assert len(grid) == 100_001
+        assert grid[-1] == 1.0
+
+    @pytest.mark.parametrize("lo, hi, step, points", [
+        (0.0, 1.0, 1e-9, 1_000_000_000),  # built as one list before any point was scored
+        (0.0, 1.0, 0.99999e-5, 100_002),
+        (0.1, 0.8, 1e-6, 700_001),
+    ])
+    def test_grids_beyond_the_cap_are_rejected(self, lo, hi, step, points):
+        with pytest.raises(ValueError, match=f"^grid of {points} points exceeds the cap of 100001$"):
+            ThresholdSweep(lo=lo, hi=hi, step=step)
+
     def test_rounding_never_puts_the_first_point_below_lo(self):
         # unclamped, the first point was 0.956267116135
         grid = ThresholdSweep(lo=0.9562671161355, hi=0.95626712, step=1e-9).thresholds()
@@ -338,14 +348,6 @@ class TestSweepThreshold:
         curve, best = sweep_threshold(preds, gts, ThresholdSweep(lo=0.2, hi=0.3, step=0.1))
         assert [t for t, _ in curve] == [0.2, 0.3]
         assert best == 0.2
-
-    @pytest.mark.parametrize("bad", [
-        det(math.nan, 0.0, 10.0, confidence=0.9),
-        det(0.0, 0.0, 10.0, confidence=0.9, quat=Quaternion(math.nan, 0.0, 0.0, 0.0)),
-    ])
-    def test_non_finite_pose_is_rejected(self, bad):
-        with pytest.raises(NonFiniteError):
-            sweep_threshold([image("a", bad)], [image("a", ann(0.0, 0.0, 10.0))])
 
     def test_sweep_computes_no_more_angles_than_one_evaluation(self, monkeypatch):
         # matching is shared across the grid, so a 15-point sweep does the

@@ -3,6 +3,8 @@
 import io
 import json
 import math
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -16,6 +18,7 @@ from pose6d import (
     EulerAngles,
     IgnoreRegions,
     ImageRecord,
+    NonFiniteError,
     ParseError,
     Pose,
     Quaternion,
@@ -79,11 +82,16 @@ depths = st.floats(0.001, 1e6)
 
 
 @st.composite
-def detections(draw):
+def unit_quaternions(draw):
     comps = [draw(st.floats(-1.0, 1.0)) for _ in range(4)]
     if sum(c * c for c in comps) < 1e-4:
         comps = [1.0, 0.0, 0.0, 0.0]
-    quat = quat_normalize(Quaternion(*comps))
+    return quat_normalize(Quaternion(*comps))
+
+
+@st.composite
+def detections(draw):
+    quat = draw(unit_quaternions())
     bbox = None
     if draw(st.booleans()):
         x1, y1 = draw(coords), draw(coords)
@@ -115,6 +123,37 @@ def image_records(draw, items=detections):
         ImageRecord(image_id=f"img_{i}", items=tuple(draw(items()) for _ in range(n)))
         for i in range(draw(st.integers(1, 3)))
     ]
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def loose_items(draw, kind):
+    """A Detection or Annotation whose fields now and then break an item
+    invariant: NaN or inf, a depth <= 0, a negative or bool class_id, a
+    confidence outside [0, 1], a degenerate box. Quaternions are unit.
+    Building a bad item raises ValueError out of the draw."""
+    def field(valid, *bad):  # one draw in twenty takes a bad value
+        return draw(st.sampled_from(bad) if draw(st.integers(0, 19)) == 0 else valid)
+
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    bbox = None
+    if draw(st.booleans()):
+        x1, y1 = field(coords, *NON_FINITE), field(coords, *NON_FINITE)
+        bbox = BBox2D(x1, y1, x1 + field(st.floats(0.1, 100.0), 0.0, math.inf),
+                      y1 + field(st.floats(0.1, 100.0), -1.0, math.nan))
+    fields = {
+        "class_id": field(st.integers(0, 50), -1, True, False),
+        "bbox": bbox,
+        "pose": Pose(draw(unit_quaternions()),
+                     Translation(field(finite, *NON_FINITE), field(finite, *NON_FINITE),
+                                 field(st.floats(0.0, exclude_min=True, allow_infinity=False),
+                                       0.0, -1.0, *NON_FINITE))),
+    }
+    if kind is Detection:
+        fields["confidence"] = field(unit_interval, -0.1, 1.5, math.nan)
+    return kind(**fields)
 
 
 @st.composite
@@ -330,7 +369,69 @@ class TestParseErrors:
         assert issubclass(ValidationError, ValueError)
 
 
+class TestEveryConstructibleRecordRoundTrips:
+    @pytest.mark.parametrize("kind, serialize, parse", [
+        (Detection, serialize_predictions, parse_predictions),
+        (Annotation, serialize_ground_truth, parse_ground_truth),
+    ], ids=["predictions", "ground truth"])
+    @given(data=st.data())
+    def test_built_records_read_back_or_cannot_be_built(self, kind, serialize, parse, data):
+        # a record that constructs must be one the reader accepts: inf, a
+        # negative or bool class_id or an infinite box used to construct,
+        # save, and then fail to load
+        try:
+            records = data.draw(image_records(items=lambda: loose_items(kind)))
+        except ValueError:
+            return
+        assert roundtrip(records, serialize, parse) == records
+
+
+FINITE_POSE = Pose(IDENTITY, Translation(1.0, 2.0, 10.0))
+ITEM_KINDS = [
+    ("detection", lambda pose, class_id=0: Detection(class_id, 0.9, None, pose)),
+    ("annotation", lambda pose, class_id=0: Annotation(class_id, pose)),
+]
+
+
+def pose_with(component: str, value: float) -> Pose:
+    """FINITE_POSE with one translation or quaternion component set to ``value``."""
+    part, field = component.split(".")
+    if part == "translation":
+        return replace(FINITE_POSE, translation=replace(FINITE_POSE.translation, **{field: value}))
+    return replace(FINITE_POSE, rotation=replace(FINITE_POSE.rotation, **{field: value}))
+
+
 class TestConstructorValidation:
+    # NaN fails every "beyond the gate" comparison, so a NaN pose used to
+    # match the ground truth at its place and score mAP 1.0; now no such
+    # item exists to be matched, scored, post-processed or saved
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("component", [
+        "translation.x", "translation.y",
+        "rotation.w", "rotation.x", "rotation.y", "rotation.z",
+    ])
+    @pytest.mark.parametrize("kind, make", ITEM_KINDS, ids=["detection", "annotation"])
+    def test_a_non_finite_pose_cannot_be_built(self, kind, make, component, value):
+        pose = pose_with(component, value)
+        message = f"^{kind} has a non-finite pose: {re.escape(repr(pose))}$"
+        with pytest.raises(NonFiniteError, match=message):
+            make(pose)
+        with pytest.raises(NonFiniteError, match=message):  # replace re-runs the checks
+            replace(make(FINITE_POSE), pose=pose)
+
+    @pytest.mark.parametrize("kind, make", ITEM_KINDS, ids=["detection", "annotation"])
+    def test_an_infinite_depth_is_non_finite(self, kind, make):
+        # z > 0 holds for +inf, so the finiteness check is what refuses it
+        with pytest.raises(NonFiniteError, match=f"^{kind} has a non-finite pose"):
+            make(pose_with("translation.z", math.inf))
+
+    @pytest.mark.parametrize("class_id", [-1, True, 1.5])
+    @pytest.mark.parametrize("kind, make", ITEM_KINDS, ids=["detection", "annotation"])
+    def test_class_id_must_be_an_integer_at_least_zero(self, kind, make, class_id):
+        message = f"{kind} class_id must be an integer >= 0, got {class_id!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(FINITE_POSE, class_id)
+
     def test_detection_confidence_range(self):
         with pytest.raises(ValueError):
             det(0.0, 0.0, 5.0, confidence=1.2)
