@@ -3,18 +3,19 @@
 import importlib.util
 from pathlib import Path
 
-DEMO = Path(__file__).resolve().parent.parent / "scripts" / "ablation_demo.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRANSCRIPT = ROOT / "tests" / "data" / "reader_transcript.jsonl"
 
 
-def load_demo():
-    spec = importlib.util.spec_from_file_location("ablation_demo", DEMO)
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_ablation_demo_prints_one_row_per_stage(capsys):
-    assert load_demo().main(["--seed", "7", "--images", "3"]) == 0
+    assert load_script("ablation_demo").main(["--seed", "7", "--images", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     start = lines.index("-" * 68) + 1
     assert lines[start:start + 5] == [
@@ -24,3 +25,9 @@ def test_ablation_demo_prints_one_row_per_stage(capsys):
         "+ max-ensemble over 3 models                    14   0.8125    0.066",
         "+ ignore-region filter                          11   1.0000    0.066",
     ]
+
+
+def test_reader_transcript_matches_the_committed_one():
+    """Every reader message, accepted input and written-back byte of the corpus."""
+    fresh = load_script("reader_corpus").transcript()
+    assert fresh == TRANSCRIPT.read_text(encoding="utf-8").splitlines()
