@@ -53,11 +53,12 @@ DETECTION = {"class_id": 3, "confidence": 0.75, "bbox": [10.0, 20.0, 110.0, 220.
              "quaternion": [0.5, 0.5, 0.5, 0.5], "translation": [1.5, -2.0, 12.0]}
 LISTS = {"bbox": 4, "quaternion": 4, "euler": 3, "translation": 3}
 
+# reader name -> (reader, the writer its records go back out through)
 READERS = {
-    "predictions": ("detections", parse_predictions, serialize_predictions),
-    "ground_truth": ("annotations", parse_ground_truth, serialize_ground_truth),
-    "ignore": ("rects", parse_ignore, serialize_ignore),
-    "csv": (None, parse_csv_compat, serialize_predictions),
+    "predictions": (parse_predictions, serialize_predictions),
+    "ground_truth": (parse_ground_truth, serialize_ground_truth),
+    "ignore": (parse_ignore, serialize_ignore),
+    "csv": (parse_csv_compat, serialize_predictions),
 }
 
 
@@ -93,6 +94,7 @@ def _item_cases(base: dict) -> Iterator[tuple[str, object]]:
 
 
 def _special_items(base: dict) -> Iterator[tuple[str, object]]:
+    """(label, item) for Euler items, rotation clashes and edge values of each list."""
     euler = _with(base, "quaternion", MISSING)
     euler["euler"] = [0.1, -0.2, 0.3]
     yield "euler instead of quaternion", euler
@@ -173,6 +175,7 @@ def cases() -> Iterator[tuple[str, str, str]]:
 
 
 def _csv_cases() -> Iterator[tuple[str, str, str]]:
+    """(reader, label, text) for the CSV reader: every token of a group replaced."""
     group = ["0.1", "-0.2", "0.3", "1.5", "-2.0", "12.0", "0.75"]
     yield "csv", "valid", "img, " + " ".join(group)
     yield "csv", "valid two groups", "img, " + " ".join(group + group)
@@ -189,12 +192,13 @@ def _csv_cases() -> Iterator[tuple[str, str, str]]:
     yield "csv", "no comma", "img " + " ".join(group)
     yield "csv", "empty image_id", ", " + " ".join(group)
     yield "csv", "duplicate image_id", "a,\na,"
-    yield "csv", "bad second group on line 2", "a,\n\nb, " + " ".join(group + group[:5] + ["0", "0.5"])
+    yield "csv", "bad second group on line 3 after a blank line", (
+        "a,\n\nb, " + " ".join(group + group[:5] + ["0", "0.5"]))
 
 
 def outcome(reader: str, text: str) -> dict:
     """What the reader makes of ``text``: its records written back, or its error."""
-    _, parse, serialize = READERS[reader]
+    parse, serialize = READERS[reader]
     try:
         records = parse(io.StringIO(text))
     except Exception as exc:  # every failure is part of the transcript

@@ -14,7 +14,8 @@ Conventions used across the toolkit:
 - Translations are camera-frame coordinates in meters, z along the optical
   axis. Pixels follow the pinhole model ``u = fx * x / z + cx``,
   ``v = fy * y / z + cy``.
-- 2D boxes are pixel-space ``(x1, y1, x2, y2)``, finite, with ``x1 < x2, y1 < y2``.
+- 2D boxes are pixel-space ``(x1, y1, x2, y2)``, finite, with ``x1 < x2, y1 < y2``
+  and a finite width, height and area.
 """
 
 from __future__ import annotations
@@ -118,6 +119,9 @@ class BBox2D:
                 f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2}): "
                 "requires x1 < x2 and y1 < y2"
             )
+        if not math.isfinite(self.area()):  # w, h > 0 here, so an inf w or h makes it inf
+            raise ValueError(f"box width, height and area must be finite, got "
+                             f"({self.x1}, {self.y1}, {self.x2}, {self.y2})")
 
     def area(self) -> float:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
@@ -128,9 +132,16 @@ def quat_normalize(q: Quaternion) -> Quaternion:
 
     Raises ZeroNormError when the norm is below 1e-12. An input that is
     already unit to within floating-point noise is returned unchanged so that
-    normalization is idempotent at the bit level.
+    normalization is idempotent at the bit level. When the squared norm
+    overflows, ``q`` is first divided by its largest absolute component, so
+    ``(1e308, 0, 0, 0)`` becomes ``(1, 0, 0, 0)``; an input whose squared
+    norm is finite skips that step, so its result keeps the same bits.
     """
     norm_sq = q.dot(q)
+    if math.isinf(norm_sq):
+        scale = max(abs(q.w), abs(q.x), abs(q.y), abs(q.z))
+        q = Quaternion(q.w / scale, q.x / scale, q.y / scale, q.z / scale)
+        norm_sq = q.dot(q)
     if norm_sq < _ZERO_NORM_TOL * _ZERO_NORM_TOL:
         raise ZeroNormError(f"cannot normalize quaternion with norm {math.sqrt(norm_sq)!r}")
     if abs(norm_sq - 1.0) <= _UNIT_NORM_SQ_TOL:

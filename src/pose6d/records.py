@@ -10,22 +10,22 @@ Each item carries ``class_id`` (int), ``translation`` ``[x, y, z]`` in
 meters, a rotation as exactly one of ``quaternion`` ``[w, x, y, z]`` or
 ``euler`` ``[roll, pitch, yaw]`` (radians), an optional ``bbox``
 ``[x1, y1, x2, y2]`` in pixels, and for detections a ``confidence`` in
-[0, 1]. Quaternions are normalized at load time; serialization always
-writes the stored quaternion, at full round-trip precision, so
-``parse(serialize(records))`` reproduces field-exactly any records that
-can be built with unit quaternions: items check the reader's invariants.
-The three kinds share one reader and one writer: the name of a line's
-list picks the record type and the item parser from one table.
+[0, 1]. Quaternions are normalized at load time and written at full
+round-trip precision, so ``parse(serialize(records))`` reproduces
+field-exactly any records built with unit quaternions. The three kinds
+share one reader and one writer, driven by one table.
 
-A single-class CSV compatibility reader is also provided: rows are
-``image_id, S`` where ``S`` is a space-separated sequence of repeating
-``pitch yaw roll x y z confidence`` groups; every group becomes a
-Detection with ``class_id`` 0 and no bbox. There is no CSV writer; output
-is always canonical JSONL.
+The reader checks an item's shape first (exact JSON types, list lengths,
+one rotation) and builds it directly: the constructors, which enforce the
+same invariants, are the one value check. Only a line with an item that
+fails is read again on the located path, which names the first bad field,
+so the fast path changes no message and no record. Failures raise ParseError
+(malformed line or schema) or ValidationError (well-formed but violating
+an invariant), both with the 1-based line number and the field path.
 
-Parse failures raise ParseError (malformed line or schema) or
-ValidationError (well-formed but violating an invariant); both name the
-1-based line number and the offending field path.
+A single-class CSV compatibility reader takes rows ``image_id, S``, where
+``S`` repeats ``pitch yaw roll x y z confidence`` groups; each becomes a
+Detection with ``class_id`` 0 and no bbox. Output is always canonical JSONL.
 """
 
 from __future__ import annotations
@@ -147,7 +147,10 @@ def _get_image_id(number: int, image_id: object, seen: set[str]) -> str:
 def _number(number: int, value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(number, path, f"must be a number, got {type(value).__name__}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an int literal beyond the float range reads as 1e400 does
+        out = math.inf if value > 0 else -math.inf
     if not math.isfinite(out):
         raise ValidationError(number, path, f"must be finite, got {out}")
     return out
@@ -167,13 +170,11 @@ def _located(number: int, path: str, build: Callable, *args):
         raise ValidationError(number, path, str(exc)) from exc
 
 
-def _box(number: int, value: object, path: str) -> BBox2D:
-    return _located(number, path, BBox2D, *_number_list(number, value, 4, path))
-
-
-def _parse_item(kind: type, number: int, obj: object, path: str) -> Detection | Annotation:
-    """One detection or annotation. Fields are checked in a fixed order, so the
-    error names the first bad one; only detections read ``confidence``."""
+def _parse_item(kind: type, number: int, obj: object, path: str) -> Detection | Annotation | BBox2D:
+    """One ``kind`` item (detection, annotation or box), located: fields are
+    checked in a fixed order, so the error names the first bad one."""
+    if kind is BBox2D:
+        return _located(number, path, BBox2D, *_number_list(number, obj, 4, path))
     if not isinstance(obj, dict):
         raise ParseError(number, path, f"expected an object, got {type(obj).__name__}")
     class_id = obj.get("class_id")
@@ -188,7 +189,8 @@ def _parse_item(kind: type, number: int, obj: object, path: str) -> Detection | 
             raise ValidationError(number, f"{path}.confidence",
                                   f"must be within [0, 1], got {confidence}")
         fields["confidence"] = confidence
-    bbox = None if obj.get("bbox") is None else _box(number, obj["bbox"], f"{path}.bbox")
+    bbox = obj.get("bbox")
+    bbox = None if bbox is None else _parse_item(BBox2D, number, bbox, f"{path}.bbox")
     has_quat = "quaternion" in obj
     if has_quat == ("euler" in obj):
         raise ParseError(number, path, "exactly one of 'quaternion' or 'euler' is required")
@@ -202,6 +204,41 @@ def _parse_item(kind: type, number: int, obj: object, path: str) -> Detection | 
     if z <= 0.0:
         raise ValidationError(number, f"{path}.translation.z", f"must be > 0, got {z}")
     return kind(bbox=bbox, pose=Pose(rotation, Translation(x, y, z)), **fields)
+
+
+_FLOAT, _NUMBER = frozenset((float,)), frozenset((float, int))  # exact: a bool is no number
+
+
+def _floats(value: object, count: int) -> list[float]:
+    """``value`` as floats when it is a list of ``count`` ints or floats, else TypeError."""
+    if type(value) is list and len(value) == count:
+        if _FLOAT.issuperset(map(type, value)):
+            return value
+        if _NUMBER.issuperset(map(type, value)):
+            return list(map(float, value))
+    raise TypeError(value)
+
+
+def _build_item(kind: type, obj: object):
+    """``_parse_item`` without the locating: it checks only the shape of ``obj``
+    and leaves every value to the constructors, so where ``_parse_item`` would
+    fail it raises KeyError, TypeError, ValueError or OverflowError instead."""
+    if kind is BBox2D:
+        return BBox2D(*_floats(obj, 4))
+    if type(obj) is not dict or type(obj["class_id"]) is not int or (
+            ("euler" in obj) == ("quaternion" in obj)):
+        raise TypeError(obj)
+    rotation = (quat_from_euler(EulerAngles(*_floats(obj["euler"], 3))) if "euler" in obj
+                else quat_normalize(Quaternion(*_floats(obj["quaternion"], 4))))
+    pose = Pose(rotation, Translation(*_floats(obj["translation"], 3)))
+    bbox = obj.get("bbox")
+    bbox = None if bbox is None else BBox2D(*_floats(bbox, 4))
+    if kind is Annotation:
+        return Annotation(obj["class_id"], pose, bbox)
+    confidence = obj["confidence"]
+    if type(confidence) is not float:
+        confidence, = _floats([confidence], 1)
+    return Detection(obj["class_id"], confidence, bbox, pose)
 
 
 def _box_values(box: BBox2D) -> list[float]:
@@ -221,17 +258,18 @@ def _item_dict(item: Detection | Annotation) -> dict:
     return out
 
 
-# list key of a JSONL line -> (record type, its item field, item parser, item writer)
-_KINDS: dict[str, tuple[type, str, Callable, Callable]] = {
-    "detections": (ImageRecord, "items", partial(_parse_item, Detection), _item_dict),
-    "annotations": (ImageRecord, "items", partial(_parse_item, Annotation), _item_dict),
-    "rects": (IgnoreRegions, "rects", _box, _box_values),
+# list key of a JSONL line -> (record type, its item field, item type, item writer)
+_KINDS: dict[str, tuple[type, str, type, Callable]] = {
+    "detections": (ImageRecord, "items", Detection, _item_dict),
+    "annotations": (ImageRecord, "items", Annotation, _item_dict),
+    "rects": (IgnoreRegions, "rects", BBox2D, _box_values),
 }
 
 
 def _parse_jsonl(stream: Lines, key: str) -> list:
     """Read JSONL whose lines carry ``image_id`` and a ``key`` list of items."""
-    record_type, _, parse_item, _ = _KINDS[key]
+    record_type, _, kind, _ = _KINDS[key]
+    build = partial(_build_item, kind)
     records = []
     seen: set[str] = set()
     for number, line in _iter_lines(stream):
@@ -245,8 +283,12 @@ def _parse_jsonl(stream: Lines, key: str) -> list:
         items = obj.get(key)
         if not isinstance(items, list):
             raise ParseError(number, key, "must be a list")
-        records.append(record_type(image_id, tuple(parse_item(number, item, f"{key}[{i}]")
-                                                   for i, item in enumerate(items))))
+        try:
+            built = tuple(map(build, items))
+        except (KeyError, TypeError, ValueError, OverflowError):  # locate the fault
+            built = tuple(_parse_item(kind, number, item, f"{key}[{i}]")
+                          for i, item in enumerate(items))
+        records.append(record_type(image_id, built))
     return records
 
 

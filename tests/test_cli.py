@@ -241,6 +241,18 @@ class TestExitCodes:
         assert err == ("error: line 1: invalid JSON "
                        "(Expecting property name enclosed in double quotes)\n")
 
+    def test_huge_integer_literal_is_an_input_error(self, tmp_path, perfect_files):
+        # float() of it raised OverflowError, which escaped main as a traceback
+        _, gt, camera = perfect_files
+        pred_path = tmp_path / "huge.jsonl"
+        item = {"class_id": 0, "confidence": 0.9, "quaternion": [1.0, 0.0, 0.0, 0.0],
+                "translation": [10 ** 400, 0.0, 10.0]}
+        pred_path.write_text(json.dumps({"image_id": "a", "detections": [item]}) + "\n",
+                             encoding="utf-8")
+        code, _, err = run(["eval", "--pred", str(pred_path), "--gt", gt, "--camera", camera])
+        assert code == EXIT_INPUT
+        assert err == "error: line 1: detections[0].translation[0]: must be finite, got inf\n"
+
     def test_invalid_camera_values(self, tmp_path, perfect_files):
         pred, gt, _ = perfect_files
         camera_path = tmp_path / "flat.json"

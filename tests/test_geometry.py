@@ -70,6 +70,23 @@ class TestQuatAlgebra:
         with pytest.raises(ZeroNormError):
             quat_normalize(q)
 
+    @pytest.mark.parametrize("q, expected", [
+        # squaring overflowed to inf, and dividing by it gave the zero quaternion
+        (Quaternion(1e308, 0.0, 0.0, 0.0), Quaternion(1.0, 0.0, 0.0, 0.0)),
+        (Quaternion(0.0, -1e308, 1e308, 0.0), quat_normalize(Quaternion(0.0, -1.0, 1.0, 0.0))),
+    ])
+    def test_normalize_survives_an_overflowing_norm(self, q, expected):
+        assert quat_normalize(q) == expected
+
+    @given(st.tuples(*[st.floats(-1e150, 1e150)] * 4))
+    def test_normalize_keeps_its_bits_while_the_squared_norm_is_finite(self, comps):
+        q = Quaternion(*comps)
+        norm_sq = q.dot(q)
+        assume(norm_sq >= 1e-24)
+        n = math.sqrt(norm_sq)
+        before = q if abs(norm_sq - 1.0) <= 1e-12 else Quaternion(*(c / n for c in comps))
+        assert quat_normalize(q) == before
+
     def test_multiply_follows_hamilton_convention(self):
         i = Quaternion(0.0, 1.0, 0.0, 0.0)
         j = Quaternion(0.0, 0.0, 1.0, 0.0)
@@ -267,6 +284,17 @@ class TestBoxes:
         with pytest.raises(ValueError) as err:
             BBox2D(*coords)
         assert str(err.value) == f"box coordinates must be finite, got {shown}"
+
+    @pytest.mark.parametrize("coords, shown", [
+        # finite coordinates whose area overflowed: area() inf, iou_2d(b, b) NaN
+        ((-1e308, 0.0, 1e308, 1.0), "(-1e+308, 0.0, 1e+308, 1.0)"),
+        ((0.0, -1e308, 1.0, 1e308), "(0.0, -1e+308, 1.0, 1e+308)"),
+        ((0.0, 0.0, 1e200, 1e200), "(0.0, 0.0, 1e+200, 1e+200)"),
+    ])
+    def test_boxes_with_an_overflowing_size_are_rejected(self, coords, shown):
+        with pytest.raises(ValueError) as err:
+            BBox2D(*coords)
+        assert str(err.value) == f"box width, height and area must be finite, got {shown}"
 
     def test_center_and_area(self):
         b = BBox2D(1.0, 2.0, 5.0, 10.0)

@@ -7,7 +7,7 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pose6d import (
@@ -22,15 +22,19 @@ from pose6d import (
     ParseError,
     Pose,
     Quaternion,
+    SceneSpec,
     Translation,
     ValidationError,
+    generate_scene,
     load_camera,
     load_ground_truth,
+    load_ignore,
     load_predictions,
     parse_csv_compat,
     parse_ground_truth,
     parse_ignore,
     parse_predictions,
+    perturb,
     quat_from_euler,
     quat_normalize,
     save_camera,
@@ -42,7 +46,9 @@ from pose6d import (
     serialize_predictions,
 )
 
-from helpers import IDENTITY, ann, det, image
+from pose6d import records as records_module
+
+from helpers import CROWDED_NOISE, IDENTITY, ann, det, image
 
 
 def roundtrip(records, serialize=serialize_predictions, parse=parse_predictions):
@@ -205,6 +211,13 @@ class TestPredictionRoundTrip:
         [record] = parse_predictions([line])
         assert record.items[0].pose.rotation == Quaternion(1.0, 0.0, 0.0, 0.0)
 
+    def test_overflowing_quaternion_reads_as_its_direction_and_round_trips(self):
+        # its squared norm overflowed, so it used to read as the zero quaternion,
+        # which the writer saved and the reader then refused
+        [record] = parse_predictions([pred_line(quaternion=[1e308, 0.0, 0.0, 0.0])])
+        assert record.items[0].pose.rotation == Quaternion(1.0, 0.0, 0.0, 0.0)
+        assert roundtrip([record]) == [record]
+
     def test_blank_lines_are_skipped_but_numbering_is_kept(self):
         text = "\n" + pred_line() + "\n\n{bad json\n"
         with pytest.raises(ParseError) as err:
@@ -295,12 +308,20 @@ class TestParseErrors:
          "annotations[0].translation[1]: must be a number, got str"),
         (gt_line(translation=[0.0, 0.0, math.inf]), ValidationError,
          "annotations[0].translation[2]: must be finite, got inf"),
+        # an int literal beyond the float range used to escape as OverflowError
+        (gt_line(translation=[10 ** 400, 0.0, 10.0]), ValidationError,
+         "annotations[0].translation[0]: must be finite, got inf"),
+        (gt_line(quaternion=[1.0, -10 ** 400, 0.0, 0.0]), ValidationError,
+         "annotations[0].quaternion[1]: must be finite, got -inf"),
         (gt_line(translation=[0.0, 0.0, 0.0]), ValidationError,
          "annotations[0].translation.z: must be > 0, got 0.0"),
         (gt_line(translation=[0.0, 0.0, -3]), ValidationError,
          "annotations[0].translation.z: must be > 0, got -3.0"),
         (gt_line(bbox=[10.0, 0.0, 5.0, 5.0]), ValidationError,
          "annotations[0].bbox: degenerate box (10.0, 0.0, 5.0, 5.0): requires x1 < x2 and y1 < y2"),
+        (gt_line(bbox=[-1e308, 0.0, 1e308, 1.0]), ValidationError,
+         "annotations[0].bbox: box width, height and area must be finite, "
+         "got (-1e+308, 0.0, 1e+308, 1.0)"),
         (gt_line(bbox=[0.0, 0.0, 5.0]), ParseError,
          "annotations[0].bbox: must be a list of 4 numbers"),
         (gt_line(bbox=[0.0, 0.0, 5.0, True]), ParseError,
@@ -384,6 +405,93 @@ class TestEveryConstructibleRecordRoundTrips:
         except ValueError:
             return
         assert roundtrip(records, serialize, parse) == records
+
+
+WILD = [None, True, False, "1", [], {}, 0, -1, 2, 10 ** 400, -10 ** 400, 1e308, -1e308,
+        0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf]
+ITEM_LISTS = {"bbox": 4, "quaternion": 4, "euler": 3, "translation": 3}
+
+
+@st.composite
+def item_objects(draw):
+    """A decoded item: mostly valid, with 0-3 mutations of the kinds a reader
+    must refuse or convert (wild values for a field or one list element, ints
+    for floats, short, long or all-zero lists, missing, extra or clashing
+    keys), or a value that is not an object at all."""
+    def num(lo, hi):  # one number in four is an int literal, which reads as a float
+        return draw(st.integers(math.ceil(lo), math.floor(hi)) if draw(st.integers(0, 3)) == 0
+                    else st.floats(lo, hi))
+
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from(WILD))
+    obj = {"class_id": draw(st.integers(0, 5)), "confidence": num(0.0, 1.0),
+           "translation": [num(-10.0, 10.0), num(-10.0, 10.0), num(0.001, 100.0)]}
+    if draw(st.booleans()):
+        x1, y1 = num(-1e6, 1e6), num(-1e6, 1e6)
+        obj["bbox"] = [x1, y1, x1 + num(0.1, 50.0), y1 + num(0.1, 50.0)]
+    rotation = draw(st.sampled_from(["quaternion", "euler"]))
+    obj[rotation] = [num(-4.0, 4.0) for _ in range(ITEM_LISTS[rotation])]
+    keys = ["class_id", "confidence", *ITEM_LISTS, "extra"]
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(keys))
+        how = draw(st.sampled_from(["value", "element", "int", "short", "long", "zeros",
+                                    "drop"]))
+        value = obj.get(key)
+        if how == "drop":
+            obj.pop(key, None)
+        elif how in ("value", "int") or not isinstance(value, list) or not value:
+            obj[key] = (draw(st.integers(-3, 3)) if how == "int" else draw(st.sampled_from(WILD)))
+        elif how == "element":
+            value[draw(st.integers(0, len(value) - 1))] = draw(st.sampled_from(WILD + [1, 3]))
+        else:
+            obj[key] = {"short": value[:-1], "long": value + [0.5],
+                        "zeros": [0.0] * len(value)}[how]
+    return obj
+
+
+def outcome(build):
+    """``repr`` of what ``build()`` returns, or the type and message of what it raises."""
+    try:
+        return repr(build())
+    except Exception as exc:  # the comparison covers every kind of failure
+        return type(exc), str(exc)
+
+
+class TestFastPathChangesNoResult:
+    @pytest.mark.parametrize("kind, key, parse", [
+        (Detection, "detections", parse_predictions),
+        (Annotation, "annotations", parse_ground_truth),
+    ], ids=["predictions", "ground truth"])
+    @settings(max_examples=300)
+    @given(obj=item_objects())
+    def test_reader_agrees_with_the_located_path(self, kind, key, parse, obj):
+        line = json.dumps({"image_id": "a", key: [obj]})
+        read = outcome(lambda: parse([line])[0].items[0])
+        located = outcome(lambda: records_module._parse_item(kind, 1, json.loads(line)[key][0],
+                                                             f"{key}[0]"))
+        assert read == located
+
+    def test_clean_files_never_take_the_located_path(self, tmp_path, monkeypatch):
+        # a fast path that always fell back would still give every right answer
+        calls = []
+        located = records_module._parse_item
+        monkeypatch.setattr(records_module, "_parse_item",
+                            lambda *args: calls.append(args) or located(*args))
+        gts, camera = generate_scene(SceneSpec(seed=0, n_images=40, objects_per_image=(1, 6),
+                                               n_classes=5, noise=CROWDED_NOISE))
+        preds = perturb(gts, CROWDED_NOISE, 1, camera)
+        regions = [IgnoreRegions(r.image_id, tuple(d.bbox for d in r.items)) for r in preds]
+        for save, load, records in [(save_predictions, load_predictions, preds),
+                                    (save_ground_truth, load_ground_truth, gts),
+                                    (save_ignore, load_ignore, regions)]:
+            path = str(tmp_path / "records.jsonl")
+            save(records, path)
+            assert load(path) == records
+        assert sum(len(r.items) for r in preds + gts) > 200
+        assert calls == []
+        with pytest.raises(ValidationError):  # the count is live
+            parse_predictions([pred_line(class_id=-1)])
+        assert len(calls) == 1
 
 
 FINITE_POSE = Pose(IDENTITY, Translation(1.0, 2.0, 10.0))
