@@ -1,0 +1,149 @@
+"""Scoring corpus: seeded scenes, and the sweep curves and reports they give.
+
+Builds a handful of scenes that stress the confidence ranking: crowded
+seeded scenes, a sparse 20-class scene, a scene whose confidences sit
+exactly on grid points (so ties, and ``confidence == t`` kept), a scene
+with a class on each side only and images on one side only, and a scene
+with predictions and no ground truth (whose sweep fails past its highest
+confidence). Each scene is written to files and run through the command
+line as a user would: ``pose6d sweep`` on the default grid and on
+``--lo 0 --hi 1 --step 0.001``, and ``pose6d eval --out`` for the text
+and the JSON report. Each run gives one JSON line: the exit code, stdout,
+stderr and the bytes of the file written.
+
+    PYTHONPATH=src python3 scripts/score_corpus.py > tests/data/score_transcript.jsonl
+
+``tests/test_scripts.py`` compares the committed transcript with a fresh
+one, so a change to any mAP, sweep curve, best threshold or report byte
+shows up as a diff of that file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+from dataclasses import replace
+from typing import Iterator
+
+from pose6d import (
+    NoiseSpec,
+    SceneSpec,
+    ThresholdSweep,
+    generate_scene,
+    perturb,
+    save_camera,
+    save_ground_truth,
+    save_predictions,
+)
+from pose6d.cli import main as cli_main
+
+# a noisy detector: sigma_t 0.5 m, sigma_r 0.2 rad, miss 0.2, false
+# positives 0.5 per object, true-positive confidence 0.3-1.0
+CROWDED_NOISE = NoiseSpec(translation_sigma=0.5, rotation_sigma=0.2, miss_rate=0.2,
+                          false_positive_rate=0.5, tp_confidence=(0.3, 1.0))
+
+# confidences of the quantised scene: every default grid point, both ends
+# of [0, 1] and two values just outside the default grid
+QUANTISED = ThresholdSweep().thresholds() + [0.0, 0.05, 0.85, 1.0]
+
+COMMANDS = [
+    ("sweep", ["sweep"]),
+    ("sweep lo=0 hi=1 step=0.001", ["sweep", "--lo", "0", "--hi", "1", "--step", "0.001"]),
+    ("eval", ["eval"]),
+]
+
+
+def _scene(spec: SceneSpec, noise: NoiseSpec = CROWDED_NOISE):
+    """(predictions, ground truth, camera) of a seeded scene."""
+    gts, camera = generate_scene(replace(spec, noise=noise))
+    return perturb(gts, noise, spec.seed + 1000, camera), gts, camera
+
+
+def _crowded(seed: int):
+    return _scene(SceneSpec(seed=seed, n_images=6, objects_per_image=(20, 40), n_classes=3))
+
+
+def _quantised():
+    """A crowded scene whose confidences all lie on grid points."""
+    preds, gts, camera = _crowded(3)
+    out = []
+    for i, record in enumerate(preds):
+        items = tuple(replace(d, confidence=QUANTISED[(7 * i + 3 * j) % len(QUANTISED)])
+                      for j, d in enumerate(record.items))
+        out.append(replace(record, items=items))
+    return out, gts, camera
+
+
+def _one_sided():
+    """Class 1 in ground truth only, class 2 in predictions only; the first
+    image has no prediction record, the last no ground-truth record."""
+    preds, gts, camera = _scene(SceneSpec(seed=4, n_images=5, objects_per_image=(4, 12),
+                                          n_classes=2))
+    preds = [replace(r, items=tuple(replace(d, class_id=2) if d.class_id == 1 else d
+                                    for d in r.items))
+             for r in preds]
+    return preds[1:], gts[:-1], camera
+
+
+def _predictions_only():
+    preds, gts, camera = _crowded(5)
+    return preds, [], camera
+
+
+def scenes() -> Iterator[tuple[str, tuple]]:
+    """(name, (predictions, ground truth, camera)) for every scene of the corpus."""
+    for seed in (0, 1):
+        yield f"crowded seed {seed}", _crowded(seed)
+    yield "sparse 20 classes", _scene(
+        SceneSpec(seed=6, n_images=40, objects_per_image=(0, 3), n_classes=20),
+        replace(CROWDED_NOISE, false_positive_rate=0.3))
+    yield "confidences on grid points", _quantised()
+    yield "classes and images on one side only", _one_sided()
+    yield "predictions without ground truth", _predictions_only()
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def transcript() -> list[str]:
+    """One JSON line per scene and command: exit code, stdout, stderr, file written."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        pred, gt, camera, out = (os.path.join(tmp, name) for name in
+                                 ("pred.jsonl", "gt.jsonl", "camera.json", "out"))
+        for name, (preds, gts, k) in scenes():
+            save_predictions(preds, pred)
+            save_ground_truth(gts, gt)
+            save_camera(k, camera)
+            for label, command in COMMANDS:
+                if os.path.exists(out):
+                    os.remove(out)
+                io_args = ["--pred", pred, "--gt", gt, "--out", out]
+                if command[0] == "eval":
+                    io_args += ["--camera", camera]
+                code, stdout, stderr = _run(command + io_args)
+                written = None
+                if os.path.exists(out):
+                    with open(out, "r", encoding="utf-8") as handle:
+                        written = handle.read()
+                lines.append(json.dumps({"scene": name, "command": label, "exit": code,
+                                         "stdout": stdout, "stderr": stderr,
+                                         "written": written}))
+    return lines
+
+
+def main() -> int:
+    for line in transcript():
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -5,6 +5,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRANSCRIPT = ROOT / "tests" / "data" / "reader_transcript.jsonl"
+SCORE_TRANSCRIPT = ROOT / "tests" / "data" / "score_transcript.jsonl"
 
 
 def load_script(name: str):
@@ -31,3 +32,9 @@ def test_reader_transcript_matches_the_committed_one():
     """Every reader message, accepted input and written-back byte of the corpus."""
     fresh = load_script("reader_corpus").transcript()
     assert fresh == TRANSCRIPT.read_text(encoding="utf-8").splitlines()
+
+
+def test_score_transcript_matches_the_committed_one():
+    """Every sweep curve, best threshold and report byte of the scoring corpus."""
+    fresh = load_script("score_corpus").transcript()
+    assert fresh == SCORE_TRANSCRIPT.read_text(encoding="utf-8").splitlines()
