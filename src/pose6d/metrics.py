@@ -165,6 +165,25 @@ def match(preds: Sequence[Detection], gts: Sequence[Annotation],
     return _match_result(_match_image(preds, gts, ladder.pairs)[0], len(preds), len(gts))
 
 
+def _precision(tp: np.ndarray) -> np.ndarray:
+    """Precision at each rank of a ranked boolean TP array: cumulative TP / rank."""
+    return np.cumsum(tp, dtype=np.float64) / np.arange(1, tp.size + 1, dtype=np.float64)
+
+
+def _prefix_ap(tp: np.ndarray, precision: np.ndarray, num_gt: int) -> float:
+    """AP of a ranked TP array given its ``_precision``; both may be prefixes
+    of a longer ranking's arrays, because a prefix of a cumulative sum is the
+    cumulative sum of the prefix."""
+    if num_gt == 0:
+        return 0.0 if tp.size else 1.0
+    if not tp.size:
+        return 0.0
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    # recall advances by exactly 1/num_gt at each TP rank, so the envelope
+    # integral collapses to a sum over TP ranks
+    return float(envelope[tp].sum() / num_gt)
+
+
 def average_precision(flags: Sequence[bool], num_gt: int) -> float:
     """All-points interpolated AP from a confidence-ranked TP/FP sequence.
 
@@ -175,17 +194,8 @@ def average_precision(flags: Sequence[bool], num_gt: int) -> float:
     """
     if num_gt < 0:
         raise ValueError(f"num_gt must be >= 0, got {num_gt}")
-    if num_gt == 0:
-        return 0.0 if flags else 1.0
-    if not flags:
-        return 0.0
-    tp = np.asarray(flags, dtype=np.float64)
-    cum_tp = np.cumsum(tp)
-    precision = cum_tp / np.arange(1, tp.size + 1, dtype=np.float64)
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    # recall advances by exactly 1/num_gt at each TP rank, so the envelope
-    # integral collapses to a sum over TP ranks
-    return float(envelope[tp.astype(bool)].sum() / num_gt)
+    tp = np.asarray(flags, dtype=bool)
+    return _prefix_ap(tp, _precision(tp), num_gt)
 
 
 @dataclass
@@ -288,12 +298,14 @@ class Evaluation:
     Images are aligned by ``image_id``; an image on one side only adds
     misses or false positives. Per image, each same-class distance is
     computed once and each angle at most once, within the loosest gate.
-    ``buckets[c]`` holds class c's negated confidences in ranking order, a
-    TP-flag column per pair and its ground-truth count; ``last`` each
-    image's last-pair matching. ``per_class_ap(t)`` scores the confidence
-    >= t prefix of each bucket. That equals thresholding at t and matching
-    again: a threshold cuts a suffix of the greedy visiting order and
-    leaves the matching of the rest unchanged.
+    ``buckets[c]`` holds class c's negated confidences in ranking order,
+    per pair a boolean TP array and its precision array (cumulative TP /
+    rank), both built once over the whole bucket, and its ground-truth
+    count; ``last`` each image's last-pair matching. ``per_class_ap(t)``
+    scores the confidence >= t prefix of each bucket from prefixes of those
+    arrays. That equals thresholding at t and matching again: a threshold
+    cuts a suffix of the greedy visiting order and leaves the matching of
+    the rest unchanged.
     """
 
     def __init__(self, pred_records: Sequence[ImageRecord], gt_records: Sequence[ImageRecord],
@@ -311,10 +323,11 @@ class Evaluation:
             for i, d in enumerate(dets):
                 rows[d.class_id].append((d.confidence, tuple(i in m for m in matched)))
             self.last.append(_match_result(per_pair[-1], len(dets), len(anns)))
-        self.buckets: dict[int, tuple[list[float], list[tuple[bool, ...]], int]] = {}
+        self.buckets: dict[int, tuple[list[float], list[tuple[np.ndarray, np.ndarray]], int]] = {}
         for c, class_rows in rows.items():
             class_rows.sort(key=lambda r: -r[0])  # stable: ties keep image, then input order
-            columns = [tuple(r[1][p] for r in class_rows) for p in range(len(ladder.pairs))]
+            columns = np.array([r[1] for r in class_rows], dtype=bool).reshape(-1, len(ladder.pairs))
+            columns = [(tp, _precision(tp)) for tp in np.ascontiguousarray(columns.T)]
             self.buckets[c] = ([-r[0] for r in class_rows], columns, gt_count[c])
 
     def per_class_ap(self, threshold: float = 0.0) -> dict[int, tuple[float, ...]]:
@@ -325,7 +338,8 @@ class Evaluation:
         for c, (neg_conf, columns, num_gt) in sorted(self.buckets.items()):
             k = bisect.bisect_right(neg_conf, -threshold)
             if k or num_gt:
-                out[c] = tuple(average_precision(flags[:k], num_gt) for flags in columns)
+                out[c] = tuple(_prefix_ap(tp[:k], precision[:k], num_gt)
+                               for tp, precision in columns)
         if not out:
             raise NoClassesError("no class appears in ground truth or predictions")
         return out

@@ -5,6 +5,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -197,6 +198,64 @@ class TestAveragePrecision:
     def test_trailing_misses_never_change_the_value(self, flags, extra_gt):
         num_gt = max(1, sum(flags) + extra_gt)
         assert average_precision(flags + [False], num_gt) == average_precision(flags, num_gt)
+
+
+def parent_average_precision(flags, num_gt):
+    """The AP formula as it stood before scoring moved onto bucket prefixes:
+    every array rebuilt from ``flags`` alone."""
+    if num_gt == 0:
+        return 0.0 if flags else 1.0
+    if not flags:
+        return 0.0
+    tp = np.asarray(flags, dtype=np.float64)
+    precision = np.cumsum(tp) / np.arange(1, tp.size + 1, dtype=np.float64)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    return float(envelope[tp.astype(bool)].sum() / num_gt)
+
+
+# a detection of kind 0 sits on its own object, kind 1 1.5 m from it (a hit
+# at the loose pair only), kind 2 50 m from every object (a false positive)
+PREFIX_LADDER = ThresholdLadder(pairs=((1.0, math.radians(10.0)), (2.0, math.radians(20.0))))
+CONFIDENCES = (0.0, 0.25, 0.5, 0.75, 1.0)  # few values, so ties are common
+
+
+class TestPrefixScoring:
+    """``Evaluation.per_class_ap(t)`` scores prefixes of arrays built once per
+    bucket; each cut must give the bits of scoring that prefix from scratch."""
+
+    @given(st.lists(st.tuples(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(CONFIDENCES)),
+                                       max_size=12),
+                              st.integers(0, 3)),
+                    min_size=1, max_size=3))
+    def test_every_cut_equals_average_precision_of_that_prefix(self, classes):
+        dets, anns, expected_rows = [], [], {}
+        for c, (drawn, extra_gt) in enumerate(classes):
+            for kind, confidence in drawn:
+                x = 100.0 * len(anns)
+                if kind < 2:
+                    anns.append(ann(x, 0.0, 50.0, class_id=c))
+                dets.append(det(x + (0.0, 1.5, 50.0)[kind], 0.0, 50.0, class_id=c,
+                                confidence=confidence))
+            for _ in range(extra_gt):
+                anns.append(ann(100.0 * len(anns), 0.0, 50.0, class_id=c))
+            ranked = sorted(drawn, key=lambda d: -d[1])  # stable, like the bucket
+            columns = [[kind == 0 for kind, _ in ranked], [kind < 2 for kind, _ in ranked]]
+            num_gt = sum(kind < 2 for kind, _ in drawn) + extra_gt
+            expected_rows[c] = ([conf for _, conf in ranked], columns, num_gt)
+        evaluation = Evaluation([image("a", *dets)], [image("a", *anns)], PREFIX_LADDER)
+        for t in CONFIDENCES:
+            expected = {}
+            for c, (confs, columns, num_gt) in expected_rows.items():
+                k = sum(conf >= t for conf in confs)
+                if k or num_gt:
+                    expected[c] = tuple(average_precision(flags[:k], num_gt) for flags in columns)
+                    assert expected[c] == tuple(parent_average_precision(flags[:k], num_gt)
+                                                for flags in columns)
+            if not expected:
+                with pytest.raises(NoClassesError):
+                    evaluation.per_class_ap(t)
+            else:
+                assert evaluation.per_class_ap(t) == expected
 
 
 def perfect_setup():

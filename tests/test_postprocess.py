@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from pose6d import (
     BBox2D,
     CameraIntrinsics,
+    DEFAULT_LADDER,
     EmptyEnsembleError,
     EnsembleConfig,
     IgnoreRegions,
@@ -369,3 +370,23 @@ class TestSweepThreshold:
         sweep_threshold(preds, gts)
         assert len(ThresholdSweep().thresholds()) == 15
         assert 0 < calls <= per_evaluation
+
+    def test_sweep_builds_each_bucket_array_once(self, monkeypatch):
+        # the cumulative TP and precision arrays of each class and pair are
+        # built when the input is matched; grid points only take prefixes
+        import pose6d.metrics
+
+        calls = 0
+        real = pose6d.metrics._precision
+
+        def counting(tp):
+            nonlocal calls
+            calls += 1
+            return real(tp)
+
+        monkeypatch.setattr(pose6d.metrics, "_precision", counting)
+        preds, gts = crowded_scene(700)
+        classes = {i.class_id for r in preds + gts for i in r.items}
+        sweep_threshold(preds, gts)
+        assert len(classes) == 3 and len(ThresholdSweep().thresholds()) == 15
+        assert calls == len(classes) * len(DEFAULT_LADDER.pairs)
