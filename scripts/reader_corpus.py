@@ -115,7 +115,8 @@ def _special_items(base: dict) -> Iterator[tuple[str, object]]:
         ("degenerate", [10.0, 20.0, 10.0, 220.0]), ("inverted", [110.0, 20.0, 10.0, 220.0]),
         ("width overflows", [-1e308, 0.0, 1e308, 1.0]),
         ("height overflows", [0.0, -1e308, 1.0, 1e308]),
-        ("area overflows", [0.0, 0.0, 1e200, 1e200]), ("ints", [1, 2, 3, 4]),
+        ("area overflows", [0.0, 0.0, 1e200, 1e200]),
+        ("area underflows", [0.0, 0.0, 1e-200, 1e-200]), ("ints", [1, 2, 3, 4]),
     ]:
         yield f"bbox {label}", dict(base, bbox=bbox)
     for label, translation in [("z = 0", [0.0, 0.0, 0.0]), ("z < 0", [0.0, 0.0, -5.0]),
@@ -167,7 +168,8 @@ def cases() -> Iterator[tuple[str, str, str]]:
             values[i] = value
             yield "ignore", f"rect[{i}] = {label}", _line("rects", [values])
     for label, bad in [("degenerate", [1.0, 1.0, 1.0, 2.0]),
-                       ("width overflows", [-1e308, 0.0, 1e308, 1.0])]:
+                       ("width overflows", [-1e308, 0.0, 1e308, 1.0]),
+                       ("area underflows", [0.0, 0.0, 1e-200, 1e-200])]:
         yield "ignore", f"rect {label}", _line("rects", [bad])
     for label, text in _line_cases("rects", rect, [0.0, 0.0, 0.0, 0.0]):
         yield "ignore", label, text

@@ -14,8 +14,8 @@ Conventions used across the toolkit:
 - Translations are camera-frame coordinates in meters, z along the optical
   axis. Pixels follow the pinhole model ``u = fx * x / z + cx``,
   ``v = fy * y / z + cy``.
-- 2D boxes are pixel-space ``(x1, y1, x2, y2)``, finite, with ``x1 < x2, y1 < y2``
-  and a finite width, height and area.
+- 2D boxes are pixel-space ``(x1, y1, x2, y2)``, finite, with ``x1 < x2, y1 < y2``,
+  a finite width, height and area, and an area above 0.
 """
 
 from __future__ import annotations
@@ -119,9 +119,13 @@ class BBox2D:
                 f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2}): "
                 "requires x1 < x2 and y1 < y2"
             )
-        if not math.isfinite(self.area()):  # w, h > 0 here, so an inf w or h makes it inf
+        area = self.area()
+        if not math.isfinite(area):  # w, h > 0 here, so an inf w or h makes it inf
             raise ValueError(f"box width, height and area must be finite, got "
                              f"({self.x1}, {self.y1}, {self.x2}, {self.y2})")
+        if not area > 0.0:  # w, h > 0 here, but their product can underflow to 0
+            raise ValueError(f"box area must be positive, got "
+                             f"({self.x1}, {self.y1}, {self.x2}, {self.y2}) with area {area}")
 
     def area(self) -> float:
         return (self.x2 - self.x1) * (self.y2 - self.y1)

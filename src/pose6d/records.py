@@ -30,6 +30,7 @@ Detection with ``class_id`` 0 and no bbox. Output is always canonical JSONL.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -103,10 +104,18 @@ class Annotation:
         _check_item(self, "annotation")
 
 
+def _check_image_id(image_id: object) -> None:
+    if not isinstance(image_id, str) or not image_id:
+        raise ValueError(f"image_id must be a non-empty string, got {image_id!r}")
+
+
 @dataclass(frozen=True)
 class ImageRecord:
     image_id: str
     items: tuple
+
+    def __post_init__(self) -> None:
+        _check_image_id(self.image_id)
 
 
 def _index_by_image(records: Sequence[ImageRecord], what: str) -> dict[str, ImageRecord]:
@@ -123,6 +132,9 @@ def _index_by_image(records: Sequence[ImageRecord], what: str) -> dict[str, Imag
 class IgnoreRegions:
     image_id: str
     rects: tuple[BBox2D, ...]
+
+    def __post_init__(self) -> None:
+        _check_image_id(self.image_id)
 
 
 Lines = Union[IO[str], Iterable[str]]
@@ -258,17 +270,18 @@ def _item_dict(item: Detection | Annotation) -> dict:
     return out
 
 
-# list key of a JSONL line -> (record type, its item field, item type, item writer)
-_KINDS: dict[str, tuple[type, str, type, Callable]] = {
-    "detections": (ImageRecord, "items", Detection, _item_dict),
-    "annotations": (ImageRecord, "items", Annotation, _item_dict),
-    "rects": (IgnoreRegions, "rects", BBox2D, _box_values),
+# list key of a JSONL line -> (record type, its item field, item type, item
+# writer, what the records are called in messages)
+_KINDS: dict[str, tuple[type, str, type, Callable, str]] = {
+    "detections": (ImageRecord, "items", Detection, _item_dict, "predictions"),
+    "annotations": (ImageRecord, "items", Annotation, _item_dict, "ground truth"),
+    "rects": (IgnoreRegions, "rects", BBox2D, _box_values, "ignore regions"),
 }
 
 
 def _parse_jsonl(stream: Lines, key: str) -> list:
     """Read JSONL whose lines carry ``image_id`` and a ``key`` list of items."""
-    record_type, _, kind, _ = _KINDS[key]
+    record_type, _, kind, _, _ = _KINDS[key]
     build = partial(_build_item, kind)
     records = []
     seen: set[str] = set()
@@ -293,8 +306,19 @@ def _parse_jsonl(stream: Lines, key: str) -> list:
 
 
 def _serialize_jsonl(records: Iterable, stream: IO[str], key: str) -> None:
-    """Write records as canonical JSONL (inverse of ``_parse_jsonl``)."""
-    _, field, _, write_item = _KINDS[key]
+    """Write records as canonical JSONL (inverse of ``_parse_jsonl``).
+
+    The invariants the reader checks across records are checked first, so
+    a refusal (ValueError) writes nothing: each image_id once, and every
+    item of the file's kind. Each record and item checks its own values
+    when it is built."""
+    _, field, kind, write_item, what = _KINDS[key]
+    records = list(records)
+    for record in _index_by_image(records, what).values():
+        for i, item in enumerate(getattr(record, field)):
+            if not isinstance(item, kind):
+                raise ValueError(f"image_id {record.image_id!r}: {key}[{i}]: expected "
+                                 f"{kind.__name__}, got {type(item).__name__}")
     for record in records:
         obj = {"image_id": record.image_id, key: [write_item(i) for i in getattr(record, field)]}
         stream.write(json.dumps(obj) + "\n")
@@ -371,8 +395,12 @@ def _load(path: str, parse: Callable[[IO[str]], object]):
 
 
 def _save(records: Iterable, path: str, serialize: Callable[[Iterable, IO[str]], None]) -> None:
+    """Serialize ``records`` before ``path`` is opened, so a refusal neither
+    creates nor truncates the file."""
+    text = io.StringIO()
+    serialize(records, text)
     with open(path, "w", encoding="utf-8") as handle:
-        serialize(records, handle)
+        handle.write(text.getvalue())
 
 
 def load_predictions(path: str) -> list[ImageRecord]:

@@ -296,6 +296,22 @@ class TestBoxes:
             BBox2D(*coords)
         assert str(err.value) == f"box width, height and area must be finite, got {shown}"
 
+    @pytest.mark.parametrize("coords, shown", [
+        # finite, ordered coordinates whose area underflows: area() 0.0, and
+        # iou_2d(b, b) raised ZeroDivisionError
+        ((0.0, 0.0, 1e-200, 1e-200), "(0.0, 0.0, 1e-200, 1e-200) with area 0.0"),
+        ((0.0, 0.0, 1e-160, 1e-170), "(0.0, 0.0, 1e-160, 1e-170) with area 0.0"),
+    ])
+    def test_boxes_whose_area_underflows_are_rejected(self, coords, shown):
+        with pytest.raises(ValueError) as err:
+            BBox2D(*coords)
+        assert str(err.value) == f"box area must be positive, got {shown}"
+
+    def test_a_box_with_a_subnormal_area_is_kept_and_scores(self):
+        b = BBox2D(0.0, 0.0, 1e-160, 1e-160)
+        assert 0.0 < b.area() < 1e-300
+        assert iou_2d(b, b) == 1.0
+
     def test_center_and_area(self):
         b = BBox2D(1.0, 2.0, 5.0, 10.0)
         assert bbox_center(b) == (3.0, 6.0)

@@ -123,10 +123,12 @@ def boxes(draw):
 
 
 @st.composite
-def image_records(draw, items=detections):
+def image_records(draw, items=detections, ids=None):
+    """1-3 records of 0-3 items; ids ``img_0``, ``img_1``, ... or drawn from ``ids``."""
     n = draw(st.integers(0, 3))
     return [
-        ImageRecord(image_id=f"img_{i}", items=tuple(draw(items()) for _ in range(n)))
+        ImageRecord(image_id=f"img_{i}" if ids is None else draw(ids),
+                    items=tuple(draw(items()) for _ in range(n)))
         for i in range(draw(st.integers(1, 3)))
     ]
 
@@ -160,6 +162,17 @@ def loose_items(draw, kind):
     if kind is Detection:
         fields["confidence"] = field(unit_interval, -0.1, 1.5, math.nan)
     return kind(**fields)
+
+
+@st.composite
+def mixed_items(draw, kind):
+    """``loose_items`` of ``kind``, or now and then of the other item kind."""
+    other = Annotation if kind is Detection else Detection
+    return draw(loose_items(other if draw(st.integers(0, 9)) == 0 else kind))
+
+
+# valid ids, of which a short list repeats often, and ids no reader accepts
+LOOSE_IDS = st.one_of(st.sampled_from(["a", "b", "img_0"]), st.sampled_from(["", 7, None]))
 
 
 @st.composite
@@ -322,6 +335,9 @@ class TestParseErrors:
         (gt_line(bbox=[-1e308, 0.0, 1e308, 1.0]), ValidationError,
          "annotations[0].bbox: box width, height and area must be finite, "
          "got (-1e+308, 0.0, 1e+308, 1.0)"),
+        (gt_line(bbox=[0.0, 0.0, 1e-200, 1e-200]), ValidationError,
+         "annotations[0].bbox: box area must be positive, "
+         "got (0.0, 0.0, 1e-200, 1e-200) with area 0.0"),
         (gt_line(bbox=[0.0, 0.0, 5.0]), ParseError,
          "annotations[0].bbox: must be a list of 4 numbers"),
         (gt_line(bbox=[0.0, 0.0, 5.0, True]), ParseError,
@@ -359,6 +375,8 @@ class TestParseErrors:
         ([[0.0, 0.0, math.inf, 1.0]], ValidationError, "rects[0][2]: must be finite, got inf"),
         ([[0.0, 0.0, 1.0, 1.0], [2.0, 2.0, 1.0, 1.0]], ValidationError,
          "rects[1]: degenerate box (2.0, 2.0, 1.0, 1.0): requires x1 < x2 and y1 < y2"),
+        ([[0.0, 0.0, 1e-200, 1e-200]], ValidationError,
+         "rects[0]: box area must be positive, got (0.0, 0.0, 1e-200, 1e-200) with area 0.0"),
     ])
     def test_bad_ignore_line_message(self, rects, exc_type, message):
         with pytest.raises(exc_type) as err:
@@ -397,14 +415,78 @@ class TestEveryConstructibleRecordRoundTrips:
     ], ids=["predictions", "ground truth"])
     @given(data=st.data())
     def test_built_records_read_back_or_cannot_be_built(self, kind, serialize, parse, data):
-        # a record that constructs must be one the reader accepts: inf, a
-        # negative or bool class_id or an infinite box used to construct,
-        # save, and then fail to load
+        # a record that constructs and writes must be one the reader accepts:
+        # inf, a negative or bool class_id, an infinite box, an empty or int
+        # image_id, a repeated image_id or an item of the other kind used to
+        # construct, save, and then fail to load
         try:
-            records = data.draw(image_records(items=lambda: loose_items(kind)))
+            records = data.draw(image_records(items=lambda: mixed_items(kind), ids=LOOSE_IDS))
         except ValueError:
             return
-        assert roundtrip(records, serialize, parse) == records
+        ids = [r.image_id for r in records]
+        refusable = len(set(ids)) < len(ids) or not all(
+            isinstance(item, kind) for r in records for item in r.items)
+        buffer = io.StringIO()
+        try:
+            serialize(records, buffer)
+        except ValueError:
+            assert refusable and buffer.getvalue() == ""
+            return
+        assert not refusable
+        assert parse(io.StringIO(buffer.getvalue())) == records
+
+
+class TestWriterRefusesWhatItsReaderRefuses:
+    """Each record invariant the reader checks holds where the record is built
+    or is checked by the writer before it writes anything."""
+
+    @pytest.mark.parametrize("make", [lambda i: ImageRecord(i, ()), lambda i: IgnoreRegions(i, ())],
+                             ids=["ImageRecord", "IgnoreRegions"])
+    @pytest.mark.parametrize("image_id", ["", 7, None, b"a"])
+    def test_image_id_must_be_a_non_empty_string(self, make, image_id):
+        with pytest.raises(ValueError) as err:
+            make(image_id)
+        assert str(err.value) == f"image_id must be a non-empty string, got {image_id!r}"
+
+    WRITERS = [
+        (serialize_predictions, save_predictions, lambda i: image(i), "predictions"),
+        (serialize_ground_truth, save_ground_truth, lambda i: image(i), "ground truth"),
+        (serialize_ignore, save_ignore, lambda i: IgnoreRegions(i, ()), "ignore regions"),
+    ]
+
+    @pytest.mark.parametrize("serialize, save, make, what", WRITERS,
+                             ids=["predictions", "ground truth", "ignore"])
+    def test_a_repeated_image_id_is_refused_before_writing(self, tmp_path, serialize, save,
+                                                           make, what):
+        records = [make("a"), make("b"), make("a")]
+        buffer = io.StringIO()
+        with pytest.raises(ValueError, match=f"^duplicate image_id 'a' in {what}$"):
+            serialize(iter(records), buffer)
+        assert buffer.getvalue() == ""
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(ValueError, match="^duplicate image_id 'a'"):
+            save(records, str(path))
+        assert not path.exists()
+        path.write_text("kept\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^duplicate image_id 'a'"):
+            save(records, str(path))
+        assert path.read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize("serialize, records, message", [
+        (serialize_predictions, [image("z"), image("a", det(0.0, 0.0, 10.0), ann(0.0, 0.0, 10.0))],
+         "image_id 'a': detections[1]: expected Detection, got Annotation"),
+        (serialize_ground_truth, [image("z"), image("b", det(0.0, 0.0, 10.0))],
+         "image_id 'b': annotations[0]: expected Annotation, got Detection"),
+        (serialize_ignore, [IgnoreRegions("z", ()), IgnoreRegions("c", (ann(0.0, 0.0, 10.0),))],
+         "image_id 'c': rects[0]: expected BBox2D, got Annotation"),
+    ], ids=["annotation in predictions", "detection in ground truth", "annotation in ignore"])
+    def test_an_item_of_the_wrong_kind_is_refused_before_writing(self, serialize, records,
+                                                                 message):
+        buffer = io.StringIO()
+        with pytest.raises(ValueError) as err:
+            serialize(records, buffer)
+        assert str(err.value) == message
+        assert buffer.getvalue() == ""
 
 
 WILD = [None, True, False, "1", [], {}, 0, -1, 2, 10 ** 400, -10 ** 400, 1e308, -1e308,
