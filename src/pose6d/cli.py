@@ -83,6 +83,16 @@ def _load_ladder_arg(path: str | None) -> ThresholdLadder:
     return load_ladder(path) if path else DEFAULT_LADDER
 
 
+def _load_camera_arg(path: str | None, stage: str | None):
+    """The ``--camera`` intrinsics, or None without the option; ``stage``
+    names the option that reads them, which makes ``--camera`` required."""
+    if path is None:
+        if stage is not None:
+            raise argparse.ArgumentTypeError(f"{stage} requires --camera")
+        return None
+    return load_camera(path)
+
+
 def _ensure_gt_bboxes(gt_records, camera):
     out = []
     for record in gt_records:
@@ -95,7 +105,7 @@ def _ensure_gt_bboxes(gt_records, camera):
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    camera = load_camera(args.camera)
+    camera = _load_camera_arg(args.camera, "--ignore" if args.ignore else None)
     ladder = _load_ladder_arg(args.ladder)
     preds = _load_preds(args.pred, args.format)
     gts = load_ground_truth(args.gt)
@@ -113,7 +123,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_post(args: argparse.Namespace) -> int:
-    camera = load_camera(args.camera)
+    camera = _load_camera_arg(args.camera, "--recover-xy" if args.recover_xy else None)
     preds = _load_preds(args.pred, args.format)
     if args.recover_xy:
         preds = recover_xy_records(preds, camera)
@@ -178,12 +188,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_io_args(sub: argparse.ArgumentParser, gt: bool, camera: bool) -> None:
+def _add_io_args(sub: argparse.ArgumentParser, gt: bool, camera: str | None) -> None:
+    """``camera`` names the option that reads ``--camera``; None omits it."""
     sub.add_argument("--pred", required=True, help="predictions file (JSONL, or CSV with --format csv)")
     if gt:
         sub.add_argument("--gt", required=True, help="ground-truth JSONL file")
     if camera:
-        sub.add_argument("--camera", required=True, help="camera intrinsics JSON file")
+        sub.add_argument("--camera", help=f"camera intrinsics JSON file (required by {camera})")
     sub.add_argument("--format", choices=("jsonl", "csv"), default="jsonl",
                      help="prediction input format (default jsonl)")
 
@@ -194,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     p_eval = subparsers.add_parser("eval", help="score predictions against ground truth")
-    _add_io_args(p_eval, gt=True, camera=True)
+    _add_io_args(p_eval, gt=True, camera="--ignore")
     p_eval.add_argument("--ladder", help="threshold ladder JSON file (default: built-in ladder)")
     p_eval.add_argument("--ignore", help="ignore-region JSONL; filters predictions and ground truth")
     p_eval.add_argument("--ignore-overlap", type=_unit_interval, default=0.5,
@@ -203,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_post = subparsers.add_parser("post", help="apply post-processing stages")
-    _add_io_args(p_post, gt=False, camera=True)
+    _add_io_args(p_post, gt=False, camera="--recover-xy")
     p_post.add_argument("--recover-xy", action="store_true",
                         help="re-derive x, y from the box center at the predicted depth")
     p_post.add_argument("--threshold", type=_unit_interval,
@@ -222,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens.set_defaults(func=cmd_ensemble)
 
     p_sweep = subparsers.add_parser("sweep", help="search the confidence threshold by mAP")
-    _add_io_args(p_sweep, gt=True, camera=False)
+    _add_io_args(p_sweep, gt=True, camera=None)
     p_sweep.add_argument("--ladder", help="threshold ladder JSON file (default: built-in ladder)")
     p_sweep.add_argument("--lo", type=_unit_interval, default=0.1, help="lowest threshold (default 0.1)")
     p_sweep.add_argument("--hi", type=_unit_interval, default=0.8, help="highest threshold (default 0.8)")

@@ -120,6 +120,17 @@ class TestEval:
         assert plain == 0.5
         assert filtered == 1.0
 
+    def test_camera_is_optional_without_ignore_regions(self, tmp_path, perfect_files):
+        pred, gt, camera = perfect_files
+        outputs = []
+        for extra in (["--camera", camera], []):
+            report_path = tmp_path / "report.json"
+            code, out, err = run(["eval", "--pred", pred, "--gt", gt, "--out", str(report_path)]
+                                 + extra)
+            outputs.append((code, out, err, report_path.read_bytes()))
+        assert outputs[0][0] == EXIT_OK
+        assert outputs[1] == outputs[0]
+
 
 class TestPost:
     def test_stages_apply_in_sequence(self, tmp_path, camera_path):
@@ -153,6 +164,20 @@ class TestPost:
         assert code == EXIT_OK
         [record] = load_predictions(out_path)
         assert record.items == (keeper,)
+
+    def test_camera_is_optional_without_lateral_recovery(self, tmp_path, camera_path):
+        pred_path = str(tmp_path / "pred.jsonl")
+        save_predictions([image("a", det(0.0, 0.0, 10.0, confidence=0.9),
+                                det(1.0, 0.0, 20.0, confidence=0.2))], pred_path)
+        written = []
+        for extra in (["--camera", camera_path], []):
+            out_path = tmp_path / "out.jsonl"
+            code, _, err = run(["post", "--pred", pred_path, "--threshold", "0.5",
+                                "--out", str(out_path)] + extra)
+            assert (code, err) == (EXIT_OK, "")
+            written.append(out_path.read_bytes())
+        assert written[1] == written[0]
+        assert len(load_predictions(str(out_path))[0].items) == 1
 
 
 class TestEnsemble:
@@ -262,6 +287,18 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert err == ("error: line 1: fx/fy: focal lengths must be positive, "
                        "got fx=0.0, fy=1000.0\n")
+
+    @pytest.mark.parametrize("stage", ["--ignore", "--recover-xy"])
+    def test_a_stage_that_reads_the_camera_requires_it(self, tmp_path, perfect_files, stage):
+        pred, gt, _ = perfect_files
+        out_path = tmp_path / "out"
+        never_read = str(tmp_path / "missing.jsonl")  # the camera is checked first
+        argv = (["eval", "--gt", gt, "--ignore", never_read] if stage == "--ignore"
+                else ["post", "--recover-xy"])
+        code, out, err = run(argv + ["--pred", pred, "--out", str(out_path)])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"error: {stage} requires --camera\n"
+        assert not out_path.exists()
 
     def test_unknown_subcommand(self):
         assert run(["frobnicate"])[0] == EXIT_INPUT
