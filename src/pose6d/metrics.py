@@ -326,8 +326,8 @@ class Evaluation:
         self.buckets: dict[int, tuple[list[float], list[tuple[np.ndarray, np.ndarray]], int]] = {}
         for c, class_rows in rows.items():
             class_rows.sort(key=lambda r: -r[0])  # stable: ties keep image, then input order
-            columns = np.array([r[1] for r in class_rows], dtype=bool).reshape(-1, len(ladder.pairs))
-            columns = [(tp, _precision(tp)) for tp in np.ascontiguousarray(columns.T)]
+            flags = np.array([r[1] for r in class_rows], dtype=bool).reshape(-1, len(ladder.pairs))
+            columns = [(tp, _precision(tp)) for tp in np.ascontiguousarray(flags.T)]
             self.buckets[c] = ([-r[0] for r in class_rows], columns, gt_count[c])
 
     def per_class_ap(self, threshold: float = 0.0) -> dict[int, tuple[float, ...]]:

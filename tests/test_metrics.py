@@ -200,9 +200,9 @@ class TestAveragePrecision:
         assert average_precision(flags + [False], num_gt) == average_precision(flags, num_gt)
 
 
-def parent_average_precision(flags, num_gt):
-    """The AP formula as it stood before scoring moved onto bucket prefixes:
-    every array rebuilt from ``flags`` alone."""
+def rebuilt_average_precision(flags, num_gt):
+    """Reference AP with every array rebuilt from ``flags`` alone, as a float
+    array: prefix scoring must reproduce its bits."""
     if num_gt == 0:
         return 0.0 if flags else 1.0
     if not flags:
@@ -249,7 +249,7 @@ class TestPrefixScoring:
                 k = sum(conf >= t for conf in confs)
                 if k or num_gt:
                     expected[c] = tuple(average_precision(flags[:k], num_gt) for flags in columns)
-                    assert expected[c] == tuple(parent_average_precision(flags[:k], num_gt)
+                    assert expected[c] == tuple(rebuilt_average_precision(flags[:k], num_gt)
                                                 for flags in columns)
             if not expected:
                 with pytest.raises(NoClassesError):
