@@ -6,6 +6,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TRANSCRIPT = ROOT / "tests" / "data" / "reader_transcript.jsonl"
 SCORE_TRANSCRIPT = ROOT / "tests" / "data" / "score_transcript.jsonl"
+CLI_TRANSCRIPT = ROOT / "tests" / "data" / "cli_transcript.jsonl"
 
 
 def load_script(name: str):
@@ -38,3 +39,9 @@ def test_score_transcript_matches_the_committed_one():
     """Every sweep curve, best threshold and report byte of the scoring corpus."""
     fresh = load_script("score_corpus").transcript()
     assert fresh == SCORE_TRANSCRIPT.read_text(encoding="utf-8").splitlines()
+
+
+def test_cli_transcript_matches_the_committed_one():
+    """Every option value's exit code, error line, stdout and written scene."""
+    fresh = load_script("cli_corpus").transcript()
+    assert fresh == CLI_TRANSCRIPT.read_text(encoding="utf-8").splitlines()
