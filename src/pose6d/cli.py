@@ -6,6 +6,10 @@ Subcommands: ``eval`` (score predictions against ground truth), ``post``
 data). Exit codes: 0 success, 1 computation error, 2 input or usage
 error. Reports and records go to files; stdout carries the human summary.
 The only randomness is in ``synth``, driven entirely by ``--seed``.
+
+An option value that builds a configuration (``EnsembleConfig``,
+``ThresholdSweep``, ``SceneSpec``, ``NoiseSpec``) is checked by that type
+alone, before any file is read, and a refusal exits 2.
 """
 
 from __future__ import annotations
@@ -47,23 +51,10 @@ EXIT_INPUT = 2
 
 
 def _unit_interval(text: str) -> float:
+    """A [0, 1] option value that no configuration type holds."""
     value = float(text)
     if not (0.0 <= value <= 1.0):
         raise argparse.ArgumentTypeError(f"must be within [0, 1], got {text}")
-    return value
-
-
-def _positive(text: str) -> float:
-    value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
-
-
-def _non_negative(text: str) -> float:
-    value = float(text)
-    if not value >= 0.0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return value
 
 
@@ -143,10 +134,10 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    sweep = _config(lambda: ThresholdSweep(lo=args.lo, hi=args.hi, step=args.step))
     ladder = _load_ladder_arg(args.ladder)
     preds = _load_preds(args.pred, args.format)
     gts = load_ground_truth(args.gt)
-    sweep = _config(lambda: ThresholdSweep(lo=args.lo, hi=args.hi, step=args.step))
     curve, best = sweep_threshold(preds, gts, sweep, ladder)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("threshold,map\n")
@@ -227,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ens = subparsers.add_parser("ensemble", help="merge detections from several models")
     p_ens.add_argument("inputs", nargs="+", help="prediction JSONL files, one per model")
-    p_ens.add_argument("--iou", type=_unit_interval, default=0.5,
+    p_ens.add_argument("--iou", type=float, default=0.5,
                        help="same-class IoU at or above which detections merge (default 0.5)")
     p_ens.add_argument("--out", required=True, help="output predictions JSONL")
     p_ens.set_defaults(func=cmd_ensemble)
@@ -235,9 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = subparsers.add_parser("sweep", help="search the confidence threshold by mAP")
     _add_io_args(p_sweep, gt=True, camera=None)
     p_sweep.add_argument("--ladder", help="threshold ladder JSON file (default: built-in ladder)")
-    p_sweep.add_argument("--lo", type=_unit_interval, default=0.1, help="lowest threshold (default 0.1)")
-    p_sweep.add_argument("--hi", type=_unit_interval, default=0.8, help="highest threshold (default 0.8)")
-    p_sweep.add_argument("--step", type=_positive, default=0.05, help="grid step (default 0.05)")
+    p_sweep.add_argument("--lo", type=float, default=0.1, help="lowest threshold (default 0.1)")
+    p_sweep.add_argument("--hi", type=float, default=0.8, help="highest threshold (default 0.8)")
+    p_sweep.add_argument("--step", type=float, default=0.05, help="grid step (default 0.05)")
     p_sweep.add_argument("--out", required=True, help="output curve CSV (threshold,map)")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -246,20 +237,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--images", type=int, default=5, help="number of images (default 5)")
     p_synth.add_argument("--objects-min", type=int, default=1, help="min objects per image (default 1)")
     p_synth.add_argument("--objects-max", type=int, default=4, help="max objects per image (default 4)")
-    p_synth.add_argument("--depth-min", type=_positive, default=8.0, help="min depth in m (default 8)")
-    p_synth.add_argument("--depth-max", type=_positive, default=50.0, help="max depth in m (default 50)")
+    p_synth.add_argument("--depth-min", type=float, default=8.0, help="min depth in m (default 8)")
+    p_synth.add_argument("--depth-max", type=float, default=50.0, help="max depth in m (default 50)")
     p_synth.add_argument("--classes", type=int, default=1, help="number of classes (default 1)")
-    p_synth.add_argument("--trans-sigma", type=_non_negative, default=0.0,
+    p_synth.add_argument("--trans-sigma", type=float, default=0.0,
                          help="translation jitter sigma in m (default 0)")
-    p_synth.add_argument("--rot-sigma", type=_non_negative, default=0.0,
+    p_synth.add_argument("--rot-sigma", type=float, default=0.0,
                          help="rotation jitter sigma in rad (default 0)")
-    p_synth.add_argument("--miss-rate", type=_unit_interval, default=0.0,
+    p_synth.add_argument("--miss-rate", type=float, default=0.0,
                          help="per-object miss probability (default 0)")
-    p_synth.add_argument("--fp-rate", type=_unit_interval, default=0.0,
+    p_synth.add_argument("--fp-rate", type=float, default=0.0,
                          help="false-positive rate per ground-truth object (default 0)")
-    p_synth.add_argument("--tp-conf", type=_unit_interval, nargs=2, default=[1.0, 1.0],
+    p_synth.add_argument("--tp-conf", type=float, nargs=2, default=[1.0, 1.0],
                          metavar=("LO", "HI"), help="confidence range of survivors (default 1 1)")
-    p_synth.add_argument("--fp-conf", type=_unit_interval, nargs=2, default=[0.05, 0.5],
+    p_synth.add_argument("--fp-conf", type=float, nargs=2, default=[0.05, 0.5],
                          metavar=("LO", "HI"), help="confidence range of false positives")
     p_synth.add_argument("--out-dir", required=True,
                          help="directory for gt.jsonl, pred.jsonl, camera.json")

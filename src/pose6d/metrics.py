@@ -35,7 +35,7 @@ import numpy as np
 
 from .geometry import angular_error
 from .records import (Annotation, Detection, ImageRecord, ParseError, ValidationError,
-                      _index_by_image, _read_json)
+                      _index_by_image, _number, _read_json)
 
 
 class NoMatchesError(ValueError):
@@ -78,11 +78,8 @@ def parse_ladder(data: object) -> ThresholdLadder:
         for key in ("trans_m", "rot_deg"):
             if key not in entry:
                 raise ParseError(1, f"[{i}].{key}", "missing required key")
-            value = entry[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ParseError(1, f"[{i}].{key}", "must be a number")
-            if not (float(value) > 0.0 and math.isfinite(float(value))):
-                raise ValidationError(1, f"[{i}].{key}", f"must be positive and finite, got {value}")
+            if not _number(1, entry[key], f"[{i}].{key}") > 0.0:
+                raise ValidationError(1, f"[{i}].{key}", f"must be positive, got {entry[key]}")
         pairs.append((float(entry["trans_m"]), math.radians(float(entry["rot_deg"]))))
     return ThresholdLadder(pairs=tuple(pairs))
 

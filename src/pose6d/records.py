@@ -104,9 +104,13 @@ class Annotation:
         _check_item(self, "annotation")
 
 
-def _check_image_id(image_id: object) -> None:
+def _check_record(image_id: object, items: object, field: str) -> None:
+    """A record's id is a non-empty str and its items a tuple, so it hashes
+    and reads back equal to itself."""
     if not isinstance(image_id, str) or not image_id:
         raise ValueError(f"image_id must be a non-empty string, got {image_id!r}")
+    if not isinstance(items, tuple):
+        raise ValueError(f"{field} must be a tuple, got {type(items).__name__}")
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,7 @@ class ImageRecord:
     items: tuple
 
     def __post_init__(self) -> None:
-        _check_image_id(self.image_id)
+        _check_record(self.image_id, self.items, "items")
 
 
 def _index_by_image(records: Sequence[ImageRecord], what: str) -> dict[str, ImageRecord]:
@@ -134,7 +138,7 @@ class IgnoreRegions:
     rects: tuple[BBox2D, ...]
 
     def __post_init__(self) -> None:
-        _check_image_id(self.image_id)
+        _check_record(self.image_id, self.rects, "rects")
 
 
 Lines = Union[IO[str], Iterable[str]]

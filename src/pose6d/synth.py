@@ -49,6 +49,10 @@ MAX_ORACLE_DETECTIONS = 2000
 
 _DEFAULT_DEPTH_RANGE = (8.0, 50.0)
 
+_CAMERA = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0)
+
+_LATERAL_RANGE = (0.6, 1.5)  # meters
+
 
 class TooLargeError(ValueError):
     """Input exceeds the oracle's exhaustive-regime size cap."""
@@ -66,8 +70,10 @@ class NoiseSpec:
     fp_confidence: tuple[float, float] = (0.05, 0.5)
 
     def __post_init__(self) -> None:
-        if self.translation_sigma < 0.0 or self.rotation_sigma < 0.0:
-            raise ValueError("noise sigmas must be >= 0")
+        for name, sigma in (("translation_sigma", self.translation_sigma),
+                            ("rotation_sigma", self.rotation_sigma)):
+            if not (0.0 <= sigma < math.inf):
+                raise ValueError(f"{name} must be finite and >= 0, got {sigma}")
         for name, rate in (("miss_rate", self.miss_rate),
                            ("false_positive_rate", self.false_positive_rate)):
             if not (0.0 <= rate <= 1.0):
@@ -87,19 +93,19 @@ class SceneSpec:
     objects_per_image: tuple[int, int] = (1, 4)
     depth_range: tuple[float, float] = _DEFAULT_DEPTH_RANGE
     n_classes: int = 1
-    camera: CameraIntrinsics = field(
-        default_factory=lambda: CameraIntrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0))
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_images < 0:
             raise ValueError(f"n_images must be >= 0, got {self.n_images}")
         lo, hi = self.objects_per_image
         if not (0 <= lo <= hi):
             raise ValueError(f"objects_per_image must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
         zlo, zhi = self.depth_range
-        if not (0.0 < zlo <= zhi):
-            raise ValueError(f"depth_range must satisfy 0 < lo <= hi, got ({zlo}, {zhi})")
+        if not (0.0 < zlo <= zhi < math.inf):
+            raise ValueError(f"depth_range must satisfy 0 < lo <= hi < inf, got ({zlo}, {zhi})")
         if self.n_classes < 1:
             raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
 
@@ -142,11 +148,11 @@ def generate_scene(spec: SceneSpec) -> tuple[list[ImageRecord], CameraIntrinsics
         count = int(rng.integers(spec.objects_per_image[0], spec.objects_per_image[1] + 1))
         anns = []
         for _ in range(count):
-            class_id, pose = _sample_object(rng, spec.camera, spec.depth_range, spec.n_classes)
-            bbox = extent_bbox(pose.translation, CAR_EXTENT[0], CAR_EXTENT[2], spec.camera)
+            class_id, pose = _sample_object(rng, _CAMERA, spec.depth_range, spec.n_classes)
+            bbox = extent_bbox(pose.translation, CAR_EXTENT[0], CAR_EXTENT[2], _CAMERA)
             anns.append(Annotation(class_id=class_id, pose=pose, bbox=bbox))
         records.append(ImageRecord(image_id=f"img_{i:04d}", items=tuple(anns)))
-    return records, spec.camera
+    return records, _CAMERA
 
 
 def _jitter_translation(rng: np.random.Generator, t: Translation, sigma: float) -> Translation:
@@ -212,23 +218,20 @@ def perturb(gt_records: Sequence[ImageRecord], noise: NoiseSpec, seed: int,
     return out
 
 
-def corrupt_xy(pred_records: Sequence[ImageRecord], seed: int,
-               magnitude_range: tuple[float, float] = (0.6, 1.5)) -> list[ImageRecord]:
+def corrupt_xy(pred_records: Sequence[ImageRecord], seed: int) -> list[ImageRecord]:
     """Push every detection's (x, y) sideways while keeping z and the box.
 
     This manufactures the failure mode ``recover_xy`` repairs: lateral
-    position off by ``magnitude_range`` meters, depth and 2D box intact.
+    position off by a distance drawn from ``_LATERAL_RANGE``, depth and 2D
+    box intact.
     """
-    lo, hi = magnitude_range
-    if not (0.0 <= lo <= hi):
-        raise ValueError(f"magnitude_range must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
     out = []
     for i, record in enumerate(pred_records):
         rng = _stream(seed, 2, i)
         dets = []
         for det in record.items:
             theta = float(rng.uniform(0.0, math.tau))
-            magnitude = float(rng.uniform(lo, hi))
+            magnitude = float(rng.uniform(*_LATERAL_RANGE))
             t = det.pose.translation
             moved = Translation(t.x + magnitude * math.cos(theta),
                                 t.y + magnitude * math.sin(theta), t.z)

@@ -347,6 +347,38 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert err == "error: grid of 1000000000 points exceeds the cap of 100001\n"
 
+    @pytest.mark.parametrize("step", ["0", "1e-13"])
+    def test_sweep_step_is_checked_before_any_file_is_read(self, tmp_path, step):
+        # argparse refused 0 on its own terms; 1e-13 got past it to the missing file
+        missing = str(tmp_path / "missing.jsonl")
+        code, out, err = run(["sweep", "--pred", missing, "--gt", missing, "--step", step,
+                              "--out", str(tmp_path / "c.csv")])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"error: step must be at least 1e-9, got {float(step)}\n"
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--depth-max", "inf", "depth_range must satisfy 0 < lo <= hi < inf, got (8.0, inf)"),
+        ("--rot-sigma", "inf", "rotation_sigma must be finite and >= 0, got inf"),
+        ("--trans-sigma", "inf", "translation_sigma must be finite and >= 0, got inf"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+    ], ids=["depth-max inf", "rot-sigma inf", "trans-sigma inf", "seed -1"])
+    def test_synth_values_the_spec_refuses(self, tmp_path, option, value, message):
+        # these ended in an OverflowError traceback or exited 1 mid-generation
+        out_dir = tmp_path / "scene"
+        code, out, err = run(["synth", f"{option}={value}", "--out-dir", str(out_dir)])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    def test_huge_integer_in_the_ladder_is_an_input_error(self, tmp_path, perfect_files):
+        # float() of it raised OverflowError, which escaped main as a traceback
+        pred, gt, _ = perfect_files
+        ladder_path = tmp_path / "ladder.json"
+        ladder_path.write_text(f'[{{"trans_m": 1{"0" * 400}, "rot_deg": 5}}]', encoding="utf-8")
+        code, out, err = run(["eval", "--pred", pred, "--gt", gt, "--ladder", str(ladder_path)])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: line 1: [0].trans_m: must be finite, got inf\n"
+
     def test_ensemble_iou_zero_is_an_input_error(self, tmp_path, perfect_files):
         pred, _, _ = perfect_files
         code, _, err = run(["ensemble", pred, "--iou", "0", "--out", str(tmp_path / "out.jsonl")])

@@ -123,12 +123,13 @@ def boxes(draw):
 
 
 @st.composite
-def image_records(draw, items=detections, ids=None):
-    """1-3 records of 0-3 items; ids ``img_0``, ``img_1``, ... or drawn from ``ids``."""
+def image_records(draw, items=detections, ids=None, containers=st.just(tuple)):
+    """1-3 records of 0-3 items held in a drawn container type; ids
+    ``img_0``, ``img_1``, ... or drawn from ``ids``."""
     n = draw(st.integers(0, 3))
     return [
         ImageRecord(image_id=f"img_{i}" if ids is None else draw(ids),
-                    items=tuple(draw(items()) for _ in range(n)))
+                    items=draw(containers)(draw(items()) for _ in range(n)))
         for i in range(draw(st.integers(1, 3)))
     ]
 
@@ -175,9 +176,14 @@ def mixed_items(draw, kind):
 LOOSE_IDS = st.one_of(st.sampled_from(["a", "b", "img_0"]), st.sampled_from(["", 7, None]))
 
 
+# item and rect containers: the tuple records hold, and a list
+LOOSE_CONTAINERS = st.sampled_from([tuple, list])
+
+
 @st.composite
-def ignore_records(draw):
-    return [IgnoreRegions(f"img_{i}", tuple(draw(boxes()) for _ in range(draw(st.integers(0, 3)))))
+def ignore_records(draw, containers=st.just(tuple)):
+    return [IgnoreRegions(f"img_{i}", draw(containers)(draw(boxes())
+                                                       for _ in range(draw(st.integers(0, 3)))))
             for i in range(draw(st.integers(1, 3)))]
 
 
@@ -418,9 +424,11 @@ class TestEveryConstructibleRecordRoundTrips:
         # a record that constructs and writes must be one the reader accepts:
         # inf, a negative or bool class_id, an infinite box, an empty or int
         # image_id, a repeated image_id or an item of the other kind used to
-        # construct, save, and then fail to load
+        # construct, save, and then fail to load; a list of items read back
+        # as an unequal tuple
         try:
-            records = data.draw(image_records(items=lambda: mixed_items(kind), ids=LOOSE_IDS))
+            records = data.draw(image_records(items=lambda: mixed_items(kind), ids=LOOSE_IDS,
+                                              containers=LOOSE_CONTAINERS))
         except ValueError:
             return
         ids = [r.image_id for r in records]
@@ -435,6 +443,16 @@ class TestEveryConstructibleRecordRoundTrips:
         assert not refusable
         assert parse(io.StringIO(buffer.getvalue())) == records
 
+    @given(data=st.data())
+    def test_built_regions_read_back_or_cannot_be_built(self, data):
+        try:
+            regions = data.draw(ignore_records(containers=LOOSE_CONTAINERS))
+        except ValueError:
+            return
+        buffer = io.StringIO()
+        serialize_ignore(regions, buffer)
+        assert parse_ignore(io.StringIO(buffer.getvalue())) == regions
+
 
 class TestWriterRefusesWhatItsReaderRefuses:
     """Each record invariant the reader checks holds where the record is built
@@ -447,6 +465,16 @@ class TestWriterRefusesWhatItsReaderRefuses:
         with pytest.raises(ValueError) as err:
             make(image_id)
         assert str(err.value) == f"image_id must be a non-empty string, got {image_id!r}"
+
+    @pytest.mark.parametrize("make, field", [(lambda v: ImageRecord("a", v), "items"),
+                                             (lambda v: IgnoreRegions("a", v), "rects")],
+                             ids=["ImageRecord", "IgnoreRegions"])
+    @pytest.mark.parametrize("value", [[], None, iter(())], ids=["list", "None", "iterator"])
+    def test_items_must_be_a_tuple(self, make, field, value):
+        # a list constructed, failed to hash and read back as an unequal tuple
+        with pytest.raises(ValueError) as err:
+            make(value)
+        assert str(err.value) == f"{field} must be a tuple, got {type(value).__name__}"
 
     WRITERS = [
         (serialize_predictions, save_predictions, lambda i: image(i), "predictions"),

@@ -77,6 +77,23 @@ class TestGenerateScene:
         with pytest.raises(ValueError):
             SceneSpec(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"depth_range": (8.0, math.inf)},
+         "depth_range must satisfy 0 < lo <= hi < inf, got (8.0, inf)"),
+    ], ids=["negative seed", "infinite depth"])
+    def test_spec_refuses_what_generation_cannot_use(self, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            SceneSpec(**kwargs)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("name", ["translation_sigma", "rotation_sigma"])
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_noise_spec_refuses_a_non_finite_sigma(self, name, sigma):
+        with pytest.raises(ValueError) as err:
+            NoiseSpec(**{name: sigma})
+        assert str(err.value) == f"{name} must be finite and >= 0, got {sigma}"
+
     def test_noise_spec_validation(self):
         with pytest.raises(ValueError):
             NoiseSpec(translation_sigma=-0.1)
@@ -167,7 +184,7 @@ class TestCorruptXy:
 
     def test_lateral_displacement_stays_in_range(self):
         preds = self.setup_preds()
-        moved = corrupt_xy(preds, seed=1, magnitude_range=(0.6, 1.5))
+        moved = corrupt_xy(preds, seed=1)
         for before, after in zip(preds, moved):
             for d0, d1 in zip(before.items, after.items):
                 shift = math.hypot(d1.pose.translation.x - d0.pose.translation.x,
@@ -178,10 +195,6 @@ class TestCorruptXy:
         preds = self.setup_preds()
         assert corrupt_xy(preds, seed=3) == corrupt_xy(preds, seed=3)
         assert corrupt_xy(preds, seed=3) != corrupt_xy(preds, seed=4)
-
-    def test_magnitude_range_is_validated(self):
-        with pytest.raises(ValueError):
-            corrupt_xy([], seed=0, magnitude_range=(2.0, 1.0))
 
 
 class TestOracle:
