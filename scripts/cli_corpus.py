@@ -73,7 +73,8 @@ OPTIONS = {
     }),
 }
 
-# two-value options: (option, the other value, its position) for each element
+# two-value options: (element name, the other element's value, the varied
+# element's position) for each element
 PAIRS = {
     "--tp-conf": [("LO", "1", 0), ("HI", "0", 1)],
     "--fp-conf": [("LO", "0.5", 0), ("HI", "0.05", 1)],

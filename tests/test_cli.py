@@ -340,13 +340,6 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert err == "error: step must be at least 1e-9, got 1e-13\n"
 
-    def test_sweep_grid_beyond_the_cap(self, tmp_path, perfect_files):
-        pred, gt, _ = perfect_files
-        code, _, err = run(["sweep", "--pred", pred, "--gt", gt, "--lo", "0", "--hi", "1",
-                            "--step", "1e-9", "--out", str(tmp_path / "c.csv")])
-        assert code == EXIT_INPUT
-        assert err == "error: grid of 1000000000 points exceeds the cap of 100001\n"
-
     @pytest.mark.parametrize("step", ["0", "1e-13"])
     def test_sweep_step_is_checked_before_any_file_is_read(self, tmp_path, step):
         # argparse refused 0 on its own terms; 1e-13 got past it to the missing file
@@ -355,6 +348,13 @@ class TestExitCodes:
                               "--out", str(tmp_path / "c.csv")])
         assert (code, out) == (EXIT_INPUT, "")
         assert err == f"error: step must be at least 1e-9, got {float(step)}\n"
+
+    def test_sweep_grid_beyond_the_cap(self, tmp_path, perfect_files):
+        pred, gt, _ = perfect_files
+        code, _, err = run(["sweep", "--pred", pred, "--gt", gt, "--lo", "0", "--hi", "1",
+                            "--step", "1e-9", "--out", str(tmp_path / "c.csv")])
+        assert code == EXIT_INPUT
+        assert err == "error: grid of 1000000000 points exceeds the cap of 100001\n"
 
     @pytest.mark.parametrize("option, value, message", [
         ("--depth-max", "inf", "depth_range must satisfy 0 < lo <= hi < inf, got (8.0, inf)"),

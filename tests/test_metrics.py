@@ -81,18 +81,12 @@ class TestLadder:
         ([{"trans_m": 1}], ParseError),
         ([{"trans_m": True, "rot_deg": 10}], ParseError),
         ([{"trans_m": 0, "rot_deg": 10}], ValidationError),
+        ([{"trans_m": 1, "rot_deg": 10 ** 400}], ValidationError),
+        ([{"trans_m": -10 ** 400, "rot_deg": 10}], ValidationError),
     ])
     def test_parse_ladder_errors(self, data, exc_type):
         with pytest.raises(exc_type):
             parse_ladder(data)
-
-    @pytest.mark.parametrize("value, bound", [(10 ** 400, "inf"), (-10 ** 400, "-inf")],
-                             ids=["huge int", "-huge int"])
-    def test_parse_ladder_refuses_a_huge_integer(self, value, bound):
-        # float() of it raised OverflowError, which escaped as a traceback
-        with pytest.raises(ValidationError) as err:
-            parse_ladder([{"trans_m": 1.0, "rot_deg": value}])
-        assert str(err.value) == f"line 1: [0].rot_deg: must be finite, got {bound}"
 
     def test_load_ladder_round_trip(self, tmp_path):
         path = tmp_path / "ladder.json"

@@ -72,27 +72,12 @@ class TestGenerateScene:
         {"objects_per_image": (3, 1)},
         {"depth_range": (0.0, 10.0)},
         {"n_classes": 0},
+        {"seed": -1},
+        {"depth_range": (8.0, math.inf)},
     ])
     def test_spec_validation(self, kwargs):
         with pytest.raises(ValueError):
             SceneSpec(**kwargs)
-
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"seed": -1}, "seed must be >= 0, got -1"),
-        ({"depth_range": (8.0, math.inf)},
-         "depth_range must satisfy 0 < lo <= hi < inf, got (8.0, inf)"),
-    ], ids=["negative seed", "infinite depth"])
-    def test_spec_refuses_what_generation_cannot_use(self, kwargs, message):
-        with pytest.raises(ValueError) as err:
-            SceneSpec(**kwargs)
-        assert str(err.value) == message
-
-    @pytest.mark.parametrize("name", ["translation_sigma", "rotation_sigma"])
-    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
-    def test_noise_spec_refuses_a_non_finite_sigma(self, name, sigma):
-        with pytest.raises(ValueError) as err:
-            NoiseSpec(**{name: sigma})
-        assert str(err.value) == f"{name} must be finite and >= 0, got {sigma}"
 
     def test_noise_spec_validation(self):
         with pytest.raises(ValueError):
@@ -101,6 +86,10 @@ class TestGenerateScene:
             NoiseSpec(miss_rate=1.5)
         with pytest.raises(ValueError):
             NoiseSpec(tp_confidence=(0.9, 0.1))
+        for name in ("translation_sigma", "rotation_sigma"):
+            for sigma in (math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    NoiseSpec(**{name: sigma})
 
 
 class TestPerturb:
