@@ -7,6 +7,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TRANSCRIPT = ROOT / "tests" / "data" / "reader_transcript.jsonl"
 SCORE_TRANSCRIPT = ROOT / "tests" / "data" / "score_transcript.jsonl"
 CLI_TRANSCRIPT = ROOT / "tests" / "data" / "cli_transcript.jsonl"
+POST_TRANSCRIPT = ROOT / "tests" / "data" / "post_transcript.jsonl"
 
 
 def load_script(name: str):
@@ -45,3 +46,9 @@ def test_cli_transcript_matches_the_committed_one():
     """Every option value's exit code, error line, stdout and written scene."""
     fresh = load_script("cli_corpus").transcript()
     assert fresh == CLI_TRANSCRIPT.read_text(encoding="utf-8").splitlines()
+
+
+def test_post_transcript_matches_the_committed_one():
+    """Every ensemble, recovery, threshold and ignore-filter output of the post corpus."""
+    fresh = load_script("post_corpus").transcript()
+    assert fresh == POST_TRANSCRIPT.read_text(encoding="utf-8").splitlines()
