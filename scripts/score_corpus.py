@@ -4,8 +4,8 @@ Builds a handful of scenes that stress the confidence ranking: crowded
 seeded scenes, a sparse 20-class scene, a scene whose confidences sit
 exactly on grid points (so ties, and ``confidence == t`` kept), a scene
 with a class on each side only and images on one side only, and a scene
-with predictions and no ground truth (whose sweep fails past its highest
-confidence). Each scene is written to files and run through the command
+with predictions and no ground truth (whose sweep leaves out the points
+past its highest confidence). Each scene is written to files and run through the command
 line as a user would: ``pose6d sweep`` on the default grid and on
 ``--lo 0 --hi 1 --step 0.001``, and ``pose6d eval --out`` for the text
 and the JSON report. Each run gives one JSON line: the exit code, stdout,

@@ -7,9 +7,10 @@ data). Exit codes: 0 success, 1 computation error, 2 input or usage
 error. Reports and records go to files; stdout carries the human summary.
 The only randomness is in ``synth``, driven entirely by ``--seed``.
 
-An option value that builds a configuration (``EnsembleConfig``,
-``ThresholdSweep``, ``SceneSpec``, ``NoiseSpec``) is checked by that type
-alone, before any file is read, and a refusal exits 2.
+An option value is checked once, before any file is read, by the library
+check of what it builds or feeds (``EnsembleConfig``, ``ThresholdSweep``,
+``SceneSpec``, ``NoiseSpec``, or the stage's own cutoff check for
+``--threshold`` and ``--ignore-overlap``); a refusal exits 2.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import replace
 from typing import Callable
 
 from .geometry import extent_bbox
-from .metrics import DEFAULT_LADDER, ThresholdLadder, load_ladder, mean_average_precision
+from .metrics import (DEFAULT_LADDER, ThresholdLadder, _check_threshold, load_ladder,
+                      mean_average_precision)
 from .postprocess import (
     EnsembleConfig,
     ThresholdSweep,
@@ -50,16 +52,8 @@ EXIT_COMPUTE = 1
 EXIT_INPUT = 2
 
 
-def _unit_interval(text: str) -> float:
-    """A [0, 1] option value that no configuration type holds."""
-    value = float(text)
-    if not (0.0 <= value <= 1.0):
-        raise argparse.ArgumentTypeError(f"must be within [0, 1], got {text}")
-    return value
-
-
 def _config(build: Callable):
-    """``build()``; a configuration it rejects is an input error (exit 2)."""
+    """``build()``; a value it rejects is an input error (exit 2)."""
     try:
         return build()
     except ValueError as exc:
@@ -96,6 +90,7 @@ def _ensure_gt_bboxes(gt_records, camera):
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    _config(lambda: _check_threshold(args.ignore_overlap, "overlap_frac"))
     camera = _load_camera_arg(args.camera, "--ignore" if args.ignore else None)
     ladder = _load_ladder_arg(args.ladder)
     preds = _load_preds(args.pred, args.format)
@@ -114,6 +109,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_post(args: argparse.Namespace) -> int:
+    _config(lambda: args.threshold is None or _check_threshold(args.threshold))
+    _config(lambda: _check_threshold(args.ignore_overlap, "overlap_frac"))
     camera = _load_camera_arg(args.camera, "--recover-xy" if args.recover_xy else None)
     preds = _load_preds(args.pred, args.format)
     if args.recover_xy:
@@ -199,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(p_eval, gt=True, camera="--ignore")
     p_eval.add_argument("--ladder", help="threshold ladder JSON file (default: built-in ladder)")
     p_eval.add_argument("--ignore", help="ignore-region JSONL; filters predictions and ground truth")
-    p_eval.add_argument("--ignore-overlap", type=_unit_interval, default=0.5,
+    p_eval.add_argument("--ignore-overlap", type=float, default=0.5,
                         help="overlap fraction above which a box is dropped (default 0.5)")
     p_eval.add_argument("--out", help="write the JSON report here")
     p_eval.set_defaults(func=cmd_eval)
@@ -208,10 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(p_post, gt=False, camera="--recover-xy")
     p_post.add_argument("--recover-xy", action="store_true",
                         help="re-derive x, y from the box center at the predicted depth")
-    p_post.add_argument("--threshold", type=_unit_interval,
+    p_post.add_argument("--threshold", type=float,
                         help="drop detections with confidence below this")
     p_post.add_argument("--ignore", help="ignore-region JSONL file")
-    p_post.add_argument("--ignore-overlap", type=_unit_interval, default=0.5,
+    p_post.add_argument("--ignore-overlap", type=float, default=0.5,
                         help="overlap fraction above which a detection is dropped (default 0.5)")
     p_post.add_argument("--out", required=True, help="output predictions JSONL")
     p_post.set_defaults(func=cmd_post)

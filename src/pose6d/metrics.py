@@ -284,9 +284,9 @@ def precision_recall(matches: Iterable[MatchResult]) -> tuple[float | None, floa
     return precision, recall
 
 
-def _check_threshold(threshold: float) -> None:
+def _check_threshold(threshold: float, name: str = "threshold") -> None:
     if not (0.0 <= threshold <= 1.0):
-        raise ValueError(f"threshold must be within [0, 1], got {threshold}")
+        raise ValueError(f"{name} must be within [0, 1], got {threshold}")
 
 
 class Evaluation:

@@ -6,9 +6,9 @@ Four stages, applied in this order by the CLI when combined:
    position by back-projecting the 2D box center at that depth.
 2. ``apply_confidence_threshold``: drop detections below a cutoff
    (boundary kept); ``sweep_threshold`` picks the cutoff by evaluated mAP.
-3. ``ensemble_max``: merge several models' outputs per image by greedy
-   same-class box clustering, keeping each cluster's highest-confidence
-   member unchanged.
+3. ``ensemble_max``: keep a detection of the pooled models iff its IoU with
+   every better kept same-class one is below a threshold, which equals
+   greedy clustering that keeps each cluster's best member unchanged.
 4. ``filter_ignore``: drop detections whose box overlaps the union of an
    image's ignore rectangles by more than a fraction of its own area.
 
@@ -18,11 +18,12 @@ All functions are pure: they return new records and never mutate inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .geometry import BBox2D, CameraIntrinsics, Pose, backproject, bbox_center, iou_2d
-from .metrics import DEFAULT_LADDER, Evaluation, ThresholdLadder, _check_threshold, _class_mean
+from .geometry import BBox2D, CameraIntrinsics, Pose, backproject, bbox_center
+from .metrics import DEFAULT_LADDER, Evaluation, NoClassesError, ThresholdLadder, _check_threshold, _class_mean
 from .records import Detection, IgnoreRegions, ImageRecord, _index_by_image
 
 _MAX_GRID_POINTS = 100_001  # a 1e-5 step over [0, 1]
@@ -80,22 +81,23 @@ def recover_xy(det: Detection, k: CameraIntrinsics) -> Detection:
 
 
 def recover_xy_records(records: Sequence[ImageRecord], k: CameraIntrinsics) -> list[ImageRecord]:
-    return [replace(r, items=tuple(recover_xy(d, k) for d in r.items)) for r in records]
+    return [ImageRecord(r.image_id, tuple(recover_xy(d, k) for d in r.items)) for r in records]
 
 
 def apply_confidence_threshold(records: Sequence[ImageRecord], threshold: float) -> list[ImageRecord]:
     """Keep detections with confidence >= threshold; images always survive."""
     _check_threshold(threshold)
-    return [replace(r, items=tuple(d for d in r.items if d.confidence >= threshold))
+    return [ImageRecord(r.image_id, tuple(d for d in r.items if d.confidence >= threshold))
             for r in records]
 
 
-def _covered_fraction(box: BBox2D, rects: Sequence[BBox2D]) -> float:
-    """Fraction of ``box`` covered by the union of ``rects``."""
+def _covered_fraction(box: BBox2D, rects: Sequence[tuple[float, float, float, float]]) -> float:
+    """Fraction of ``box`` covered by the union of ``rects`` (``(x1, y1, x2, y2)`` tuples)."""
+    bx1, by1, bx2, by2 = box.x1, box.y1, box.x2, box.y2
     clipped = []
-    for r in rects:
-        x1, y1 = max(box.x1, r.x1), max(box.y1, r.y1)
-        x2, y2 = min(box.x2, r.x2), min(box.y2, r.y2)
+    for rx1, ry1, rx2, ry2 in rects:
+        x1, y1 = (bx1 if bx1 > rx1 else rx1), (by1 if by1 > ry1 else ry1)  # max and min,
+        x2, y2 = (bx2 if bx2 < rx2 else rx2), (by2 if by2 < ry2 else ry2)  # without a call
         if x1 < x2 and y1 < y2:
             clipped.append((x1, y1, x2, y2))
     if not clipped:
@@ -121,11 +123,10 @@ def filter_ignore(records: Sequence[ImageRecord], regions: Iterable[IgnoreRegion
     Works on detection and annotation records alike, but every item in a
     touched image must carry a bbox.
     """
-    if not (0.0 <= overlap_frac <= 1.0):
-        raise ValueError(f"overlap_frac must be within [0, 1], got {overlap_frac}")
-    rects_by_id: dict[str, tuple[BBox2D, ...]] = {}
-    for region in regions:
-        rects_by_id[region.image_id] = rects_by_id.get(region.image_id, ()) + region.rects
+    _check_threshold(overlap_frac, "overlap_frac")
+    rects_by_id: dict[str, list[tuple[float, float, float, float]]] = {}
+    for r in regions:  # each rect unpacked once; an image_id may repeat
+        rects_by_id.setdefault(r.image_id, []).extend((b.x1, b.y1, b.x2, b.y2) for b in r.rects)
     out = []
     for record in records:
         rects = rects_by_id.get(record.image_id)
@@ -138,48 +139,51 @@ def filter_ignore(records: Sequence[ImageRecord], regions: Iterable[IgnoreRegion
                 raise ValueError("filter_ignore requires items with a bbox")
             if _covered_fraction(item.bbox, rects) <= overlap_frac:
                 kept.append(item)
-        out.append(replace(record, items=tuple(kept)))
+        out.append(ImageRecord(record.image_id, tuple(kept)))
     return out
 
 
 def ensemble_max(model_outputs: Sequence[Sequence[ImageRecord]],
                  config: EnsembleConfig = EnsembleConfig()) -> list[ImageRecord]:
-    """Merge several models' detections by greedy same-class box clustering.
+    """Merge several models' detections, keeping the best of each same-class overlap.
 
-    Detections of one image are pooled across models and visited in
-    descending confidence (ties: lower model index, then input order).
-    Each unassigned detection seeds a cluster and absorbs every unassigned
-    same-class detection whose IoU with the seed reaches the threshold.
-    Seeds are emitted unchanged, in cluster-creation order, so every output
-    detection is one of the inputs. Image order follows first appearance
-    across models; the image set is the union. An image_id repeated within
-    one model's output raises ValueError.
+    Detections of one image are pooled across models and scanned in
+    descending confidence (ties: lower model index, then input order). One
+    is kept, unchanged and in scan order, iff its IoU with each detection
+    kept before it for its class is below the threshold: greedy same-class
+    clustering, whose seeds absorb later detections at IoU >= threshold,
+    keeps the same ones. Image order follows first appearance across
+    models; the image set is the union. An image_id repeated within one
+    model's output raises ValueError.
     """
     if not model_outputs:
         raise EmptyEnsembleError("ensemble needs at least one model output")
-    pools: dict[str, list[tuple[Detection, int, int]]] = {}
-    for model_idx, records in enumerate(model_outputs):
+    pools: dict[str, list[Detection]] = {}
+    for records in model_outputs:
         for record in _index_by_image(records, "predictions").values():
-            pool = pools.setdefault(record.image_id, [])
             for det in record.items:
                 _require_bbox(det, "ensemble_max")
-                pool.append((det, model_idx, len(pool)))
+            pools.setdefault(record.image_id, []).extend(record.items)
     merged = []
     for image_id, pool in pools.items():
-        pool = sorted(pool, key=lambda e: (-e[0].confidence, e[1], e[2]))
-        assigned = [False] * len(pool)
-        seeds = []
-        for s, (seed, _, _) in enumerate(pool):
-            if assigned[s]:
-                continue
-            assigned[s] = True
-            seeds.append(seed)
-            for c in range(s + 1, len(pool)):
-                cand = pool[c][0]
-                if (not assigned[c] and cand.class_id == seed.class_id
-                        and iou_2d(cand.bbox, seed.bbox) >= config.iou_threshold):
-                    assigned[c] = True
-        merged.append(ImageRecord(image_id=image_id, items=tuple(seeds)))
+        pool.sort(key=attrgetter("confidence"), reverse=True)  # stable: model, then input order
+        kept_boxes: dict[int, list[tuple[float, float, float, float, float]]] = {}
+        kept = []
+        for det in pool:
+            box = det.bbox
+            x1, y1, x2, y2 = box.x1, box.y1, box.x2, box.y2
+            area = (x2 - x1) * (y2 - y1)
+            boxes = kept_boxes.setdefault(det.class_id, [])
+            for kx1, ky1, kx2, ky2, k_area in boxes:  # geometry.iou_2d's arithmetic, inlined
+                ix = (x2 if x2 < kx2 else kx2) - (x1 if x1 > kx1 else kx1)
+                iy = (y2 if y2 < ky2 else ky2) - (y1 if y1 > ky1 else ky1)
+                if ix > 0.0 and iy > 0.0 and (
+                        (inter := ix * iy) / (area + k_area - inter) >= config.iou_threshold):
+                    break
+            else:
+                boxes.append((x1, y1, x2, y2, area))
+                kept.append(det)
+        merged.append(ImageRecord(image_id, tuple(kept)))
     return merged
 
 
@@ -189,13 +193,21 @@ def sweep_threshold(
     sweep: ThresholdSweep = ThresholdSweep(),
     ladder: ThresholdLadder = DEFAULT_LADDER,
 ) -> tuple[list[tuple[float, float]], float]:
-    """Evaluate mAP at every threshold on the grid.
+    """Evaluate mAP at every threshold on the grid where some class is left.
 
     Returns ``(curve, best)`` where ``curve`` is a list of
     ``(threshold, mAP)`` in grid order and ``best`` is the threshold with
     the highest mAP, ties resolved toward the smallest threshold. Matching
     runs once, on the unthresholded input (see ``metrics.Evaluation``).
+    NoClassesError is raised when no class is left at any point.
     """
     evaluation = Evaluation(pred_records, gt_records, ladder)
-    curve = [(t, _class_mean(evaluation.per_class_ap(t))) for t in sweep.thresholds()]
+    curve = []
+    for t in sweep.thresholds():
+        try:
+            curve.append((t, _class_mean(evaluation.per_class_ap(t))))
+        except NoClassesError:
+            if not curve:
+                raise
+            break  # a higher threshold keeps fewer detections: no later point is defined
     return curve, max(curve, key=lambda e: e[1])[0]  # max keeps the first of equals

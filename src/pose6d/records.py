@@ -75,7 +75,8 @@ def _check_item(item: Detection | Annotation, kind: str) -> None:
     t, q = item.pose.translation, item.pose.rotation
     if not t.z > 0.0:
         raise ValueError(f"{kind} depth must be positive, got z={t.z}")
-    if not all(map(math.isfinite, (t.x, t.y, t.z, q.w, q.x, q.y, q.z))):
+    if not (math.isfinite(t.x) and math.isfinite(t.y) and math.isfinite(t.z) and math.isfinite(q.w)
+            and math.isfinite(q.x) and math.isfinite(q.y) and math.isfinite(q.z)):
         raise NonFiniteError(f"{kind} has a non-finite pose: {item.pose}")
     if isinstance(item.class_id, bool) or not isinstance(item.class_id, int) or item.class_id < 0:
         raise ValueError(f"{kind} class_id must be an integer >= 0, got {item.class_id!r}")

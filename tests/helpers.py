@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import combinations
 
 from pose6d import (
     Annotation,
@@ -15,6 +16,7 @@ from pose6d import (
     SceneSpec,
     Translation,
     generate_scene,
+    iou_2d,
     perturb,
 )
 
@@ -81,3 +83,48 @@ def crowded_scene(seed: int):
                      noise=CROWDED_NOISE)
     gts, camera = generate_scene(spec)
     return perturb(gts, CROWDED_NOISE, seed + 1000, camera), gts
+
+
+def greedy_ensemble(model_outputs, iou_threshold: float) -> list[ImageRecord]:
+    """Max-ensembling written as plain greedy clustering, the referee of
+    ``ensemble_max``: each image's pooled detections are visited by
+    (-confidence, model index, input order); each unassigned one seeds a
+    cluster and absorbs every later unassigned same-class detection whose
+    IoU with the seed reaches the threshold. Seeds are returned in order."""
+    pools: dict[str, list] = {}
+    for model_idx, records in enumerate(model_outputs):
+        for record in records:
+            pool = pools.setdefault(record.image_id, [])
+            for d in record.items:
+                pool.append((d, model_idx, len(pool)))
+    merged = []
+    for image_id, pool in pools.items():
+        pool = sorted(pool, key=lambda e: (-e[0].confidence, e[1], e[2]))
+        assigned = [False] * len(pool)
+        seeds = []
+        for s, (seed, _, _) in enumerate(pool):
+            if assigned[s]:
+                continue
+            assigned[s] = True
+            seeds.append(seed)
+            for c in range(s + 1, len(pool)):
+                cand = pool[c][0]
+                if (not assigned[c] and cand.class_id == seed.class_id
+                        and iou_2d(cand.bbox, seed.bbox) >= iou_threshold):
+                    assigned[c] = True
+        merged.append(ImageRecord(image_id, tuple(seeds)))
+    return merged
+
+
+def covered_by_inclusion_exclusion(box: BBox2D, rects) -> float:
+    """Fraction of ``box`` covered by the union of ``rects``, by inclusion-exclusion."""
+    total = 0.0
+    for k in range(1, len(rects) + 1):
+        for combo in combinations(rects, k):
+            x1 = max([box.x1] + [r.x1 for r in combo])
+            y1 = max([box.y1] + [r.y1 for r in combo])
+            x2 = min([box.x2] + [r.x2 for r in combo])
+            y2 = min([box.y2] + [r.y2 for r in combo])
+            if x1 < x2 and y1 < y2:
+                total += (-1) ** (k + 1) * (x2 - x1) * (y2 - y1)
+    return total / box.area()

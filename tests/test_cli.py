@@ -220,6 +220,18 @@ class TestSweep:
             assert len(handle.read().splitlines()) == 4
 
 
+    def test_without_ground_truth_writes_the_points_some_class_is_left_at(self, tmp_path):
+        pred_path, gt_path = str(tmp_path / "pred.jsonl"), str(tmp_path / "gt.jsonl")
+        save_predictions([image("a", det(0.0, 0.0, 10.0, confidence=0.3))], pred_path)
+        save_ground_truth([], gt_path)
+        out_path = tmp_path / "curve.csv"
+        code, out, err = run(["sweep", "--pred", pred_path, "--gt", gt_path, "--lo", "0",
+                              "--hi", "1", "--step", "0.1", "--out", str(out_path)])
+        assert (code, out, err) == (EXIT_OK, "best threshold: 0.0 (mAP 0.000000)\n", "")
+        assert out_path.read_text(encoding="utf-8") == (
+            "threshold,map\n0.0,0.0\n0.1,0.0\n0.2,0.0\n0.3,0.0\n")
+
+
 class TestSynth:
     def test_writes_a_parseable_scene(self, tmp_path):
         out_dir = tmp_path / "scene"
@@ -348,6 +360,19 @@ class TestExitCodes:
                               "--out", str(tmp_path / "c.csv")])
         assert (code, out) == (EXIT_INPUT, "")
         assert err == f"error: step must be at least 1e-9, got {float(step)}\n"
+
+    @pytest.mark.parametrize("command, option, message", [
+        ("post", "--threshold=1.5", "threshold must be within [0, 1], got 1.5"),
+        ("post", "--threshold=nan", "threshold must be within [0, 1], got nan"),
+        ("post", "--ignore-overlap=-1", "overlap_frac must be within [0, 1], got -1.0"),
+        ("eval", "--ignore-overlap=1.0000001", "overlap_frac must be within [0, 1], got 1.0000001"),
+    ], ids=["post-threshold", "post-threshold-nan", "post-ignore-overlap", "eval-ignore-overlap"])
+    def test_cutoffs_are_checked_by_the_library_before_any_file_is_read(
+            self, tmp_path, command, option, message):
+        missing = str(tmp_path / "missing.jsonl")
+        inputs = {"post": ["--pred", missing], "eval": ["--pred", missing, "--gt", missing]}
+        code, out, err = run([command, *inputs[command], option, "--out", str(tmp_path / "out")])
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
 
     def test_sweep_grid_beyond_the_cap(self, tmp_path, perfect_files):
         pred, gt, _ = perfect_files

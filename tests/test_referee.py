@@ -5,6 +5,10 @@ recomputed as one ``apply_confidence_threshold`` + ``mean_average_precision``
 call per grid point shares no work between thresholds. Both are compared
 with the package's scoring on crowded scenes shaped like the benchmark's
 ``sweep-dense`` workload and on adversarial hand-made scenes.
+
+Post-processing has two more: ``ensemble_max`` is refereed by greedy
+clustering written out (``helpers.greedy_ensemble``), and the ignore
+filter's union area by inclusion-exclusion.
 """
 
 import math
@@ -14,20 +18,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pose6d import (
+    BBox2D,
     DEFAULT_LADDER,
+    EnsembleConfig,
     EulerAngles,
     NoClassesError,
     ThresholdLadder,
     ThresholdSweep,
     angular_error,
     apply_confidence_threshold,
+    ensemble_max,
+    iou_2d,
     mean_average_precision,
     oracle_map,
     quat_from_euler,
     sweep_threshold,
 )
 
-from helpers import IDENTITY, ann, as_detection, crowded_scene, det, image
+from pose6d.postprocess import _covered_fraction
+
+from helpers import (
+    IDENTITY,
+    ann,
+    as_detection,
+    covered_by_inclusion_exclusion,
+    crowded_scene,
+    det,
+    greedy_ensemble,
+    image,
+)
 
 
 def rotated(roll: float):
@@ -35,8 +54,16 @@ def rotated(roll: float):
 
 
 def unshared_sweep(preds, gts, sweep=ThresholdSweep(), ladder=DEFAULT_LADDER):
-    curve = [(t, mean_average_precision(apply_confidence_threshold(preds, t), gts, ladder)[0])
-             for t in sweep.thresholds()]
+    """One evaluation per grid point; a point where no class is left is left out."""
+    curve = []
+    for t in sweep.thresholds():
+        try:
+            curve.append((t, mean_average_precision(
+                apply_confidence_threshold(preds, t), gts, ladder)[0]))
+        except NoClassesError:
+            pass
+    if not curve:
+        raise NoClassesError("no class is left at any grid point")
     best = max(curve, key=lambda e: (e[1], -e[0]))[0]
     return curve, best
 
@@ -143,16 +170,18 @@ class TestAdversarialScenes:
         assert value == pytest.approx(0.25)
         assert_refereed(preds, gts)
 
-    def test_sweep_raises_where_the_last_class_disappears(self):
+    def test_sweep_leaves_out_the_points_past_the_last_class(self):
         preds = [image("a", det(0.0, 0.0, 10.0, confidence=0.3))]
         gts = [image("a")]
+        curve, best = sweep_threshold(preds, gts)
+        assert curve == [(t, 0.0) for t in (0.1, 0.15, 0.2, 0.25, 0.3)] and best == 0.1
+        assert unshared_sweep(preds, gts) == (curve, best)
+        # a grid that starts past the detection has no point left
+        above = ThresholdSweep(lo=0.35, hi=0.8)
         with pytest.raises(NoClassesError):
-            sweep_threshold(preds, gts)
+            sweep_threshold(preds, gts, above)
         with pytest.raises(NoClassesError):
-            unshared_sweep(preds, gts)
-        # a grid that stops before the detection is cut scores normally
-        curve, best = sweep_threshold(preds, gts, ThresholdSweep(lo=0.1, hi=0.3, step=0.1))
-        assert curve == [(0.1, 0.0), (0.2, 0.0), (0.3, 0.0)] and best == 0.1
+            unshared_sweep(preds, gts, above)
 
 
 HIT = ann(0.0, 0.0, 10.0)
@@ -206,3 +235,74 @@ def lattice_scene(draw):
 def test_lattice_scenes_are_refereed(scene):
     preds, gts = scene
     assert_refereed(preds, gts, sweep=ThresholdSweep(lo=0.0, hi=1.0, step=0.25))
+
+
+# boxes on a half-unit grid, so identical boxes, shared edges and IoUs of
+# exactly 1/2, 1/3 or 1/4 are common
+GRID = st.integers(0, 8).map(lambda v: v * 0.5)
+SIDES = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])
+TINY = 5e-324  # the smallest positive threshold
+
+
+@st.composite
+def grid_box(draw) -> BBox2D:
+    x1, y1 = draw(GRID), draw(GRID)
+    return BBox2D(x1, y1, x1 + draw(SIDES), y1 + draw(SIDES))
+
+
+@st.composite
+def ensemble_input(draw):
+    """1-4 models over up to 3 images (each model lists a subset, in its own
+    order) with 1-3 classes and a few confidences, so ties are common."""
+    n_classes = draw(st.integers(1, 3))
+    models = []
+    for _ in range(draw(st.integers(1, 4))):
+        ids = draw(st.permutations(["a", "b", "c"]))[:draw(st.integers(0, 3))]
+        models.append([image(i, *(
+            det(float(k), 0.0, 10.0, confidence=draw(CONFIDENCES), bbox=draw(grid_box()),
+                class_id=draw(st.integers(0, n_classes - 1)))
+            for k in range(draw(st.integers(0, 6))))) for i in ids])
+    return models
+
+
+@settings(max_examples=300, deadline=None)
+@given(ensemble_input(), st.one_of(st.sampled_from([TINY, 0.25, 1 / 3, 0.5, 1.0]),
+                                   st.floats(TINY, 1.0)))
+def test_ensemble_keeps_what_greedy_clustering_keeps(models, threshold):
+    out = ensemble_max(models, EnsembleConfig(threshold))
+    expected = greedy_ensemble(models, threshold)
+    assert out == expected
+    assert all(a is b for got, want in zip(out, expected) for a, b in zip(got.items, want.items))
+
+
+FREE = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def free_box(draw) -> BBox2D:
+    x1, y1 = draw(FREE), draw(FREE)
+    return BBox2D(x1, y1, x1 + draw(st.floats(1e-3, 1e3)), y1 + draw(st.floats(1e-3, 1e3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(free_box(), grid_box()), st.one_of(free_box(), grid_box()))
+def test_ensemble_merges_at_exactly_the_iou_of_iou_2d(kept_box, box):
+    """The scan's IoU is ``iou_2d(candidate, kept)`` to the bit: the pair
+    merges at that value as threshold, and not at the next float above it."""
+    kept = det(0.0, 0.0, 10.0, confidence=0.9, bbox=kept_box)
+    cand = det(1.0, 0.0, 10.0, confidence=0.8, bbox=box)
+    iou = iou_2d(box, kept_box)
+    if iou > 0.0:
+        assert ensemble_max([[image("a", kept, cand)]], EnsembleConfig(iou))[0].items == (kept,)
+    above = math.nextafter(iou, 2.0)
+    if above <= 1.0:
+        assert ensemble_max([[image("a", kept, cand)]], EnsembleConfig(above))[0].items == (
+            kept, cand)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(free_box(), grid_box()), st.lists(st.one_of(free_box(), grid_box()),
+                                                   min_size=1, max_size=3))
+def test_covered_fraction_is_the_inclusion_exclusion_area(box, rects):
+    got = _covered_fraction(box, [(r.x1, r.y1, r.x2, r.y2) for r in rects])
+    assert got == pytest.approx(covered_by_inclusion_exclusion(box, rects), rel=1e-12, abs=0.0)
