@@ -3,13 +3,17 @@
 Builds a handful of scenes that stress the confidence ranking: crowded
 seeded scenes, a sparse 20-class scene, a scene whose confidences sit
 exactly on grid points (so ties, and ``confidence == t`` kept), a scene
-with a class on each side only and images on one side only, and a scene
-with predictions and no ground truth (whose sweep leaves out the points
-past its highest confidence). Each scene is written to files and run through the command
-line as a user would: ``pose6d sweep`` on the default grid and on
-``--lo 0 --hi 1 --step 0.001``, and ``pose6d eval --out`` for the text
-and the JSON report. Each run gives one JSON line: the exit code, stdout,
-stderr and the bytes of the file written.
+with coincident ground-truth objects (distance ties) and confidences
+repeated across images, a scene with a class on each side only and images
+on one side only, and a scene with predictions and no ground truth (whose
+sweep leaves out the points past its highest confidence). Each scene is
+written to files and run through the command line as a user would:
+``pose6d sweep`` on the default grid and on ``--lo 0 --hi 1 --step
+0.001``, and ``pose6d eval --out`` for the text and the JSON report; then
+``sweep`` and ``eval`` again with ``--ladder``, once with a three-pair
+ladder that is not ordered strict to loose and once with a single pair.
+Each run gives one JSON line: the exit code, stdout, stderr and the bytes
+of the file written.
 
     PYTHONPATH=src python3 scripts/score_corpus.py > tests/data/score_transcript.jsonl
 
@@ -49,11 +53,20 @@ CROWDED_NOISE = NoiseSpec(translation_sigma=0.5, rotation_sigma=0.2, miss_rate=0
 # of [0, 1] and two values just outside the default grid
 QUANTISED = ThresholdSweep().thresholds() + [0.0, 0.05, 0.85, 1.0]
 
+# ladder files by name: the loose pair first, then a pair whose translation
+# gate is the strictest but whose rotation gate is not; and a single pair
+LADDERS = {
+    "non-monotone": [{"trans_m": 2.0, "rot_deg": 20.0}, {"trans_m": 0.5, "rot_deg": 5.0},
+                     {"trans_m": 1.0, "rot_deg": 40.0}],
+    "single pair": [{"trans_m": 1.0, "rot_deg": 10.0}],
+}
+
 COMMANDS = [
     ("sweep", ["sweep"]),
     ("sweep lo=0 hi=1 step=0.001", ["sweep", "--lo", "0", "--hi", "1", "--step", "0.001"]),
     ("eval", ["eval"]),
-]
+] + [(f"{command} ladder={name}", [command, "--ladder", name])
+     for name in LADDERS for command in ("sweep", "eval")]
 
 
 def _scene(spec: SceneSpec, noise: NoiseSpec = CROWDED_NOISE):
@@ -75,6 +88,18 @@ def _quantised():
                       for j, d in enumerate(record.items))
         out.append(replace(record, items=items))
     return out, gts, camera
+
+
+def _coincident():
+    """A crowded scene where every third object has a coincident twin of its
+    class in ground truth, and confidences are rounded to one decimal, so
+    equal confidences span images."""
+    preds, gts, camera = _crowded(2)
+    gts = [replace(r, items=r.items + r.items[::3]) for r in gts]
+    preds = [replace(r, items=tuple(replace(d, confidence=round(d.confidence, 1))
+                                    for d in r.items))
+             for r in preds]
+    return preds, gts, camera
 
 
 def _one_sided():
@@ -101,6 +126,7 @@ def scenes() -> Iterator[tuple[str, tuple]]:
         SceneSpec(seed=6, n_images=40, objects_per_image=(0, 3), n_classes=20),
         replace(CROWDED_NOISE, false_positive_rate=0.3))
     yield "confidences on grid points", _quantised()
+    yield "coincident objects, confidences tied across images", _coincident()
     yield "classes and images on one side only", _one_sided()
     yield "predictions without ground truth", _predictions_only()
 
@@ -118,6 +144,9 @@ def transcript() -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         pred, gt, camera, out = (os.path.join(tmp, name) for name in
                                  ("pred.jsonl", "gt.jsonl", "camera.json", "out"))
+        for name, ladder in LADDERS.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as handle:
+                json.dump(ladder, handle)
         for name, (preds, gts, k) in scenes():
             save_predictions(preds, pred)
             save_ground_truth(gts, gt)
@@ -125,6 +154,8 @@ def transcript() -> list[str]:
             for label, command in COMMANDS:
                 if os.path.exists(out):
                     os.remove(out)
+                if "--ladder" in command:
+                    command = command[:-1] + [os.path.join(tmp, command[-1])]
                 io_args = ["--pred", pred, "--gt", gt, "--out", out]
                 if command[0] == "eval":
                     io_args += ["--camera", camera]

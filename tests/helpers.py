@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+from collections import Counter, defaultdict
 from dataclasses import replace
 from itertools import combinations
+
+import numpy as np
 
 from pose6d import (
     Annotation,
@@ -15,10 +19,12 @@ from pose6d import (
     Quaternion,
     SceneSpec,
     Translation,
+    angular_error,
     generate_scene,
     iou_2d,
     perturb,
 )
+from pose6d.metrics import MatchResult
 
 IDENTITY = Quaternion(1.0, 0.0, 0.0, 0.0)
 
@@ -114,6 +120,102 @@ def greedy_ensemble(model_outputs, iou_threshold: float) -> list[ImageRecord]:
                     assigned[c] = True
         merged.append(ImageRecord(image_id, tuple(seeds)))
     return merged
+
+
+def reference_match_image(dets, anns, pairs):
+    """Per pair, the (det index, gt index, distance, angle) hits of one image,
+    written as the matching core first was; the referee of
+    ``metrics._match_image``. Detections are visited by (-confidence, index);
+    each takes the first candidate in (distance, index) order that is free
+    and passes both gates. Angles are cached by (det, gt) across pairs."""
+    loosest = max(t_m for t_m, _ in pairs)
+    targets: dict[int, list] = {}
+    for j, a in enumerate(anns):
+        t = a.pose.translation
+        targets.setdefault(a.class_id, []).append((j, (t.x, t.y, t.z)))
+    visits = []
+    for i in sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i)):
+        t = dets[i].pose.translation
+        p = (t.x, t.y, t.z)
+        near = sorted((dist, j) for j, g in targets.get(dets[i].class_id, ())
+                      if (dist := math.dist(p, g)) <= loosest)
+        if near:
+            visits.append((i, near))
+    angles: dict[tuple[int, int], float] = {}
+    out = []
+    for t_m, r_rad in pairs:
+        taken: set[int] = set()
+        hits = []
+        for i, near in visits:
+            for dist, j in near:
+                if dist > t_m:
+                    break
+                if j in taken:
+                    continue
+                rot = angles.get((i, j))
+                if rot is None:
+                    rot = angles[i, j] = angular_error(anns[j].pose.rotation, dets[i].pose.rotation)
+                if rot <= r_rad:
+                    taken.add(j)
+                    hits.append((i, j, dist, rot))
+                    break
+        out.append(hits)
+    return out
+
+
+def reference_evaluation(pred_records, gt_records, ladder):
+    """``(buckets, last)`` built as ``metrics.Evaluation`` first built them,
+    from one tuple of TP flags per detection: ``buckets[c]`` is class c's
+    negated confidences in ranking order (stable, so ties keep image, then
+    input order), per pair its TP array and precision array, and its
+    ground-truth count; ``last`` each image's MatchResult at the last pair."""
+    pred_by_id = {r.image_id: r for r in pred_records}
+    gt_by_id = {r.image_id: r for r in gt_records}
+    gt_count = Counter(a.class_id for r in gt_records for a in r.items)
+    rows = defaultdict(list, {c: [] for c in gt_count})
+    last = []
+    for image_id in list(gt_by_id) + [i for i in pred_by_id if i not in gt_by_id]:
+        dets = pred_by_id[image_id].items if image_id in pred_by_id else ()
+        anns = gt_by_id[image_id].items if image_id in gt_by_id else ()
+        per_pair = reference_match_image(dets, anns, ladder.pairs)
+        matched = [{h[0] for h in hits} for hits in per_pair]
+        for i, d in enumerate(dets):
+            rows[d.class_id].append((d.confidence, tuple(i in m for m in matched)))
+        hits = per_pair[-1]
+        taken = {h[1] for h in hits}
+        last.append(MatchResult(
+            pairs=tuple((h[0], h[1]) for h in hits),
+            unmatched_pred=tuple(i for i in range(len(dets)) if i not in matched[-1]),
+            unmatched_gt=tuple(j for j in range(len(anns)) if j not in taken),
+            trans_errors=tuple(h[2] for h in hits), rot_errors=tuple(h[3] for h in hits)))
+    buckets = {}
+    for c, class_rows in rows.items():
+        class_rows.sort(key=lambda r: -r[0])
+        flags = np.array([r[1] for r in class_rows], dtype=bool).reshape(-1, len(ladder.pairs))
+        columns = [(tp, np.cumsum(tp, dtype=np.float64) / np.arange(1, tp.size + 1, dtype=np.float64))
+                   for tp in np.ascontiguousarray(flags.T)]
+        buckets[c] = ([-r[0] for r in class_rows], columns, gt_count[c])
+    return buckets, last
+
+
+def reference_per_class_ap(buckets, threshold):
+    """Per class with a detection left or ground truth, the AP of each pair's
+    confidence >= threshold prefix, scored one 1-D array at a time."""
+    out = {}
+    for c, (neg_conf, columns, num_gt) in sorted(buckets.items()):
+        k = sum(n <= -threshold for n in neg_conf)
+        if not (k or num_gt):
+            continue
+        aps = []
+        for tp, precision in columns:
+            tp, precision = tp[:k], precision[:k]
+            if num_gt == 0 or not tp.size:
+                aps.append(0.0)
+            else:
+                envelope = np.maximum.accumulate(precision[::-1])[::-1]
+                aps.append(float(envelope[tp].sum() / num_gt))
+        out[c] = tuple(aps)
+    return out
 
 
 def covered_by_inclusion_exclusion(box: BBox2D, rects) -> float:

@@ -6,6 +6,11 @@ call per grid point shares no work between thresholds. Both are compared
 with the package's scoring on crowded scenes shaped like the benchmark's
 ``sweep-dense`` workload and on adversarial hand-made scenes.
 
+The matching core and its ranking are refereed by the code they replaced,
+kept in ``tests/helpers.py``: ``_match_image`` must give the same hits, and
+``Evaluation`` the same per-class AP at every threshold and the same
+last-pair matching, bit for bit.
+
 Post-processing has two more: ``ensemble_max`` is refereed by greedy
 clustering written out (``helpers.greedy_ensemble``), and the ignore
 filter's union area by inclusion-exclusion.
@@ -35,6 +40,7 @@ from pose6d import (
     sweep_threshold,
 )
 
+from pose6d.metrics import Evaluation, _match_image
 from pose6d.postprocess import _covered_fraction
 
 from helpers import (
@@ -46,6 +52,9 @@ from helpers import (
     det,
     greedy_ensemble,
     image,
+    reference_evaluation,
+    reference_match_image,
+    reference_per_class_ap,
 )
 
 
@@ -235,6 +244,72 @@ def lattice_scene(draw):
 def test_lattice_scenes_are_refereed(scene):
     preds, gts = scene
     assert_refereed(preds, gts, sweep=ThresholdSweep(lo=0.0, hi=1.0, step=0.25))
+
+
+# crowded lattice scenes for the matching referee: a few positions, so
+# coincident ground truth (distance ties) is common; few confidences, so ties
+# within and across images; classes drawn per side, so some are on one side
+# only; images may be empty or on one side only
+CROWD_COORDS = st.sampled_from([0.0, 0.5, 1.0, 1.5])
+CROWD_CONFIDENCES = [0.2, 0.4, 0.4, 0.6, 0.9]
+MATCH_LADDERS = [
+    DEFAULT_LADDER,
+    ThresholdLadder(pairs=((2.0, math.radians(40.0)), (0.5, math.radians(5.0)))),  # loose first
+    ThresholdLadder(pairs=((1.0, math.radians(40.0)), (0.25, math.radians(20.0)),
+                           (1.5, math.radians(5.0)))),
+    ThresholdLadder(pairs=((1.0, math.radians(10.0)),)),
+    ThresholdLadder(pairs=((0.5, angular_error(IDENTITY, rotated(math.radians(20.0)))),)),
+]
+# on every confidence, between each two, and both ends
+MATCH_THRESHOLDS = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.75, 0.9, 0.95, 1.0]
+
+
+@st.composite
+def crowded_side(draw, ids, classes, detection: bool):
+    records = []
+    for i in ids:
+        items = []
+        for _ in range(draw(st.integers(0, 10))):
+            x, y = draw(CROWD_COORDS), draw(CROWD_COORDS)
+            kwargs = {"class_id": draw(st.sampled_from(classes)), "quat": draw(QUATS)}
+            items.append(det(x, y, 10.0, confidence=draw(st.sampled_from(CROWD_CONFIDENCES)),
+                             **kwargs) if detection else ann(x, y, 10.0, **kwargs))
+        records.append(image(i, *items))
+    return records
+
+
+@st.composite
+def crowded_lattice(draw):
+    """Classes 0 and 1 may appear on both sides, 2 in ground truth only, 3 in
+    predictions only."""
+    sides = {f"img{i}": draw(st.sampled_from(["both", "both", "both", "gt", "pred"]))
+             for i in range(draw(st.integers(1, 4)))}
+    gts = draw(crowded_side([i for i, side in sides.items() if side != "pred"],
+                            draw(st.sampled_from([[0], [0, 1], [0, 2], [0, 1, 2]])), False))
+    preds = draw(crowded_side([i for i, side in sides.items() if side != "gt"],
+                              draw(st.sampled_from([[0], [0, 1], [1, 3], [0, 1, 3]])), True))
+    return preds, gts
+
+
+@settings(max_examples=300, deadline=None)
+@given(crowded_lattice(), st.sampled_from(MATCH_LADDERS))
+def test_matching_and_ranking_equal_the_reference_bit_for_bit(scene, ladder):
+    preds, gts = scene
+    gt_by_id = {r.image_id: r.items for r in gts}
+    for record in preds:
+        anns = gt_by_id.get(record.image_id, ())
+        assert repr(_match_image(record.items, anns, ladder.pairs)) == repr(
+            reference_match_image(record.items, anns, ladder.pairs))
+    evaluation = Evaluation(preds, gts, ladder)
+    buckets, last = reference_evaluation(preds, gts, ladder)
+    assert repr(evaluation.last) == repr(last)
+    for t in MATCH_THRESHOLDS:
+        expected = reference_per_class_ap(buckets, t)
+        if expected:
+            assert repr(evaluation.per_class_ap(t)) == repr(expected)
+        else:
+            with pytest.raises(NoClassesError):
+                evaluation.per_class_ap(t)
 
 
 # boxes on a half-unit grid, so identical boxes, shared edges and IoUs of
