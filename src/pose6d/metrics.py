@@ -27,6 +27,7 @@ from __future__ import annotations
 import bisect
 import math
 import statistics
+import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -55,9 +56,11 @@ class ThresholdLadder:
     def __post_init__(self) -> None:
         if not self.pairs:
             raise ValueError("ladder must contain at least one threshold pair")
-        for t_m, r_rad in self.pairs:
-            if not (t_m > 0.0 and r_rad > 0.0):
-                raise ValueError(f"thresholds must be positive, got ({t_m}, {r_rad})")
+        for pair in self.pairs:
+            if not (isinstance(pair, tuple) and len(pair) == 2 and all(
+                    type(v) is not bool and isinstance(v, (int, float))
+                    and 0.0 < v <= sys.float_info.max for v in pair)):
+                raise ValueError(f"a ladder pair must be two finite positive numbers, got {pair!r}")
 
 
 DEFAULT_LADDER = ThresholdLadder(pairs=(
@@ -107,8 +110,8 @@ def _match_image(dets: Sequence[Detection], anns: Sequence[Annotation],
                  pairs: Sequence[tuple[float, float]]) -> list[list[tuple]]:
     """Per pair, the (det index, gt index, distance, angle) hits in visiting order.
 
-    Candidates are sorted by (distance, index), so the first that is free
-    and passes both gates of a pair is the nearest valid one.
+    Candidates are ``[distance, index, angle]`` entries sorted by (distance,
+    index), so the first free one within both gates is the nearest valid one.
     """
     loosest = max(t_m for t_m, _ in pairs)
     targets: dict[int, list] = {}
@@ -116,27 +119,28 @@ def _match_image(dets: Sequence[Detection], anns: Sequence[Annotation],
         t = a.pose.translation
         targets.setdefault(a.class_id, []).append((j, (t.x, t.y, t.z)))
     visits = []
-    for i in sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i)):
-        t = dets[i].pose.translation
+    for i, d in sorted(enumerate(dets), key=lambda e: -e[1].confidence):  # stable: ties keep i
+        if (cands := targets.get(d.class_id)) is None:
+            continue
+        t = d.pose.translation
         p = (t.x, t.y, t.z)
-        near = sorted((dist, j) for j, g in targets.get(dets[i].class_id, ())
-                      if (dist := math.dist(p, g)) <= loosest)
+        near = [[dist, j, None] for j, g in cands if (dist := math.dist(p, g)) <= loosest]
         if near:
-            visits.append((i, near))
-    angles: dict[tuple[int, int], float] = {}
+            near.sort()
+            visits.append((i, d.pose.rotation, near))
     out = []
     for t_m, r_rad in pairs:
         taken: set[int] = set()
         hits = []
-        for i, near in visits:
-            for dist, j in near:
+        for i, rotation, near in visits:
+            for entry in near:
+                dist, j, rot = entry
                 if dist > t_m:
                     break
                 if j in taken:
                     continue
-                rot = angles.get((i, j))
                 if rot is None:
-                    rot = angles[i, j] = angular_error(anns[j].pose.rotation, dets[i].pose.rotation)
+                    rot = entry[2] = angular_error(anns[j].pose.rotation, rotation)
                 if rot <= r_rad:
                     taken.add(j)
                     hits.append((i, j, dist, rot))
@@ -163,22 +167,21 @@ def match(preds: Sequence[Detection], gts: Sequence[Annotation],
 
 
 def _precision(tp: np.ndarray) -> np.ndarray:
-    """Precision at each rank of a ranked boolean TP array: cumulative TP / rank."""
-    return np.cumsum(tp, dtype=np.float64) / np.arange(1, tp.size + 1, dtype=np.float64)
+    """Precision at each rank of ranked boolean TP arrays (last axis): cumulative TP / rank."""
+    return np.cumsum(tp, axis=-1, dtype=np.float64) / np.arange(1, tp.shape[-1] + 1)
 
 
-def _prefix_ap(tp: np.ndarray, precision: np.ndarray, num_gt: int) -> float:
-    """AP of a ranked TP array given its ``_precision``; both may be prefixes
-    of a longer ranking's arrays, because a prefix of a cumulative sum is the
-    cumulative sum of the prefix."""
-    if num_gt == 0:
-        return 0.0 if tp.size else 1.0
-    if not tp.size:
-        return 0.0
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    # recall advances by exactly 1/num_gt at each TP rank, so the envelope
-    # integral collapses to a sum over TP ranks
-    return float(envelope[tp].sum() / num_gt)
+def _prefix_aps(tp: np.ndarray, precision: np.ndarray, k: int, num_gt: int) -> tuple[float, ...]:
+    """AP of the first k ranks of each row of ranked ``(rows x n)`` TP arrays,
+    given their ``_precision``. The envelope (at each rank, the highest
+    precision at that rank or later) is one max over all rows: a max does no
+    rounding. Recall advances by 1/num_gt at each TP rank, so the integral
+    collapses to a sum over TP ranks, one 1-D sum per row: a batched or
+    zero-padded sum groups the additions differently and changes bits."""
+    if not (k and num_gt):
+        return (0.0 if k or num_gt else 1.0,) * len(tp)
+    envelope = np.maximum.accumulate(precision[:, :k][:, ::-1], axis=1)[:, ::-1]
+    return tuple(float(np.add.reduce(e[t]) / num_gt) for e, t in zip(envelope, tp[:, :k]))
 
 
 def average_precision(flags: Sequence[bool], num_gt: int) -> float:
@@ -191,8 +194,8 @@ def average_precision(flags: Sequence[bool], num_gt: int) -> float:
     """
     if num_gt < 0:
         raise ValueError(f"num_gt must be >= 0, got {num_gt}")
-    tp = np.asarray(flags, dtype=bool)
-    return _prefix_ap(tp, _precision(tp), num_gt)
+    tp = np.asarray(flags, dtype=bool).reshape(1, -1)
+    return _prefix_aps(tp, _precision(tp), tp.shape[1], num_gt)[0]
 
 
 @dataclass
@@ -295,14 +298,14 @@ class Evaluation:
     Images are aligned by ``image_id``; an image on one side only adds
     misses or false positives. Per image, each same-class distance is
     computed once and each angle at most once, within the loosest gate.
-    ``buckets[c]`` holds class c's negated confidences in ranking order,
-    per pair a boolean TP array and its precision array (cumulative TP /
-    rank), both built once over the whole bucket, and its ground-truth
-    count; ``last`` each image's last-pair matching. ``per_class_ap(t)``
-    scores the confidence >= t prefix of each bucket from prefixes of those
-    arrays. That equals thresholding at t and matching again: a threshold
-    cuts a suffix of the greedy visiting order and leaves the matching of
-    the rest unchanged.
+    ``buckets[c]`` holds, in class order, class c's negated confidences in
+    ranking order, its ``(pairs x n)`` boolean TP and precision (cumulative
+    TP / rank) arrays, built once, and its ground-truth count. Scoring the
+    confidence >= t prefix of each bucket, ``per_class_ap(t)`` takes one
+    envelope per class, then per pair a 1-D sum at its TP ranks (a batched
+    sum rounds differently). That equals thresholding at t and matching
+    again: a threshold cuts a suffix of the greedy visiting order and leaves
+    the rest's matching unchanged. ``last`` (last-pair matching) is lazy.
     """
 
     def __init__(self, pred_records: Sequence[ImageRecord], gt_records: Sequence[ImageRecord],
@@ -310,33 +313,45 @@ class Evaluation:
         pred_by_id = _index_by_image(pred_records, "predictions")
         gt_by_id = _index_by_image(gt_records, "ground truth")
         gt_count = Counter(a.class_id for r in gt_records for a in r.items)
-        rows = defaultdict(list, {c: [] for c in gt_count})
-        self.last: list[MatchResult] = []
+        confidences: list[float] = []
+        members: dict[int, list[int]] = defaultdict(list)  # flat detection indices per class
+        matched: list[list[int]] = [[] for _ in ladder.pairs]  # flat matched indices per pair
+        self._last_hits = []
         for image_id in list(gt_by_id) + [i for i in pred_by_id if i not in gt_by_id]:
             dets = pred_by_id[image_id].items if image_id in pred_by_id else ()
             anns = gt_by_id[image_id].items if image_id in gt_by_id else ()
             per_pair = _match_image(dets, anns, ladder.pairs)
-            matched = [{h[0] for h in hits} for hits in per_pair]
-            for i, d in enumerate(dets):
-                rows[d.class_id].append((d.confidence, tuple(i in m for m in matched)))
-            self.last.append(_match_result(per_pair[-1], len(dets), len(anns)))
-        self.buckets: dict[int, tuple[list[float], list[tuple[np.ndarray, np.ndarray]], int]] = {}
-        for c, class_rows in rows.items():
-            class_rows.sort(key=lambda r: -r[0])  # stable: ties keep image, then input order
-            flags = np.array([r[1] for r in class_rows], dtype=bool).reshape(-1, len(ladder.pairs))
-            columns = [(tp, _precision(tp)) for tp in np.ascontiguousarray(flags.T)]
-            self.buckets[c] = ([-r[0] for r in class_rows], columns, gt_count[c])
+            base = len(confidences)
+            for flat, hits in zip(matched, per_pair):
+                flat += [base + h[0] for h in hits]
+            for i, d in enumerate(dets, base):
+                members[d.class_id].append(i)
+            confidences += [d.confidence for d in dets]
+            self._last_hits.append((per_pair[-1], len(dets), len(anns)))
+        flags = np.zeros((len(matched), len(confidences)), dtype=bool)
+        for row, flat in zip(flags, matched):
+            row[flat] = True
+        neg_conf = -np.array(confidences, dtype=np.float64)
+        self.buckets: dict[int, tuple[list[float], np.ndarray, np.ndarray, int]] = {}
+        for c in sorted(gt_count.keys() | members.keys()):
+            index = np.array(members.get(c, ()), dtype=np.intp)
+            index = index[np.argsort(neg_conf[index], kind="stable")]  # ties: image, input order
+            tp = flags[:, index]
+            self.buckets[c] = (neg_conf[index].tolist(), tp, _precision(tp), gt_count[c])
+
+    @property
+    def last(self) -> list[MatchResult]:
+        return [_match_result(*entry) for entry in self._last_hits]
 
     def per_class_ap(self, threshold: float = 0.0) -> dict[int, tuple[float, ...]]:
         """AP per class and pair over the detections with confidence >= threshold;
         classes with neither ground truth nor a detection left are excluded."""
         _check_threshold(threshold)
         out = {}
-        for c, (neg_conf, columns, num_gt) in sorted(self.buckets.items()):
+        for c, (neg_conf, tp, precision, num_gt) in self.buckets.items():
             k = bisect.bisect_right(neg_conf, -threshold)
             if k or num_gt:
-                out[c] = tuple(_prefix_ap(tp[:k], precision[:k], num_gt)
-                               for tp, precision in columns)
+                out[c] = _prefix_aps(tp, precision, k, num_gt)
         if not out:
             raise NoClassesError("no class appears in ground truth or predictions")
         return out

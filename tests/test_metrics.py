@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from pose6d import (
 
 from pose6d.metrics import Evaluation
 
-from helpers import ann, as_detection, det, image
+from helpers import ann, as_detection, crowded_scene, det, image
 
 PAIR = (1.0, math.radians(10.0))
 
@@ -64,10 +65,24 @@ class TestLadder:
             (4.0, math.radians(40.0)),
         )
 
-    @pytest.mark.parametrize("pairs", [(), ((0.0, 0.1),), ((1.0, -0.1),)])
+    @pytest.mark.parametrize("pairs", [
+        (), ((0.0, 0.1),), ((1.0, -0.1),),
+        # each built and scored before, and the report then wrote Infinity or true
+        ((math.inf, 0.1),), ((True, 0.1),),
+        # failed with a bare "too many values to unpack"
+        ((1.0, 0.1, 7),),
+        ((1.0, math.nan),), ((10**400, 0.1),), ((1.0,),), (("1", 0.1),), ([1.0, 0.1],),
+    ])
     def test_invalid_ladders_are_rejected(self, pairs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^(ladder must contain at least one threshold pair"
+                                             r"|a ladder pair must be two finite positive numbers,"
+                                             r" got .*)$"):
             ThresholdLadder(pairs=pairs)
+
+    def test_a_rejected_pair_is_named(self):
+        with pytest.raises(ValueError) as err:
+            ThresholdLadder(pairs=((1.0, 0.1), (math.inf, 0.1)))
+        assert str(err.value) == "a ladder pair must be two finite positive numbers, got (inf, 0.1)"
 
     def test_parse_ladder_converts_degrees(self):
         ladder = parse_ladder([{"trans_m": 1, "rot_deg": 10},
@@ -258,6 +273,32 @@ class TestPrefixScoring:
                     evaluation.per_class_ap(t)
             else:
                 assert evaluation.per_class_ap(t) == expected
+
+
+class TestMatchingWork:
+    @pytest.mark.parametrize("ladder", [
+        DEFAULT_LADDER,
+        ThresholdLadder(pairs=((2.0, math.radians(20.0)), (0.5, math.radians(5.0)),
+                               (1.0, math.radians(40.0)))),
+    ], ids=["default", "non-monotone"])
+    def test_each_angle_is_computed_at_most_once(self, monkeypatch, ladder):
+        # one evaluation computes the angle of a (detection, ground truth)
+        # pair at most once, whichever ladder pairs revisit it
+        import pose6d.metrics
+
+        calls = Counter()
+        real = pose6d.metrics.angular_error
+
+        def counting(q_gt, q_pred):
+            calls[id(q_gt), id(q_pred)] += 1
+            return real(q_gt, q_pred)
+
+        monkeypatch.setattr(pose6d.metrics, "angular_error", counting)
+        preds, gts = crowded_scene(700)
+        rotations = [i.pose.rotation for r in preds + gts for i in r.items]
+        assert len({id(q) for q in rotations}) == len(rotations)  # ids name the pair
+        Evaluation(preds, gts, ladder)
+        assert len(calls) > 100 and max(calls.values()) == 1
 
 
 def perfect_setup():

@@ -372,16 +372,15 @@ class TestSweepThreshold:
         assert 0 < calls <= per_evaluation
 
     def test_sweep_builds_each_bucket_array_once(self, monkeypatch):
-        # the cumulative TP and precision arrays of each class and pair are
-        # built when the input is matched; grid points only take prefixes
+        # each class's (pairs x n) TP and precision arrays are built once, when
+        # the input is matched; grid points only take prefixes
         import pose6d.metrics
 
-        calls = 0
+        shapes = []
         real = pose6d.metrics._precision
 
         def counting(tp):
-            nonlocal calls
-            calls += 1
+            shapes.append(tp.shape)
             return real(tp)
 
         monkeypatch.setattr(pose6d.metrics, "_precision", counting)
@@ -389,4 +388,6 @@ class TestSweepThreshold:
         classes = {i.class_id for r in preds + gts for i in r.items}
         sweep_threshold(preds, gts)
         assert len(classes) == 3 and len(ThresholdSweep().thresholds()) == 15
-        assert calls == len(classes) * len(DEFAULT_LADDER.pairs)
+        assert len(shapes) == len(classes)
+        assert {rows for rows, _ in shapes} == {len(DEFAULT_LADDER.pairs)}
+        assert sum(n for _, n in shapes) == sum(len(r.items) for r in preds)
