@@ -7,7 +7,8 @@ are included. A value is passed as ``--option=value``, so that argparse
 takes ``-inf`` as a value, not as an option. Each element of the
 two-value ``--tp-conf`` and ``--fp-conf`` is varied on its own (there a
 ``-inf`` is read as an option), and ``eval --ladder`` reads a ladder file
-whose ``trans_m`` takes each JSON number and a few non-numbers.
+whose ``trans_m``, then ``rot_deg``, takes each JSON number and a few
+non-numbers.
 ``--pred`` and ``--gt`` name missing files, so a case that ends in "No
 such file" shows that the value passed every check made before the
 inputs are read. ``synth`` writes to a temporary directory.
@@ -81,7 +82,7 @@ PAIRS = {
 }
 PAIR_VALUES = ["1", "0.5", "0.05", "1.0000001"]
 
-# ladder trans_m values, as JSON text
+# ladder trans_m and rot_deg values, as JSON text
 LADDER_VALUES = COMMON[:3] + ["NaN", "Infinity", "-Infinity", "1e308", "5e-324", "1" + "0" * 400,
                               "-" + "1" * 401, "true", "null", "\"1\""]
 
@@ -100,10 +101,11 @@ def cases() -> Iterator[tuple[str, str, list[str], str | None]]:
                 pair[position] = value
                 yield "synth", f"{option} {name}={value}", ["synth", *base, option, *pair], None
     base = OPTIONS["eval"][0]
-    for value in LADDER_VALUES:
-        label = value if len(value) < 20 else f"{value[:2]}... ({len(value)} chars)"
-        text = f'[{{"trans_m": {value}, "rot_deg": 5}}]'
-        yield "eval", f"--ladder trans_m {label}", ["eval", *base, "--ladder", "LADDER"], text
+    for key, other in (("trans_m", '"rot_deg": 5'), ("rot_deg", '"trans_m": 1')):
+        for value in LADDER_VALUES:
+            label = value if len(value) < 20 else f"{value[:2]}... ({len(value)} chars)"
+            text = f'[{{"{key}": {value}, {other}}}]'
+            yield "eval", f"--ladder {key} {label}", ["eval", *base, "--ladder", "LADDER"], text
 
 
 def _digest(out_dir: str) -> str:
