@@ -35,8 +35,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .geometry import angular_error
-from .records import (Annotation, Detection, ImageRecord, ParseError, ValidationError,
-                      _index_by_image, _number, _read_json)
+from .records import (Annotation, Detection, ImageRecord, ParseError, _index_by_image,
+                      _located, _number, _read_json)
 
 
 class NoMatchesError(ValueError):
@@ -78,12 +78,13 @@ def parse_ladder(data: object) -> ThresholdLadder:
     for i, entry in enumerate(data):
         if not isinstance(entry, dict):
             raise ParseError(1, f"[{i}]", "must be an object with trans_m and rot_deg")
+        values = []
         for key in ("trans_m", "rot_deg"):
             if key not in entry:
                 raise ParseError(1, f"[{i}].{key}", "missing required key")
-            if not _number(1, entry[key], f"[{i}].{key}") > 0.0:
-                raise ValidationError(1, f"[{i}].{key}", f"must be positive, got {entry[key]}")
-        pairs.append((float(entry["trans_m"]), math.radians(float(entry["rot_deg"]))))
+            values.append(_number(1, entry[key], f"[{i}].{key}"))
+        pair = (values[0], math.radians(values[1]))
+        pairs += _located(1, f"[{i}]", ThresholdLadder, pairs=(pair,)).pairs
     return ThresholdLadder(pairs=tuple(pairs))
 
 

@@ -15,13 +15,13 @@ round-trip precision, so ``parse(serialize(records))`` reproduces
 field-exactly any records built with unit quaternions. The three kinds
 share one reader and one writer, driven by one table.
 
-The reader checks an item's shape first (exact JSON types, list lengths,
-one rotation) and builds it directly: the constructors, which enforce the
-same invariants, are the one value check. Only a line with an item that
-fails is read again on the located path, which names the first bad field,
-so the fast path changes no message and no record. Failures raise ParseError
-(malformed line or schema) or ValidationError (well-formed but violating
-an invariant), both with the 1-based line number and the field path.
+The reader checks an item's shape (exact JSON types, list lengths, one
+rotation) and builds it directly: the constructors are the one value check.
+Only a line with an item that fails is read again on the located path. It
+checks shape field by field (ParseError at the first bad field) and leaves
+values to the constructor, whose ValueError becomes a ValidationError at the
+item; both carry the 1-based line number and the field path. So the fast
+path changes no message and no record.
 
 A single-class CSV compatibility reader takes rows ``image_id, S``, where
 ``S`` repeats ``pitch yaw roll x y z confidence`` groups; each becomes a
@@ -179,17 +179,18 @@ def _number_list(number: int, value: object, count: int, path: str) -> list[floa
     return [_number(number, v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-def _located(number: int, path: str, build: Callable, *args):
-    """``build(*args)``, with the ValueError it raises located at ``path``."""
+def _located(number: int, path: str, build: Callable, *args, **kwargs):
+    """``build(*args, **kwargs)``, with the ValueError it raises located at ``path``."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise ValidationError(number, path, str(exc)) from exc
 
 
 def _parse_item(kind: type, number: int, obj: object, path: str) -> Detection | Annotation | BBox2D:
-    """One ``kind`` item (detection, annotation or box), located: fields are
-    checked in a fixed order, so the error names the first bad one."""
+    """One ``kind`` item (detection, annotation or box), located: its shape is
+    checked field by field, so a ParseError names the first bad field, and its
+    values by the constructor, whose ValueError is located at the item."""
     if kind is BBox2D:
         return _located(number, path, BBox2D, *_number_list(number, obj, 4, path))
     if not isinstance(obj, dict):
@@ -197,15 +198,9 @@ def _parse_item(kind: type, number: int, obj: object, path: str) -> Detection | 
     class_id = obj.get("class_id")
     if isinstance(class_id, bool) or not isinstance(class_id, int):
         raise ParseError(number, f"{path}.class_id", "must be an integer")
-    if class_id < 0:
-        raise ValidationError(number, f"{path}.class_id", f"must be >= 0, got {class_id}")
     fields = {"class_id": class_id}
     if kind is Detection:
-        confidence = _number(number, obj.get("confidence"), f"{path}.confidence")
-        if not (0.0 <= confidence <= 1.0):
-            raise ValidationError(number, f"{path}.confidence",
-                                  f"must be within [0, 1], got {confidence}")
-        fields["confidence"] = confidence
+        fields["confidence"] = _number(number, obj.get("confidence"), f"{path}.confidence")
     bbox = obj.get("bbox")
     bbox = None if bbox is None else _parse_item(BBox2D, number, bbox, f"{path}.bbox")
     has_quat = "quaternion" in obj
@@ -218,9 +213,8 @@ def _parse_item(kind: type, number: int, obj: object, path: str) -> Detection | 
         euler = EulerAngles(*_number_list(number, obj["euler"], 3, f"{path}.euler"))
         rotation = quat_from_euler(euler)
     x, y, z = _number_list(number, obj.get("translation"), 3, f"{path}.translation")
-    if z <= 0.0:
-        raise ValidationError(number, f"{path}.translation.z", f"must be > 0, got {z}")
-    return kind(bbox=bbox, pose=Pose(rotation, Translation(x, y, z)), **fields)
+    return _located(number, path, kind, bbox=bbox, pose=Pose(rotation, Translation(x, y, z)),
+                    **fields)
 
 
 _FLOAT, _NUMBER = frozenset((float,)), frozenset((float, int))  # exact: a bool is no number
@@ -368,14 +362,9 @@ def parse_csv_compat(stream: Lines) -> list[ImageRecord]:
                     raise ParseError(number, f"{path}.{name}", f"not a number: {token!r}") from exc
                 vals.append(_number(number, value, f"{path}.{name}"))
             pitch, yaw, roll, x, y, z, confidence = vals
-            if not (0.0 <= confidence <= 1.0):
-                raise ValidationError(number, f"{path}.confidence",
-                                      f"must be within [0, 1], got {confidence}")
-            if z <= 0.0:
-                raise ValidationError(number, f"{path}.z", f"must be > 0, got {z}")
             rotation = quat_from_euler(EulerAngles(roll=roll, pitch=pitch, yaw=yaw))
-            dets.append(Detection(class_id=0, confidence=confidence, bbox=None,
-                                  pose=Pose(rotation, Translation(x, y, z))))
+            dets.append(_located(number, path, Detection, class_id=0, confidence=confidence,
+                                 bbox=None, pose=Pose(rotation, Translation(x, y, z))))
         records.append(ImageRecord(image_id=image_id, items=tuple(dets)))
     return records
 

@@ -395,14 +395,21 @@ class TestExitCodes:
         assert err == f"error: {message}\n"
         assert not out_dir.exists()
 
-    def test_huge_integer_in_the_ladder_is_an_input_error(self, tmp_path, perfect_files):
+    @pytest.mark.parametrize("entry, message", [
         # float() of it raised OverflowError, which escaped main as a traceback
+        (f'"trans_m": 1{"0" * 400}, "rot_deg": 5', "[0].trans_m: must be finite, got inf"),
+        # it passed the reader's own positivity check and then exited 1, unlocated
+        ('"trans_m": 1, "rot_deg": 5e-324',
+         "[0]: a ladder pair must be two finite positive numbers, got (1.0, 0.0)"),
+    ], ids=["huge integer", "rot_deg underflows to 0 rad"])
+    def test_bad_ladder_value_is_a_located_input_error(self, tmp_path, perfect_files,
+                                                        entry, message):
         pred, gt, _ = perfect_files
         ladder_path = tmp_path / "ladder.json"
-        ladder_path.write_text(f'[{{"trans_m": 1{"0" * 400}, "rot_deg": 5}}]', encoding="utf-8")
+        ladder_path.write_text(f"[{{{entry}}}]", encoding="utf-8")
         code, out, err = run(["eval", "--pred", pred, "--gt", gt, "--ladder", str(ladder_path)])
         assert (code, out) == (EXIT_INPUT, "")
-        assert err == "error: line 1: [0].trans_m: must be finite, got inf\n"
+        assert err == f"error: line 1: {message}\n"
 
     def test_ensemble_iou_zero_is_an_input_error(self, tmp_path, perfect_files):
         pred, _, _ = perfect_files

@@ -98,6 +98,8 @@ class TestLadder:
         ([{"trans_m": 0, "rot_deg": 10}], ValidationError),
         ([{"trans_m": 1, "rot_deg": 10 ** 400}], ValidationError),
         ([{"trans_m": -10 ** 400, "rot_deg": 10}], ValidationError),
+        # a positive rot_deg that underflows to 0 rad escaped as an unlocated ValueError
+        ([{"trans_m": 1, "rot_deg": 5e-324}], ValidationError),
     ])
     def test_parse_ladder_errors(self, data, exc_type):
         with pytest.raises(exc_type):

@@ -296,21 +296,22 @@ class TestParseErrors:
         (json.dumps({"detections": []}), ParseError, "image_id"),
         (json.dumps({"image_id": "", "detections": []}), ParseError, "image_id"),
         (json.dumps({"image_id": "a", "detections": {}}), ParseError, "detections"),
-        (pred_line(confidence=1.5), ValidationError, "detections[0].confidence"),
-        (pred_line(confidence=-0.1), ValidationError, "detections[0].confidence"),
+        # a value rule is the constructor's, located at the item
+        (pred_line(confidence=1.5), ValidationError, "detections[0]"),
+        (pred_line(confidence=-0.1), ValidationError, "detections[0]"),
         (pred_line(confidence=True), ParseError, "detections[0].confidence"),
         (pred_line(quaternion=[0.0, 0.0, 0.0, 0.0]), ValidationError, "detections[0].quaternion"),
         (pred_line(quaternion=[1.0, 0.0, 0.0]), ParseError, "detections[0].quaternion"),
         (pred_line(euler=[0.0, 0.0, 0.0]), ParseError, "detections[0]"),
         (pred_line(detections=[{"class_id": 0, "confidence": 0.5,
                                 "translation": [0, 0, 5]}]), ParseError, "detections[0]"),
-        (pred_line(translation=[0.0, 0.0, 0.0]), ValidationError, "detections[0].translation.z"),
-        (pred_line(translation=[0.0, 0.0, -4.0]), ValidationError, "detections[0].translation.z"),
+        (pred_line(translation=[0.0, 0.0, 0.0]), ValidationError, "detections[0]"),
+        (pred_line(translation=[0.0, 0.0, -4.0]), ValidationError, "detections[0]"),
         (pred_line(translation=[0.0, "Infinity", 5.0]), ParseError, "detections[0].translation[1]"),
         (pred_line(bbox=[10.0, 0.0, 5.0, 5.0]), ValidationError, "detections[0].bbox"),
         (pred_line(bbox=[10.0, 0.0, 5.0]), ParseError, "detections[0].bbox"),
         (pred_line(class_id=1.5), ParseError, "detections[0].class_id"),
-        (pred_line(class_id=-2), ValidationError, "detections[0].class_id"),
+        (pred_line(class_id=-2), ValidationError, "detections[0]"),
     ])
     def test_bad_line_is_located_with_field_path(self, line, exc_type, path_part):
         with pytest.raises(exc_type) as err:
@@ -333,9 +334,9 @@ class TestParseErrors:
         (gt_line(quaternion=[1.0, -10 ** 400, 0.0, 0.0]), ValidationError,
          "annotations[0].quaternion[1]: must be finite, got -inf"),
         (gt_line(translation=[0.0, 0.0, 0.0]), ValidationError,
-         "annotations[0].translation.z: must be > 0, got 0.0"),
+         "annotations[0]: annotation depth must be positive, got z=0.0"),
         (gt_line(translation=[0.0, 0.0, -3]), ValidationError,
-         "annotations[0].translation.z: must be > 0, got -3.0"),
+         "annotations[0]: annotation depth must be positive, got z=-3.0"),
         (gt_line(bbox=[10.0, 0.0, 5.0, 5.0]), ValidationError,
          "annotations[0].bbox: degenerate box (10.0, 0.0, 5.0, 5.0): requires x1 < x2 and y1 < y2"),
         (gt_line(bbox=[-1e308, 0.0, 1e308, 1.0]), ValidationError,
@@ -362,7 +363,8 @@ class TestParseErrors:
          "annotations[0].quaternion: must be a list of 4 numbers"),
         (gt_line(drop=["class_id"]), ParseError, "annotations[0].class_id: must be an integer"),
         (gt_line(class_id="0"), ParseError, "annotations[0].class_id: must be an integer"),
-        (gt_line(class_id=-1), ValidationError, "annotations[0].class_id: must be >= 0, got -1"),
+        (gt_line(class_id=-1), ValidationError,
+         "annotations[0]: annotation class_id must be an integer >= 0, got -1"),
         (json.dumps({"image_id": "a", "annotations": [3]}), ParseError,
          "annotations[0]: expected an object, got int"),
     ])
@@ -701,18 +703,25 @@ class TestCsvCompat:
         }]})
         assert parse_csv_compat([self.LINE]) == parse_predictions([jsonl])
 
-    @pytest.mark.parametrize("line, exc_type", [
-        ("no-comma-here", ParseError),
-        (", 0 0 0 1 2 10 0.9", ParseError),
-        ("img_a, 0 0 0 1 2 10", ParseError),            # not a multiple of 7
-        ("img_a, 0 0 0 1 2 10 oops", ParseError),
-        ("img_a, 0 0 0 1 2 10 1.5", ValidationError),   # confidence
-        ("img_a, 0 0 0 1 2 -10 0.9", ValidationError),  # depth
-        ("img_a, 0 0 0 1 2 inf 0.9", ValidationError),
+    @pytest.mark.parametrize("line, exc_type, message", [
+        ("no-comma-here", ParseError, "expected 'image_id, prediction string'"),
+        (", 0 0 0 1 2 10 0.9", ParseError, "image_id: must be a non-empty string"),
+        ("img_a, 0 0 0 1 2 10", ParseError, "token count 6 is not a multiple of 7"),
+        ("img_a, 0 0 0 1 2 10 oops", ParseError, "group[0].confidence: not a number: 'oops'"),
+        # a value rule is the constructor's, located at the group
+        ("img_a, 0 0 0 1 2 10 1.5", ValidationError,
+         "group[0]: confidence must be within [0, 1], got 1.5"),
+        ("img_a, 0 0 0 1 2 -10 0.9", ValidationError,
+         "group[0]: detection depth must be positive, got z=-10.0"),
+        ("img_a, 0 0 0 1 2 0 0.9", ValidationError,
+         "group[0]: detection depth must be positive, got z=0.0"),
+        ("img_a, 0 0 0 1 2 inf 0.9", ValidationError, "group[0].z: must be finite, got inf"),
     ])
-    def test_bad_rows(self, line, exc_type):
-        with pytest.raises(exc_type):
+    def test_bad_rows(self, line, exc_type, message):
+        with pytest.raises(exc_type) as err:
             parse_csv_compat([line])
+        assert type(err.value) is exc_type
+        assert str(err.value) == f"line 1: {message}"
 
     def test_duplicate_image_id(self):
         with pytest.raises(ParseError):
