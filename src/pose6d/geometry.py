@@ -101,6 +101,9 @@ class CameraIntrinsics:
     def __post_init__(self) -> None:
         if not (self.fx > 0.0 and self.fy > 0.0):
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
+        if not all(map(math.isfinite, (self.fx, self.fy, self.cx, self.cy))):
+            raise ValueError(f"camera intrinsics must be finite, got fx={self.fx}, fy={self.fy}, "
+                             f"cx={self.cx}, cy={self.cy}")
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,15 @@ class BBox2D:
     y2: float
 
     def __post_init__(self) -> None:
+        # the common case in one test: a sum is finite only if every term is,
+        # and adding to 0.0 converts each int on its own, so an int beyond
+        # the float range fails here too; any other case takes the field checks
+        try:
+            if (self.x1 < self.x2 and self.y1 < self.y2 and (area := self.area()) > 0.0
+                    and math.isfinite(0.0 + self.x1 + self.y1 + self.x2 + self.y2 + area)):
+                return
+        except (OverflowError, TypeError):
+            pass
         if not all(map(math.isfinite, (self.x1, self.y1, self.x2, self.y2))):
             raise ValueError(f"box coordinates must be finite, got "
                              f"({self.x1}, {self.y1}, {self.x2}, {self.y2})")

@@ -30,13 +30,14 @@ import statistics
 import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .geometry import angular_error
-from .records import (Annotation, Detection, ImageRecord, ParseError, _index_by_image,
-                      _located, _number, _read_json)
+from .records import (Annotation, Detection, ImageRecord, ParseError, ValidationError,
+                      _index_by_image, _number, _read_json)
 
 
 class NoMatchesError(ValueError):
@@ -83,8 +84,13 @@ def parse_ladder(data: object) -> ThresholdLadder:
             if key not in entry:
                 raise ParseError(1, f"[{i}].{key}", "missing required key")
             values.append(_number(1, entry[key], f"[{i}].{key}"))
-        pair = (values[0], math.radians(values[1]))
-        pairs += _located(1, f"[{i}]", ThresholdLadder, pairs=(pair,)).pairs
+        trans_m, rot_deg = values
+        try:
+            pairs += ThresholdLadder(pairs=((trans_m, math.radians(rot_deg)),)).pairs
+        except ValueError as exc:  # worded in the file's units
+            raise ValidationError(1, f"[{i}]", "a ladder pair must be two finite positive "
+                                  f"numbers, got trans_m={trans_m}, rot_deg={rot_deg} "
+                                  f"({math.radians(rot_deg)} rad)") from exc
     return ThresholdLadder(pairs=tuple(pairs))
 
 
@@ -260,12 +266,20 @@ def _fmt(value: float | None, suffix: str = "") -> str:
     return "n/a" if value is None else f"{value:.6f}{suffix}"
 
 
+def _rotation_stats(errors: list[float]) -> tuple[float, float]:
+    return _mean(errors), float(statistics.median(errors))
+
+
+def _precision_recall(tp: int, fp: int, fn: int) -> tuple[float | None, float | None]:
+    return (tp / (tp + fp) if tp + fp else None), (tp / (tp + fn) if tp + fn else None)
+
+
 def translation_mae(matches: Iterable[MatchResult]) -> float:
     """Mean Euclidean translation error over all matched pairs."""
     errors = [e for m in matches for e in m.trans_errors]
     if not errors:
         raise NoMatchesError("translation MAE is undefined without matches")
-    return float(sum(errors) / len(errors))
+    return _mean(errors)
 
 
 def rotation_error_stats(matches: Iterable[MatchResult]) -> tuple[float, float]:
@@ -273,7 +287,7 @@ def rotation_error_stats(matches: Iterable[MatchResult]) -> tuple[float, float]:
     errors = [e for m in matches for e in m.rot_errors]
     if not errors:
         raise NoMatchesError("rotation error statistics are undefined without matches")
-    return float(sum(errors) / len(errors)), float(statistics.median(errors))
+    return _rotation_stats(errors)
 
 
 def precision_recall(matches: Iterable[MatchResult]) -> tuple[float | None, float | None]:
@@ -283,9 +297,7 @@ def precision_recall(matches: Iterable[MatchResult]) -> tuple[float | None, floa
         tp += len(m.pairs)
         fp += len(m.unmatched_pred)
         fn += len(m.unmatched_gt)
-    precision = tp / (tp + fp) if tp + fp else None
-    recall = tp / (tp + fn) if tp + fn else None
-    return precision, recall
+    return _precision_recall(tp, fp, fn)
 
 
 def _check_threshold(threshold: float, name: str = "threshold") -> None:
@@ -301,12 +313,17 @@ class Evaluation:
     computed once and each angle at most once, within the loosest gate.
     ``buckets[c]`` holds, in class order, class c's negated confidences in
     ranking order, its ``(pairs x n)`` boolean TP and precision (cumulative
-    TP / rank) arrays, built once, and its ground-truth count. Scoring the
+    TP / rank) arrays, built once, its ground-truth count, and per prefix
+    length the number of ranks in it that are a TP at some pair. Scoring the
     confidence >= t prefix of each bucket, ``per_class_ap(t)`` takes one
     envelope per class, then per pair a 1-D sum at its TP ranks (a batched
     sum rounds differently). That equals thresholding at t and matching
     again: a threshold cuts a suffix of the greedy visiting order and leaves
-    the rest's matching unchanged. ``last`` (last-pair matching) is lazy.
+    the rest's matching unchanged. A class's AP is kept by that TP count, so
+    a sweep scores each class once per count, not once per grid point: past
+    the last TP rank of a prefix only FP ranks follow, whose precision never
+    exceeds the rank before, so they change neither the envelope at a TP
+    rank nor which ranks are summed. ``last`` (last-pair matching) is lazy.
     """
 
     def __init__(self, pred_records: Sequence[ImageRecord], gt_records: Sequence[ImageRecord],
@@ -333,12 +350,15 @@ class Evaluation:
         for row, flat in zip(flags, matched):
             row[flat] = True
         neg_conf = -np.array(confidences, dtype=np.float64)
-        self.buckets: dict[int, tuple[list[float], np.ndarray, np.ndarray, int]] = {}
+        hit = flags.any(axis=0)  # per detection: a TP at some pair
+        self.buckets: dict[int, tuple[list[float], np.ndarray, np.ndarray, int, list[int]]] = {}
         for c in sorted(gt_count.keys() | members.keys()):
             index = np.array(members.get(c, ()), dtype=np.intp)
             index = index[np.argsort(neg_conf[index], kind="stable")]  # ties: image, input order
             tp = flags[:, index]
-            self.buckets[c] = (neg_conf[index].tolist(), tp, _precision(tp), gt_count[c])
+            self.buckets[c] = (neg_conf[index].tolist(), tp, _precision(tp), gt_count[c],
+                               list(accumulate(hit[index].tolist(), initial=0)))
+        self._aps: dict[tuple[int, int], tuple[float, ...]] = {}  # by (class, TP count)
 
     @property
     def last(self) -> list[MatchResult]:
@@ -349,10 +369,15 @@ class Evaluation:
         classes with neither ground truth nor a detection left are excluded."""
         _check_threshold(threshold)
         out = {}
-        for c, (neg_conf, tp, precision, num_gt) in self.buckets.items():
+        for c, (neg_conf, tp, precision, num_gt, tp_counts) in self.buckets.items():
             k = bisect.bisect_right(neg_conf, -threshold)
             if k or num_gt:
-                out[c] = _prefix_aps(tp, precision, k, num_gt)
+                # kept by TP count but scored at the real k: at k = 0 a class
+                # with no ground truth would score 1, not 0
+                key = (c, tp_counts[k])
+                if key not in self._aps:
+                    self._aps[key] = _prefix_aps(tp, precision, k, num_gt)
+                out[c] = self._aps[key]
         if not out:
             raise NoClassesError("no class appears in ground truth or predictions")
         return out
@@ -379,16 +404,19 @@ def mean_average_precision(
     per_class_ap = evaluation.per_class_ap()
     mean_ap = _class_mean(per_class_ap)
 
-    last = evaluation.last
-    try:
-        mae: float | None = translation_mae(last)
-        rot_mean, rot_median = rotation_error_stats(last)
-    except NoMatchesError:
-        mae = rot_mean = rot_median = None
-    precision, recall = precision_recall(last)
-    tp = sum(len(m.pairs) for m in last)
-    fp = sum(len(m.unmatched_pred) for m in last)
-    fn = sum(len(m.unmatched_gt) for m in last)
+    # the last pair's statistics straight from its hits, as ``evaluation.last``
+    # would give them: the same errors in the same order, and each image's
+    # unmatched counts are its items less its hits
+    trans_errors, rot_errors, fp, fn = [], [], 0, 0
+    for hits, num_dets, num_gts in evaluation._last_hits:
+        trans_errors += [h[2] for h in hits]
+        rot_errors += [h[3] for h in hits]
+        fp += num_dets - len(hits)
+        fn += num_gts - len(hits)
+    tp = len(trans_errors)
+    mae = _mean(trans_errors) if tp else None
+    rot_mean, rot_median = _rotation_stats(rot_errors) if tp else (None, None)
+    precision, recall = _precision_recall(tp, fp, fn)
 
     report = EvaluationReport(
         ladder=ladder,

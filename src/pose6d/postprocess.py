@@ -17,6 +17,7 @@ All functions are pure: they return new records and never mutate inputs.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from operator import attrgetter
@@ -198,16 +199,23 @@ def sweep_threshold(
     Returns ``(curve, best)`` where ``curve`` is a list of
     ``(threshold, mAP)`` in grid order and ``best`` is the threshold with
     the highest mAP, ties resolved toward the smallest threshold. Matching
-    runs once, on the unthresholded input (see ``metrics.Evaluation``).
+    runs once, on the unthresholded input (see ``metrics.Evaluation``), and
+    each point costs one bisect: t keeps the n most confident detections, so
+    points that keep the same n share one score.
     NoClassesError is raised when no class is left at any point.
     """
     evaluation = Evaluation(pred_records, gt_records, ladder)
+    ranked = sorted(n for neg_conf, *_ in evaluation.buckets.values() for n in neg_conf)
+    by_count: dict[int, float] = {}
     curve = []
     for t in sweep.thresholds():
-        try:
-            curve.append((t, _class_mean(evaluation.per_class_ap(t))))
-        except NoClassesError:
-            if not curve:
-                raise
-            break  # a higher threshold keeps fewer detections: no later point is defined
+        n = bisect.bisect_right(ranked, -t)
+        if n not in by_count:
+            try:
+                by_count[n] = _class_mean(evaluation.per_class_ap(t))
+            except NoClassesError:
+                if not curve:
+                    raise
+                break  # a higher threshold keeps fewer detections: no later point is defined
+        curve.append((t, by_count[n]))
     return curve, max(curve, key=lambda e: e[1])[0]  # max keeps the first of equals

@@ -17,6 +17,9 @@ share one reader and one writer, driven by one table.
 
 The reader checks an item's shape (exact JSON types, list lengths, one
 rotation) and builds it directly: the constructors are the one value check.
+An item's numbers (rotation, translation, box, confidence) are type-checked
+in one test over all of them, and a list of the wrong length fails the
+arity of the constructor it is passed to.
 Only a line with an item that fails is read again on the located path. It
 checks shape field by field (ParseError at the first bad field) and leaves
 values to the constructor, whose ValueError becomes a ValidationError at the
@@ -233,22 +236,31 @@ def _floats(value: object, count: int) -> list[float]:
 def _build_item(kind: type, obj: object):
     """``_parse_item`` without the locating: it checks only the shape of ``obj``
     and leaves every value to the constructors, so where ``_parse_item`` would
-    fail it raises KeyError, TypeError, ValueError or OverflowError instead."""
+    fail it raises KeyError, TypeError, ValueError or OverflowError instead.
+    An item's numbers are type-checked once, as one list, and a list of the
+    wrong length fails the arity of the constructor it is passed to; only an
+    item with a number to convert (an int) takes ``_floats`` list by list."""
     if kind is BBox2D:
         return BBox2D(*_floats(obj, 4))
     if type(obj) is not dict or type(obj["class_id"]) is not int or (
             ("euler" in obj) == ("quaternion" in obj)):
         raise TypeError(obj)
-    rotation = (quat_from_euler(EulerAngles(*_floats(obj["euler"], 3))) if "euler" in obj
-                else quat_normalize(Quaternion(*_floats(obj["quaternion"], 4))))
-    pose = Pose(rotation, Translation(*_floats(obj["translation"], 3)))
-    bbox = obj.get("bbox")
-    bbox = None if bbox is None else BBox2D(*_floats(bbox, 4))
+    euler = "euler" in obj
+    rotation = obj["euler"] if euler else obj["quaternion"]
+    translation, bbox = obj["translation"], obj.get("bbox")
+    confidence = obj["confidence"] if kind is Detection else 0.0
+    if not (type(rotation) is list and type(translation) is list
+            and (bbox is None or type(bbox) is list)
+            and _FLOAT.issuperset(map(type, [confidence, *rotation, *translation, *(bbox or ())]))):
+        rotation, translation = _floats(rotation, 3 if euler else 4), _floats(translation, 3)
+        bbox = None if bbox is None else _floats(bbox, 4)
+        confidence, = _floats([confidence], 1)
+    rotation = (quat_from_euler(EulerAngles(*rotation)) if euler
+                else quat_normalize(Quaternion(*rotation)))
+    pose = Pose(rotation, Translation(*translation))
+    bbox = None if bbox is None else BBox2D(*bbox)
     if kind is Annotation:
         return Annotation(obj["class_id"], pose, bbox)
-    confidence = obj["confidence"]
-    if type(confidence) is not float:
-        confidence, = _floats([confidence], 1)
     return Detection(obj["class_id"], confidence, bbox, pose)
 
 

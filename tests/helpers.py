@@ -24,7 +24,8 @@ from pose6d import (
     iou_2d,
     perturb,
 )
-from pose6d.metrics import MatchResult
+from pose6d.metrics import (MatchResult, NoMatchesError, precision_recall, rotation_error_stats,
+                            translation_mae)
 
 IDENTITY = Quaternion(1.0, 0.0, 0.0, 0.0)
 
@@ -216,6 +217,37 @@ def reference_per_class_ap(buckets, threshold):
                 aps.append(float(envelope[tp].sum() / num_gt))
         out[c] = tuple(aps)
     return out
+
+
+def report_statistics(last) -> dict:
+    """The report's last-pair fields computed from per-image MatchResults, as
+    ``mean_average_precision`` first computed them; the referee of its
+    report built from the matching's hits."""
+    try:
+        mae = translation_mae(last)
+        rot_mean, rot_median = rotation_error_stats(last)
+    except NoMatchesError:
+        mae = rot_mean = rot_median = None
+    precision, recall = precision_recall(last)
+    return {"mae_trans": mae, "rot_error_mean": rot_mean, "rot_error_median": rot_median,
+            "precision": precision, "recall": recall,
+            "tp": sum(len(m.pairs) for m in last),
+            "fp": sum(len(m.unmatched_pred) for m in last),
+            "fn": sum(len(m.unmatched_gt) for m in last)}
+
+
+def reference_box_check(x1, y1, x2, y2) -> None:
+    """The box rule checked field by field, as ``BBox2D`` first checked it;
+    the referee of its one-sum fast test."""
+    if not all(map(math.isfinite, (x1, y1, x2, y2))):
+        raise ValueError(f"box coordinates must be finite, got ({x1}, {y1}, {x2}, {y2})")
+    if not (x1 < x2 and y1 < y2):
+        raise ValueError(f"degenerate box ({x1}, {y1}, {x2}, {y2}): requires x1 < x2 and y1 < y2")
+    area = (x2 - x1) * (y2 - y1)
+    if not math.isfinite(area):
+        raise ValueError(f"box width, height and area must be finite, got ({x1}, {y1}, {x2}, {y2})")
+    if not area > 0.0:
+        raise ValueError(f"box area must be positive, got ({x1}, {y1}, {x2}, {y2}) with area {area}")
 
 
 def covered_by_inclusion_exclusion(box: BBox2D, rects) -> float:

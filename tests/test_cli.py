@@ -400,7 +400,8 @@ class TestExitCodes:
         (f'"trans_m": 1{"0" * 400}, "rot_deg": 5', "[0].trans_m: must be finite, got inf"),
         # it passed the reader's own positivity check and then exited 1, unlocated
         ('"trans_m": 1, "rot_deg": 5e-324',
-         "[0]: a ladder pair must be two finite positive numbers, got (1.0, 0.0)"),
+         "[0]: a ladder pair must be two finite positive numbers, "
+         "got trans_m=1.0, rot_deg=5e-324 (0.0 rad)"),
     ], ids=["huge integer", "rot_deg underflows to 0 rad"])
     def test_bad_ladder_value_is_a_located_input_error(self, tmp_path, perfect_files,
                                                         entry, message):

@@ -241,6 +241,19 @@ class TestPinholeCamera:
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=fx, fy=fy, cx=0.0, cy=0.0)
 
+    @pytest.mark.parametrize("values, shown", [
+        # it built, and recover_xy then moved a box centered at u = 150 (z = 10)
+        # to x = -0.0 instead of -8.1
+        ((math.inf, 1000.0, 960.0, 540.0), "fx=inf, fy=1000.0, cx=960.0, cy=540.0"),
+        ((1000.0, math.inf, 960.0, 540.0), "fx=1000.0, fy=inf, cx=960.0, cy=540.0"),
+        ((1000.0, 1000.0, math.nan, 540.0), "fx=1000.0, fy=1000.0, cx=nan, cy=540.0"),
+        ((1000.0, 1000.0, 960.0, -math.inf), "fx=1000.0, fy=1000.0, cx=960.0, cy=-inf"),
+    ], ids=["fx inf", "fy inf", "cx nan", "cy -inf"])
+    def test_intrinsics_must_be_finite(self, values, shown):
+        with pytest.raises(ValueError) as err:
+            CameraIntrinsics(*values)
+        assert str(err.value) == f"camera intrinsics must be finite, got {shown}"
+
 
 class TestBoxes:
     def test_iou_partial_overlap(self):

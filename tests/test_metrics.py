@@ -105,6 +105,18 @@ class TestLadder:
         with pytest.raises(exc_type):
             parse_ladder(data)
 
+    @pytest.mark.parametrize("entry, shown", [
+        # the refusal printed the pair in meters and radians: got (1.0, -0.017453292519943295)
+        ({"trans_m": 1, "rot_deg": -1}, "trans_m=1.0, rot_deg=-1.0 (-0.017453292519943295 rad)"),
+        ({"trans_m": 0, "rot_deg": 5}, "trans_m=0.0, rot_deg=5.0 (0.08726646259971647 rad)"),
+        ({"trans_m": 1, "rot_deg": 5e-324}, "trans_m=1.0, rot_deg=5e-324 (0.0 rad)"),
+    ])
+    def test_a_refused_ladder_pair_is_shown_as_written(self, entry, shown):
+        with pytest.raises(ValidationError) as err:
+            parse_ladder([{"trans_m": 1, "rot_deg": 5}, entry])
+        assert str(err.value) == ("line 1: [1]: a ladder pair must be two finite positive numbers, "
+                                  f"got {shown}")
+
     def test_load_ladder_round_trip(self, tmp_path):
         path = tmp_path / "ladder.json"
         path.write_text(json.dumps([{"trans_m": 0.25, "rot_deg": 2.5}]), encoding="utf-8")

@@ -23,7 +23,7 @@ from pose6d import (
     sweep_threshold,
 )
 
-from helpers import ann, as_detection, crowded_scene, det, image, with_extra
+from helpers import ann, as_detection, crowded_scene, det, image, reference_evaluation, with_extra
 
 K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0)
 
@@ -391,3 +391,51 @@ class TestSweepThreshold:
         assert len(shapes) == len(classes)
         assert {rows for rows, _ in shapes} == {len(DEFAULT_LADDER.pairs)}
         assert sum(n for _, n in shapes) == sum(len(r.items) for r in preds)
+
+    def test_each_class_is_scored_once_per_tp_count(self, monkeypatch):
+        # a class's AP is kept by the number of ranks of its prefix that are a
+        # TP at some pair, so a fine grid scores each (class, count) once
+        import pose6d.metrics
+
+        scored = []
+        real = pose6d.metrics._prefix_aps
+
+        def counting(tp, precision, k, num_gt):
+            scored.append((id(tp), int(tp[:, :k].any(axis=0).sum())))
+            return real(tp, precision, k, num_gt)
+
+        monkeypatch.setattr(pose6d.metrics, "_prefix_aps", counting)
+        preds, gts = crowded_scene(700)
+        grid = ThresholdSweep(lo=0.0, hi=1.0, step=0.001).thresholds()
+        evaluation = pose6d.metrics.Evaluation(preds, gts)
+        for t in grid:
+            evaluation.per_class_ap(t)
+        buckets, _ = reference_evaluation(preds, gts, DEFAULT_LADDER)
+        distinct = set()
+        for c, (neg_conf, columns, _) in buckets.items():
+            hits = [any(tp[r] for tp, _ in columns) for r in range(len(neg_conf))]
+            distinct |= {(c, sum(h for n, h in zip(neg_conf, hits) if n <= -t)) for t in grid}
+        assert len(scored) == len(set(scored)) == len(distinct)
+        assert len(scored) < len(grid) * len(buckets) / 10
+
+    def test_sweep_scores_once_per_number_of_kept_detections(self, monkeypatch):
+        # a threshold keeps the n most confident detections; grid points that
+        # keep the same n share one score
+        import pose6d.metrics
+
+        thresholds = []
+        real = pose6d.metrics.Evaluation.per_class_ap
+
+        def counting(self, threshold=0.0):
+            thresholds.append(threshold)
+            return real(self, threshold)
+
+        monkeypatch.setattr(pose6d.metrics.Evaluation, "per_class_ap", counting)
+        preds, gts = crowded_scene(700)
+        sweep = ThresholdSweep(lo=0.0, hi=1.0, step=0.001)
+        curve, _ = sweep_threshold(preds, gts, sweep)
+        confidences = [d.confidence for r in preds for d in r.items]
+        kept = [sum(c >= t for c in confidences) for t in sweep.thresholds()]
+        assert len(curve) == len(kept) == 1001
+        assert len(thresholds) == len(set(kept)) < len(curve) / 4
+        assert [sum(c >= t for c in confidences) for t in thresholds] == sorted(set(kept), reverse=True)

@@ -9,7 +9,10 @@ with the package's scoring on crowded scenes shaped like the benchmark's
 The matching core and its ranking are refereed by the code they replaced,
 kept in ``tests/helpers.py``: ``_match_image`` must give the same hits, and
 ``Evaluation`` the same per-class AP at every threshold and the same
-last-pair matching, bit for bit.
+last-pair matching, bit for bit. The report's last-pair statistics, built
+from the matching's hits, must equal those of its MatchResults, and
+``BBox2D``'s one-sum fast test must accept and refuse exactly what its
+field-by-field checks do, with the same exception.
 
 Post-processing has two more: ``ensemble_max`` is refereed by greedy
 clustering written out (``helpers.greedy_ensemble``), and the ignore
@@ -17,6 +20,7 @@ filter's union area by inclusion-exclusion.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -54,7 +58,9 @@ from helpers import (
     image,
     reference_evaluation,
     reference_match_image,
+    reference_box_check,
     reference_per_class_ap,
+    report_statistics,
 )
 
 
@@ -310,6 +316,81 @@ def test_matching_and_ranking_equal_the_reference_bit_for_bit(scene, ladder):
         else:
             with pytest.raises(NoClassesError):
                 evaluation.per_class_ap(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(crowded_lattice(), st.sampled_from(MATCH_LADDERS))
+def test_report_equals_the_statistics_of_the_match_results_bit_for_bit(scene, ladder):
+    preds, gts = scene
+    try:
+        _, report = mean_average_precision(preds, gts, ladder)
+    except NoClassesError:  # no item on either side: there is no report
+        assert not any(r.items for r in preds + gts)
+        return
+    expected = report_statistics(reference_evaluation(preds, gts, ladder)[1])
+    assert repr({field: getattr(report, field) for field in expected}) == repr(expected)
+    assert repr(report_statistics(Evaluation(preds, gts, ladder).last)) == repr(expected)
+
+
+@pytest.mark.parametrize("preds, gts", [
+    ([image("a", det(30.0, 0.0, 10.0))], [image("a", ann(0.0, 0.0, 10.0))]),  # too far
+    ([image("a", det(0.0, 0.0, 10.0, class_id=1))], [image("a", ann(0.0, 0.0, 10.0))]),
+    ([image("a", det(0.0, 0.0, 10.0))], [image("b", ann(0.0, 0.0, 10.0))]),  # other images
+    ([], [image("a", ann(0.0, 0.0, 10.0))]),
+    ([image("a", det(0.0, 0.0, 10.0))], []),
+], ids=["too far", "other class", "other image", "no predictions", "no ground truth"])
+def test_a_report_without_matches_has_no_error_statistics(preds, gts):
+    _, report = mean_average_precision(preds, gts)
+    expected = report_statistics(reference_evaluation(preds, gts, DEFAULT_LADDER)[1])
+    assert repr({field: getattr(report, field) for field in expected}) == repr(expected)
+    assert report.tp == 0
+    assert (report.mae_trans, report.rot_error_mean, report.rot_error_median) == (None,) * 3
+
+
+def refusal(build, *args):
+    """None when ``build(*args)`` returns, else the type and message it raised."""
+    try:
+        build(*args)
+    except Exception as exc:  # the referee compares whatever is raised
+        return type(exc), str(exc)
+    return None
+
+
+# every kind of value a box rule can trip on: both infinities, NaN, signed
+# zeros, subnormals, values whose sum or product overflows, and ints beyond
+# the float range, alone or cancelling in a sum
+BOX_VALUES = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.0, -1.0,
+                     1e308, -1e308, 1.5e308, sys.float_info.max, -sys.float_info.max,
+                     0, 1, -1, 10 ** 308, 10 ** 400, -10 ** 400, 10 ** 400 + 1, True, False]),
+    st.floats(),
+    st.integers(-10 ** 400, 10 ** 400))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(BOX_VALUES, BOX_VALUES, BOX_VALUES, BOX_VALUES)
+def test_box_fast_test_agrees_with_the_field_checks(x1, y1, x2, y2):
+    assert refusal(BBox2D, x1, y1, x2, y2) == refusal(reference_box_check, x1, y1, x2, y2)
+
+
+@pytest.mark.parametrize("coords, expected", [
+    # a naive 0 < area < inf test accepts these: the area is an int
+    ((0, 0, 10 ** 400, 1), (OverflowError, "int too large to convert to float")),
+    ((10 ** 400, 0, 10 ** 400 + 1, 1), (OverflowError, "int too large to convert to float")),
+    ((-10 ** 400, 0, 10 ** 400, 1), (OverflowError, "int too large to convert to float")),
+    # the coordinates' sum overflows, the box is fine
+    ((1e308, 0.0, 1.5e308, 1.0), None),
+    ((-1.5e308, 0.0, -1e308, 1.0), None),
+    # its area overflows
+    ((-1e308, -1e308, 1e308, 1e308), (ValueError, "box width, height and area must be finite, "
+                                                   "got (-1e+308, -1e+308, 1e+308, 1e+308)")),
+    ((0.0, 0.0, 5e-324, 5e-324), (ValueError, "box area must be positive, "
+                                              "got (0.0, 0.0, 5e-324, 5e-324) with area 0.0")),
+    ((0.0, math.nan, 1.0, 1.0), (ValueError, "box coordinates must be finite, got (0.0, nan, 1.0, 1.0)")),
+], ids=["int area", "huge ints, small area", "cancelling ints", "sum overflows",
+        "sum overflows negative", "area overflows", "area underflows", "nan"])
+def test_box_fast_test_pinned_cases(coords, expected):
+    assert refusal(BBox2D, *coords) == refusal(reference_box_check, *coords) == expected
 
 
 # boxes on a half-unit grid, so identical boxes, shared edges and IoUs of
