@@ -50,16 +50,12 @@ from .metrics import (
     EvaluationReport,
     MatchResult,
     NoClassesError,
-    NoMatchesError,
     ThresholdLadder,
     average_precision,
     load_ladder,
     match,
     parse_ladder,
     mean_average_precision,
-    precision_recall,
-    rotation_error_stats,
-    translation_mae,
 )
 from .postprocess import (
     EmptyEnsembleError,

@@ -91,6 +91,14 @@ class Pose:
     translation: Translation
 
 
+def _finite(value: float) -> bool:
+    """``math.isfinite``, false for an int beyond the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     fx: float
@@ -101,7 +109,7 @@ class CameraIntrinsics:
     def __post_init__(self) -> None:
         if not (self.fx > 0.0 and self.fy > 0.0):
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
-        if not all(map(math.isfinite, (self.fx, self.fy, self.cx, self.cy))):
+        if not all(map(_finite, (self.fx, self.fy, self.cx, self.cy))):
             raise ValueError(f"camera intrinsics must be finite, got fx={self.fx}, fy={self.fy}, "
                              f"cx={self.cx}, cy={self.cy}")
 
@@ -123,7 +131,7 @@ class BBox2D:
                 return
         except (OverflowError, TypeError):
             pass
-        if not all(map(math.isfinite, (self.x1, self.y1, self.x2, self.y2))):
+        if not all(map(_finite, (self.x1, self.y1, self.x2, self.y2))):
             raise ValueError(f"box coordinates must be finite, got "
                              f"({self.x1}, {self.y1}, {self.x2}, {self.y2})")
         if not (self.x1 < self.x2 and self.y1 < self.y2):
@@ -132,7 +140,7 @@ class BBox2D:
                 "requires x1 < x2 and y1 < y2"
             )
         area = self.area()
-        if not math.isfinite(area):  # w, h > 0 here, so an inf w or h makes it inf
+        if not _finite(area):  # w, h > 0 here, so an inf w or h makes it inf
             raise ValueError(f"box width, height and area must be finite, got "
                              f"({self.x1}, {self.y1}, {self.x2}, {self.y2})")
         if not area > 0.0:  # w, h > 0 here, but their product can underflow to 0

@@ -1,4 +1,4 @@
-"""Evaluation: pose matching, average precision, and error statistics.
+"""Evaluation: pose matching, average precision, and the score report.
 
 Matching is greedy per image and per threshold pair: predictions are
 visited in descending confidence (ties: input order) and each takes the
@@ -13,10 +13,11 @@ mean over pairs.
 ``match``, ``mean_average_precision`` and ``sweep_threshold`` share one
 matching core, ``Evaluation``: match once, score many (see its docstring).
 
-Scalar error statistics in the report (translation MAE, angular error
-mean/median, precision/recall, TP/FP/FN counts) are computed from the
-matching at the last ladder pair, which for the default strict-to-loose
-ladder maximizes match coverage.
+The report's error statistics (translation MAE, angular error
+mean/median, precision/recall, TP/FP/FN counts) are computed by
+``mean_average_precision`` from the hits of the matching at the last
+ladder pair, which for the default strict-to-loose ladder maximizes match
+coverage.
 
 Ladder files are JSON arrays of ``{"trans_m": .., "rot_deg": ..}``;
 degrees are converted to radians at load time.
@@ -31,17 +32,13 @@ import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .geometry import angular_error
 from .records import (Annotation, Detection, ImageRecord, ParseError, ValidationError,
                       _index_by_image, _number, _read_json)
-
-
-class NoMatchesError(ValueError):
-    """Statistic over matched pairs is undefined: there are none."""
 
 
 class NoClassesError(ValueError):
@@ -156,21 +153,17 @@ def _match_image(dets: Sequence[Detection], anns: Sequence[Annotation],
     return out
 
 
-def _match_result(hits: Sequence[tuple], num_dets: int, num_gts: int) -> MatchResult:
-    """The MatchResult of one pair's ``_match_image`` hits."""
-    matched, taken = {h[0] for h in hits}, {h[1] for h in hits}
-    return MatchResult(
-        pairs=tuple((h[0], h[1]) for h in hits),
-        unmatched_pred=tuple(i for i in range(num_dets) if i not in matched),
-        unmatched_gt=tuple(j for j in range(num_gts) if j not in taken),
-        trans_errors=tuple(h[2] for h in hits), rot_errors=tuple(h[3] for h in hits))
-
-
 def match(preds: Sequence[Detection], gts: Sequence[Annotation],
           pair: tuple[float, float]) -> MatchResult:
     """Greedily match one image's detections to its ground truth."""
     ladder = ThresholdLadder(pairs=(tuple(pair),))
-    return _match_result(_match_image(preds, gts, ladder.pairs)[0], len(preds), len(gts))
+    hits = _match_image(preds, gts, ladder.pairs)[0]
+    matched, taken = {h[0] for h in hits}, {h[1] for h in hits}
+    return MatchResult(
+        pairs=tuple((h[0], h[1]) for h in hits),
+        unmatched_pred=tuple(i for i in range(len(preds)) if i not in matched),
+        unmatched_gt=tuple(j for j in range(len(gts)) if j not in taken),
+        trans_errors=tuple(h[2] for h in hits), rot_errors=tuple(h[3] for h in hits))
 
 
 def _precision(tp: np.ndarray) -> np.ndarray:
@@ -266,40 +259,6 @@ def _fmt(value: float | None, suffix: str = "") -> str:
     return "n/a" if value is None else f"{value:.6f}{suffix}"
 
 
-def _rotation_stats(errors: list[float]) -> tuple[float, float]:
-    return _mean(errors), float(statistics.median(errors))
-
-
-def _precision_recall(tp: int, fp: int, fn: int) -> tuple[float | None, float | None]:
-    return (tp / (tp + fp) if tp + fp else None), (tp / (tp + fn) if tp + fn else None)
-
-
-def translation_mae(matches: Iterable[MatchResult]) -> float:
-    """Mean Euclidean translation error over all matched pairs."""
-    errors = [e for m in matches for e in m.trans_errors]
-    if not errors:
-        raise NoMatchesError("translation MAE is undefined without matches")
-    return _mean(errors)
-
-
-def rotation_error_stats(matches: Iterable[MatchResult]) -> tuple[float, float]:
-    """(mean, median) angular error in radians over all matched pairs."""
-    errors = [e for m in matches for e in m.rot_errors]
-    if not errors:
-        raise NoMatchesError("rotation error statistics are undefined without matches")
-    return _rotation_stats(errors)
-
-
-def precision_recall(matches: Iterable[MatchResult]) -> tuple[float | None, float | None]:
-    """(precision, recall); a side is None when its denominator is zero."""
-    tp = fp = fn = 0
-    for m in matches:
-        tp += len(m.pairs)
-        fp += len(m.unmatched_pred)
-        fn += len(m.unmatched_gt)
-    return _precision_recall(tp, fp, fn)
-
-
 def _check_threshold(threshold: float, name: str = "threshold") -> None:
     if not (0.0 <= threshold <= 1.0):
         raise ValueError(f"{name} must be within [0, 1], got {threshold}")
@@ -323,7 +282,8 @@ class Evaluation:
     a sweep scores each class once per count, not once per grid point: past
     the last TP rank of a prefix only FP ranks follow, whose precision never
     exceeds the rank before, so they change neither the envelope at a TP
-    rank nor which ranks are summed. ``last`` (last-pair matching) is lazy.
+    rank nor which ranks are summed. Per image, the last pair's hits are kept,
+    with the image's detection and ground-truth counts, for the report.
     """
 
     def __init__(self, pred_records: Sequence[ImageRecord], gt_records: Sequence[ImageRecord],
@@ -359,10 +319,6 @@ class Evaluation:
             self.buckets[c] = (neg_conf[index].tolist(), tp, _precision(tp), gt_count[c],
                                list(accumulate(hit[index].tolist(), initial=0)))
         self._aps: dict[tuple[int, int], tuple[float, ...]] = {}  # by (class, TP count)
-
-    @property
-    def last(self) -> list[MatchResult]:
-        return [_match_result(*entry) for entry in self._last_hits]
 
     def per_class_ap(self, threshold: float = 0.0) -> dict[int, tuple[float, ...]]:
         """AP per class and pair over the detections with confidence >= threshold;
@@ -404,8 +360,7 @@ def mean_average_precision(
     per_class_ap = evaluation.per_class_ap()
     mean_ap = _class_mean(per_class_ap)
 
-    # the last pair's statistics straight from its hits, as ``evaluation.last``
-    # would give them: the same errors in the same order, and each image's
+    # the last pair's statistics straight from its hits: each image's
     # unmatched counts are its items less its hits
     trans_errors, rot_errors, fp, fn = [], [], 0, 0
     for hits, num_dets, num_gts in evaluation._last_hits:
@@ -415,8 +370,10 @@ def mean_average_precision(
         fn += num_gts - len(hits)
     tp = len(trans_errors)
     mae = _mean(trans_errors) if tp else None
-    rot_mean, rot_median = _rotation_stats(rot_errors) if tp else (None, None)
-    precision, recall = _precision_recall(tp, fp, fn)
+    rot_mean = _mean(rot_errors) if tp else None
+    rot_median = float(statistics.median(rot_errors)) if tp else None
+    precision = tp / (tp + fp) if tp + fp else None
+    recall = tp / (tp + fn) if tp + fn else None
 
     report = EvaluationReport(
         ladder=ladder,

@@ -459,6 +459,7 @@ def load_camera(path: str) -> CameraIntrinsics:
 
 
 def save_camera(k: CameraIntrinsics, path: str) -> None:
+    """Serialize ``k`` before ``path`` is opened, as ``_save`` does."""
+    text = json.dumps({"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy}) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy}, handle)
-        handle.write("\n")
+        handle.write(text)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import statistics
 from collections import Counter, defaultdict
 from dataclasses import replace
 from itertools import combinations
@@ -24,8 +25,7 @@ from pose6d import (
     iou_2d,
     perturb,
 )
-from pose6d.metrics import (MatchResult, NoMatchesError, precision_recall, rotation_error_stats,
-                            translation_mae)
+from pose6d.metrics import MatchResult
 
 IDENTITY = Quaternion(1.0, 0.0, 0.0, 0.0)
 
@@ -221,30 +221,39 @@ def reference_per_class_ap(buckets, threshold):
 
 def report_statistics(last) -> dict:
     """The report's last-pair fields computed from per-image MatchResults, as
-    ``mean_average_precision`` first computed them; the referee of its
-    report built from the matching's hits."""
-    try:
-        mae = translation_mae(last)
-        rot_mean, rot_median = rotation_error_stats(last)
-    except NoMatchesError:
-        mae = rot_mean = rot_median = None
-    precision, recall = precision_recall(last)
-    return {"mae_trans": mae, "rot_error_mean": rot_mean, "rot_error_median": rot_median,
-            "precision": precision, "recall": recall,
-            "tp": sum(len(m.pairs) for m in last),
-            "fp": sum(len(m.unmatched_pred) for m in last),
-            "fn": sum(len(m.unmatched_gt) for m in last)}
+    the package's statistics functions once computed them; the referee of
+    ``mean_average_precision``'s report built from the matching's hits. The
+    error statistics are None without a match, and precision or recall is
+    None when its denominator is zero."""
+    trans_errors = [e for m in last for e in m.trans_errors]
+    rot_errors = [e for m in last for e in m.rot_errors]
+    tp = sum(len(m.pairs) for m in last)
+    fp = sum(len(m.unmatched_pred) for m in last)
+    fn = sum(len(m.unmatched_gt) for m in last)
+    return {"mae_trans": float(sum(trans_errors) / len(trans_errors)) if tp else None,
+            "rot_error_mean": float(sum(rot_errors) / len(rot_errors)) if tp else None,
+            "rot_error_median": float(statistics.median(rot_errors)) if tp else None,
+            "precision": tp / (tp + fp) if tp + fp else None,
+            "recall": tp / (tp + fn) if tp + fn else None,
+            "tp": tp, "fp": fp, "fn": fn}
 
 
 def reference_box_check(x1, y1, x2, y2) -> None:
     """The box rule checked field by field, as ``BBox2D`` first checked it;
-    the referee of its one-sum fast test."""
-    if not all(map(math.isfinite, (x1, y1, x2, y2))):
+    the referee of its one-sum fast test. An int beyond the float range
+    counts as not finite."""
+    def finite(value) -> bool:
+        try:
+            return math.isfinite(value)
+        except OverflowError:
+            return False
+
+    if not all(map(finite, (x1, y1, x2, y2))):
         raise ValueError(f"box coordinates must be finite, got ({x1}, {y1}, {x2}, {y2})")
     if not (x1 < x2 and y1 < y2):
         raise ValueError(f"degenerate box ({x1}, {y1}, {x2}, {y2}): requires x1 < x2 and y1 < y2")
     area = (x2 - x1) * (y2 - y1)
-    if not math.isfinite(area):
+    if not finite(area):
         raise ValueError(f"box width, height and area must be finite, got ({x1}, {y1}, {x2}, {y2})")
     if not area > 0.0:
         raise ValueError(f"box area must be positive, got ({x1}, {y1}, {x2}, {y2}) with area {area}")

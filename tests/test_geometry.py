@@ -248,7 +248,10 @@ class TestPinholeCamera:
         ((1000.0, math.inf, 960.0, 540.0), "fx=1000.0, fy=inf, cx=960.0, cy=540.0"),
         ((1000.0, 1000.0, math.nan, 540.0), "fx=1000.0, fy=1000.0, cx=nan, cy=540.0"),
         ((1000.0, 1000.0, 960.0, -math.inf), "fx=1000.0, fy=1000.0, cx=960.0, cy=-inf"),
-    ], ids=["fx inf", "fy inf", "cx nan", "cy -inf"])
+        # an int beyond the float range raised OverflowError, not ValueError
+        ((10 ** 400, 1000.0, 960.0, 540.0), f"fx={10 ** 400}, fy=1000.0, cx=960.0, cy=540.0"),
+        ((1000.0, 1000.0, -10 ** 400, 540.0), f"fx=1000.0, fy=1000.0, cx={-10 ** 400}, cy=540.0"),
+    ], ids=["fx inf", "fy inf", "cx nan", "cy -inf", "fx huge int", "cx huge int"])
     def test_intrinsics_must_be_finite(self, values, shown):
         with pytest.raises(ValueError) as err:
             CameraIntrinsics(*values)
@@ -303,6 +306,9 @@ class TestBoxes:
         ((-1e308, 0.0, 1e308, 1.0), "(-1e+308, 0.0, 1e+308, 1.0)"),
         ((0.0, -1e308, 1.0, 1e308), "(0.0, -1e+308, 1.0, 1e+308)"),
         ((0.0, 0.0, 1e200, 1e200), "(0.0, 0.0, 1e+200, 1e+200)"),
+        # ints each in the float range: the int area raised OverflowError
+        pytest.param((-10 ** 308, -10 ** 308, 10 ** 308, 10 ** 308),
+                     f"({-10 ** 308}, {-10 ** 308}, {10 ** 308}, {10 ** 308})", id="int area"),
     ])
     def test_boxes_with_an_overflowing_size_are_rejected(self, coords, shown):
         with pytest.raises(ValueError) as err:

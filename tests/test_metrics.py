@@ -15,7 +15,6 @@ from pose6d import (
     DEFAULT_LADDER,
     EulerAngles,
     NoClassesError,
-    NoMatchesError,
     NonFiniteError,
     NoiseSpec,
     ParseError,
@@ -29,10 +28,7 @@ from pose6d import (
     mean_average_precision,
     parse_ladder,
     perturb,
-    precision_recall,
     quat_from_euler,
-    rotation_error_stats,
-    translation_mae,
 )
 
 from pose6d.metrics import Evaluation
@@ -428,27 +424,27 @@ class TestMeanAveragePrecision:
 
 
 class TestScalarStats:
-    def test_no_matches_raises(self):
-        result = match([det(9.0, 9.0, 99.0)], [ann(0.0, 0.0, 10.0)], PAIR)
-        with pytest.raises(NoMatchesError):
-            translation_mae([result])
-        with pytest.raises(NoMatchesError):
-            rotation_error_stats([result])
-
-    def test_precision_recall_sides_go_none_without_denominators(self):
-        empty = match([], [], PAIR)
-        assert precision_recall([empty]) == (None, None)
-
     def test_stats_over_two_matches(self):
-        gts = [ann(0.0, 0.0, 10.0), ann(5.0, 0.0, 10.0)]
-        preds = [det(0.3, 0.0, 10.0, confidence=0.9),
-                 det(5.0, 0.4, 10.0, confidence=0.8, quat=rotated(0.1))]
-        result = match(preds, gts, PAIR)
-        assert translation_mae([result]) == pytest.approx(0.35)
-        mean, median = rotation_error_stats([result])
-        assert mean == pytest.approx(0.05, abs=1e-12)
-        assert median == pytest.approx(0.05, abs=1e-12)
-        assert precision_recall([result]) == (1.0, 1.0)
+        gts = [image("a", ann(0.0, 0.0, 10.0), ann(5.0, 0.0, 10.0))]
+        preds = [image("a", det(0.3, 0.0, 10.0, confidence=0.9),
+                       det(5.0, 0.4, 10.0, confidence=0.8, quat=rotated(0.1)))]
+        _, report = mean_average_precision(preds, gts)
+        assert report.mae_trans == pytest.approx(0.35)
+        assert report.rot_error_mean == pytest.approx(0.05, abs=1e-12)
+        assert report.rot_error_median == pytest.approx(0.05, abs=1e-12)
+        assert (report.precision, report.recall) == (1.0, 1.0)
+        assert (report.tp, report.fp, report.fn) == (2, 0, 0)
+
+    @pytest.mark.parametrize("preds, gts, precision, recall, counts", [
+        ([image("a")], [image("a", ann(0.0, 0.0, 10.0))], None, 0.0, (0, 0, 1)),
+        ([image("a", det(0.0, 0.0, 10.0))], [image("a")], 0.0, None, (0, 1, 0)),
+    ], ids=["no predictions", "no ground truth"])
+    def test_a_side_goes_none_without_its_denominator(self, preds, gts, precision, recall,
+                                                      counts):
+        _, report = mean_average_precision(preds, gts)
+        assert (report.precision, report.recall) == (precision, recall)
+        assert (report.tp, report.fp, report.fn) == counts
+        assert (report.mae_trans, report.rot_error_mean, report.rot_error_median) == (None,) * 3
 
 
 class TestReportOutput:

@@ -6,6 +6,7 @@ import math
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -734,6 +735,15 @@ class TestCameraFile:
         path = str(tmp_path / "camera.json")
         save_camera(camera, path)
         assert load_camera(path) == camera
+
+    def test_a_refused_save_leaves_the_old_file(self, tmp_path):
+        # it truncated the file and left '{"fx": ' before json refused the value
+        path = tmp_path / "camera.json"
+        save_camera(CameraIntrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0), str(path))
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            save_camera(CameraIntrinsics(np.float32(1000.0), 1000.0, 960.0, 540.0), str(path))
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize("payload, exc_type", [
         ("{bad", ParseError),
