@@ -38,7 +38,7 @@ import numpy as np
 
 from .geometry import angular_error
 from .records import (Annotation, Detection, ImageRecord, ParseError, ValidationError,
-                      _index_by_image, _number, _read_json)
+                      _index_by_image, _named_numbers, _read_json)
 
 
 class NoClassesError(ValueError):
@@ -74,14 +74,7 @@ def parse_ladder(data: object) -> ThresholdLadder:
         raise ParseError(1, "", "ladder must be a non-empty JSON array")
     pairs = []
     for i, entry in enumerate(data):
-        if not isinstance(entry, dict):
-            raise ParseError(1, f"[{i}]", "must be an object with trans_m and rot_deg")
-        values = []
-        for key in ("trans_m", "rot_deg"):
-            if key not in entry:
-                raise ParseError(1, f"[{i}].{key}", "missing required key")
-            values.append(_number(1, entry[key], f"[{i}].{key}"))
-        trans_m, rot_deg = values
+        trans_m, rot_deg = _named_numbers(1, entry, ("trans_m", "rot_deg"), f"[{i}]")
         try:
             pairs += ThresholdLadder(pairs=((trans_m, math.radians(rot_deg)),)).pairs
         except ValueError as exc:  # worded in the file's units

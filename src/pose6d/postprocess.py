@@ -62,9 +62,12 @@ class ThresholdSweep:
 
     def thresholds(self) -> list[float]:
         """Grid lo, lo+step, ... up to hi inclusive, strictly increasing; each
-        point is rounded to 12 decimals and clamped into [lo, hi]."""
-        return [min(max(round(self.lo + i * self.step, 12), self.lo), self.hi)
-                for i in range(self._size())]
+        point is rounded to 12 decimals and clamped into [lo, hi], which only
+        the ends need: a step >= 1e-9 dwarfs the 5e-13 rounding."""
+        grid = [round(self.lo + i * self.step, 12) for i in range(self._size())]
+        grid[0] = max(grid[0], self.lo)
+        grid[-1] = min(grid[-1], self.hi)
+        return grid
 
 
 def _require_bbox(det: Detection, stage: str) -> BBox2D:

@@ -15,20 +15,20 @@ round-trip precision, so ``parse(serialize(records))`` reproduces
 field-exactly any records built with unit quaternions. The three kinds
 share one reader and one writer, driven by one table.
 
-The reader checks an item's shape (exact JSON types, list lengths, one
-rotation) and builds it directly: the constructors are the one value check.
-An item's numbers (rotation, translation, box, confidence) are type-checked
-in one test over all of them, and a list of the wrong length fails the
-arity of the constructor it is passed to.
+One builder, ``_build_item``, makes every item: it checks the item's shape
+(exact JSON types, list lengths, one rotation), type-checks its numbers in
+one test over all of them, and leaves every value to the constructors.
 Only a line with an item that fails is read again on the located path. It
-checks shape field by field (ParseError at the first bad field) and leaves
-values to the constructor, whose ValueError becomes a ValidationError at the
-item; both carry the 1-based line number and the field path. So the fast
-path changes no message and no record.
+checks shape field by field (a ParseError, or a non-finite number's
+ValidationError, at the first bad field), then builds the item through the
+same builder, whose value refusal becomes a ValidationError at the item;
+both carry the 1-based line number and the field path. So the fast path
+changes no message and no record.
 
 A single-class CSV compatibility reader takes rows ``image_id, S``, where
-``S`` repeats ``pitch yaw roll x y z confidence`` groups; each becomes a
-Detection with ``class_id`` 0 and no bbox. Output is always canonical JSONL.
+``S`` repeats ``pitch yaw roll x y z confidence`` groups; each is built as
+the item ``{"class_id": 0, "confidence": c, "euler": [roll, pitch, yaw],
+"translation": [x, y, z]}`` at ``group[g]``. Output is always canonical JSONL.
 """
 
 from __future__ import annotations
@@ -182,42 +182,50 @@ def _number_list(number: int, value: object, count: int, path: str) -> list[floa
     return [_number(number, v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-def _located(number: int, path: str, build: Callable, *args, **kwargs):
-    """``build(*args, **kwargs)``, with the ValueError it raises located at ``path``."""
+def _named_numbers(number: int, obj: object, keys: Sequence[str], path: str = "") -> list[float]:
+    """The numbers at ``keys`` of the JSON object ``obj`` at ``path``, read key
+    by key in order: a missing key is a ParseError, then ``_number`` checks it."""
+    if not isinstance(obj, dict):
+        raise ParseError(number, path, f"expected a JSON object, got {type(obj).__name__}")
+    values = []
+    for key in keys:
+        field = f"{path}.{key}" if path else key
+        if key not in obj:
+            raise ParseError(number, field, "missing required key")
+        values.append(_number(number, obj[key], field))
+    return values
+
+
+def _located(number: int, path: str, build: Callable, *args):
+    """``build(*args)``, with the ValueError it raises located at ``path``."""
     try:
-        return build(*args, **kwargs)
+        return build(*args)
     except ValueError as exc:
         raise ValidationError(number, path, str(exc)) from exc
 
 
 def _parse_item(kind: type, number: int, obj: object, path: str) -> Detection | Annotation | BBox2D:
     """One ``kind`` item (detection, annotation or box), located: its shape is
-    checked field by field, so a ParseError names the first bad field, and its
-    values by the constructor, whose ValueError is located at the item."""
+    checked field by field, so the first bad field is named, then
+    ``_build_item`` makes it, and a value refusal is located at the item."""
     if kind is BBox2D:
-        return _located(number, path, BBox2D, *_number_list(number, obj, 4, path))
+        _number_list(number, obj, 4, path)
+        return _located(number, path, _build_item, kind, obj)
     if not isinstance(obj, dict):
         raise ParseError(number, path, f"expected an object, got {type(obj).__name__}")
     class_id = obj.get("class_id")
     if isinstance(class_id, bool) or not isinstance(class_id, int):
         raise ParseError(number, f"{path}.class_id", "must be an integer")
-    fields = {"class_id": class_id}
     if kind is Detection:
-        fields["confidence"] = _number(number, obj.get("confidence"), f"{path}.confidence")
-    bbox = obj.get("bbox")
-    bbox = None if bbox is None else _parse_item(BBox2D, number, bbox, f"{path}.bbox")
-    has_quat = "quaternion" in obj
-    if has_quat == ("euler" in obj):
+        _number(number, obj.get("confidence"), f"{path}.confidence")
+    if obj.get("bbox") is not None:
+        _number_list(number, obj["bbox"], 4, f"{path}.bbox")
+    if ("quaternion" in obj) == ("euler" in obj):
         raise ParseError(number, path, "exactly one of 'quaternion' or 'euler' is required")
-    if has_quat:
-        q = Quaternion(*_number_list(number, obj["quaternion"], 4, f"{path}.quaternion"))
-        rotation = _located(number, f"{path}.quaternion", quat_normalize, q)
-    else:
-        euler = EulerAngles(*_number_list(number, obj["euler"], 3, f"{path}.euler"))
-        rotation = quat_from_euler(euler)
-    x, y, z = _number_list(number, obj.get("translation"), 3, f"{path}.translation")
-    return _located(number, path, kind, bbox=bbox, pose=Pose(rotation, Translation(x, y, z)),
-                    **fields)
+    rotation, count = ("quaternion", 4) if "quaternion" in obj else ("euler", 3)
+    _number_list(number, obj[rotation], count, f"{path}.{rotation}")
+    _number_list(number, obj.get("translation"), 3, f"{path}.translation")
+    return _located(number, path, _build_item, kind, obj)
 
 
 _FLOAT, _NUMBER = frozenset((float,)), frozenset((float, int))  # exact: a bool is no number
@@ -234,9 +242,9 @@ def _floats(value: object, count: int) -> list[float]:
 
 
 def _build_item(kind: type, obj: object):
-    """``_parse_item`` without the locating: it checks only the shape of ``obj``
-    and leaves every value to the constructors, so where ``_parse_item`` would
-    fail it raises KeyError, TypeError, ValueError or OverflowError instead.
+    """The one item builder: it checks only the shape of ``obj`` and leaves
+    every value to the constructors, so where ``_parse_item`` would fail on
+    shape it raises KeyError, TypeError, ValueError or OverflowError instead.
     An item's numbers are type-checked once, as one list, and a list of the
     wrong length fails the arity of the constructor it is passed to; only an
     item with a number to convert (an int) takes ``_floats`` list by list."""
@@ -374,9 +382,9 @@ def parse_csv_compat(stream: Lines) -> list[ImageRecord]:
                     raise ParseError(number, f"{path}.{name}", f"not a number: {token!r}") from exc
                 vals.append(_number(number, value, f"{path}.{name}"))
             pitch, yaw, roll, x, y, z, confidence = vals
-            rotation = quat_from_euler(EulerAngles(roll=roll, pitch=pitch, yaw=yaw))
-            dets.append(_located(number, path, Detection, class_id=0, confidence=confidence,
-                                 bbox=None, pose=Pose(rotation, Translation(x, y, z))))
+            dets.append(_located(number, path, _build_item, Detection, {
+                "class_id": 0, "confidence": confidence, "euler": [roll, pitch, yaw],
+                "translation": [x, y, z]}))
         records.append(ImageRecord(image_id=image_id, items=tuple(dets)))
     return records
 
@@ -447,19 +455,10 @@ def _read_json(path: str) -> object:
 
 def load_camera(path: str) -> CameraIntrinsics:
     """Read pinhole intrinsics from a JSON file with keys fx, fy, cx, cy."""
-    obj = _read_json(path)
-    if not isinstance(obj, dict):
-        raise ParseError(1, "", f"expected a JSON object, got {type(obj).__name__}")
-    values = []
-    for key in ("fx", "fy", "cx", "cy"):
-        if key not in obj:
-            raise ParseError(1, key, "missing required key")
-        values.append(_number(1, obj[key], key))
+    values = _named_numbers(1, _read_json(path), ("fx", "fy", "cx", "cy"))
     return _located(1, "fx/fy", CameraIntrinsics, *values)
 
 
 def save_camera(k: CameraIntrinsics, path: str) -> None:
-    """Serialize ``k`` before ``path`` is opened, as ``_save`` does."""
-    text = json.dumps({"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy}) + "\n"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    _save({"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy}, path,
+          lambda obj, stream: stream.write(json.dumps(obj) + "\n"))

@@ -12,7 +12,10 @@ of a fixed 4.5 x 1.8 x 1.5 m extent, centered on the projected object
 center (see ``geometry.extent_bbox``). Pose jitter uses a half-normal
 magnitude (``|N(0, sigma)|``) along an isotropic random direction, for
 translations in meters and rotations in radians about a random axis, so
-the expected translation error at sigma is ``sigma * sqrt(2 / pi)``.
+the expected translation error at sigma is ``sigma * sqrt(2 / pi)``. A
+translation jitter that leaves depth ``<= 0`` is drawn again (magnitude and
+direction, from the same stream): a run without one draws nothing extra, and
+one with redraws, a sigma near the depths, has a smaller mean error.
 
 ``oracle_map`` re-derives mAP by exhaustive quadratic enumeration in pure
 Python. Apart from shared geometry primitives it is written independently
@@ -158,11 +161,12 @@ def generate_scene(spec: SceneSpec) -> tuple[list[ImageRecord], CameraIntrinsics
 def _jitter_translation(rng: np.random.Generator, t: Translation, sigma: float) -> Translation:
     if sigma == 0.0:
         return t
-    magnitude = abs(float(rng.normal(0.0, sigma)))
-    d = _unit_vector(rng, 3)
-    return Translation(t.x + magnitude * float(d[0]),
-                       t.y + magnitude * float(d[1]),
-                       t.z + magnitude * float(d[2]))
+    while True:
+        magnitude = abs(float(rng.normal(0.0, sigma)))
+        d = _unit_vector(rng, 3)
+        z = t.z + magnitude * float(d[2])
+        if z > 0.0:
+            return Translation(t.x + magnitude * float(d[0]), t.y + magnitude * float(d[1]), z)
 
 
 def _jitter_rotation(rng: np.random.Generator, q: Quaternion, sigma: float) -> Quaternion:

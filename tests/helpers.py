@@ -271,3 +271,10 @@ def covered_by_inclusion_exclusion(box: BBox2D, rects) -> float:
             if x1 < x2 and y1 < y2:
                 total += (-1) ** (k + 1) * (x2 - x1) * (y2 - y1)
     return total / box.area()
+
+
+def reference_thresholds(sweep) -> list[float]:
+    """``ThresholdSweep.thresholds`` as first written: every point rounded to
+    12 decimals and clamped into ``[lo, hi]``."""
+    return [min(max(round(sweep.lo + i * sweep.step, 12), sweep.lo), sweep.hi)
+            for i in range(sweep._size())]

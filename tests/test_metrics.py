@@ -101,6 +101,12 @@ class TestLadder:
         with pytest.raises(exc_type):
             parse_ladder(data)
 
+    @pytest.mark.parametrize("entry, kind", [([1, 10], "list"), ("1, 10", "str"), (None, "NoneType")])
+    def test_an_entry_that_is_no_object_is_named(self, entry, kind):
+        with pytest.raises(ParseError) as err:
+            parse_ladder([{"trans_m": 1, "rot_deg": 5}, entry])
+        assert str(err.value) == f"line 1: [1]: expected a JSON object, got {kind}"
+
     @pytest.mark.parametrize("entry, shown", [
         # the refusal printed the pair in meters and radians: got (1.0, -0.017453292519943295)
         ({"trans_m": 1, "rot_deg": -1}, "trans_m=1.0, rot_deg=-1.0 (-0.017453292519943295 rad)"),

@@ -23,7 +23,8 @@ from pose6d import (
     sweep_threshold,
 )
 
-from helpers import ann, as_detection, crowded_scene, det, image, reference_evaluation, with_extra
+from helpers import (ann, as_detection, crowded_scene, det, image, reference_evaluation,
+                     reference_thresholds, with_extra)
 
 K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0)
 
@@ -294,6 +295,16 @@ class TestThresholdSweepGrid:
         grid = ThresholdSweep(lo=lo, hi=hi, step=step).thresholds()
         assert lo <= grid[0] and grid[-1] <= hi
         assert all(a < b for a, b in zip(grid, grid[1:]))
+
+    @given(st.floats(0.0, 1.0), st.integers(0, 2000), st.floats(0.0, 1.0, exclude_max=True),
+           st.one_of(st.just(1e-9), st.floats(1e-9, 1.0)))
+    @example(0.9562671161355, 10, 0.0, 1e-9)
+    @example(0.0, 3, 0.0, 1.0 / (3.0 - 5e-10))
+    @example(0.1234567890123456, 0, 0.5, 0.05)
+    def test_grid_equals_the_reference_grid(self, lo, points, fraction, step):
+        # hi lies anywhere between grid points; points == 0 gives a one-point grid
+        sweep = ThresholdSweep(lo=lo, hi=min(lo + (points + fraction) * step, 1.0), step=step)
+        assert list(map(repr, sweep.thresholds())) == list(map(repr, reference_thresholds(sweep)))
 
     @pytest.mark.parametrize("kwargs", [
         {"lo": 0.5, "hi": 0.4},

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pose6d import (
@@ -301,7 +301,7 @@ class TestParseErrors:
         (pred_line(confidence=1.5), ValidationError, "detections[0]"),
         (pred_line(confidence=-0.1), ValidationError, "detections[0]"),
         (pred_line(confidence=True), ParseError, "detections[0].confidence"),
-        (pred_line(quaternion=[0.0, 0.0, 0.0, 0.0]), ValidationError, "detections[0].quaternion"),
+        (pred_line(quaternion=[0.0, 0.0, 0.0, 0.0]), ValidationError, "detections[0]"),
         (pred_line(quaternion=[1.0, 0.0, 0.0]), ParseError, "detections[0].quaternion"),
         (pred_line(euler=[0.0, 0.0, 0.0]), ParseError, "detections[0]"),
         (pred_line(detections=[{"class_id": 0, "confidence": 0.5,
@@ -309,7 +309,7 @@ class TestParseErrors:
         (pred_line(translation=[0.0, 0.0, 0.0]), ValidationError, "detections[0]"),
         (pred_line(translation=[0.0, 0.0, -4.0]), ValidationError, "detections[0]"),
         (pred_line(translation=[0.0, "Infinity", 5.0]), ParseError, "detections[0].translation[1]"),
-        (pred_line(bbox=[10.0, 0.0, 5.0, 5.0]), ValidationError, "detections[0].bbox"),
+        (pred_line(bbox=[10.0, 0.0, 5.0, 5.0]), ValidationError, "detections[0]"),
         (pred_line(bbox=[10.0, 0.0, 5.0]), ParseError, "detections[0].bbox"),
         (pred_line(class_id=1.5), ParseError, "detections[0].class_id"),
         (pred_line(class_id=-2), ValidationError, "detections[0]"),
@@ -339,15 +339,18 @@ class TestParseErrors:
         (gt_line(translation=[0.0, 0.0, -3]), ValidationError,
          "annotations[0]: annotation depth must be positive, got z=-3.0"),
         (gt_line(bbox=[10.0, 0.0, 5.0, 5.0]), ValidationError,
-         "annotations[0].bbox: degenerate box (10.0, 0.0, 5.0, 5.0): requires x1 < x2 and y1 < y2"),
+         "annotations[0]: degenerate box (10.0, 0.0, 5.0, 5.0): requires x1 < x2 and y1 < y2"),
         (gt_line(bbox=[-1e308, 0.0, 1e308, 1.0]), ValidationError,
-         "annotations[0].bbox: box width, height and area must be finite, "
+         "annotations[0]: box width, height and area must be finite, "
          "got (-1e+308, 0.0, 1e+308, 1.0)"),
         (gt_line(bbox=[0.0, 0.0, 1e-200, 1e-200]), ValidationError,
-         "annotations[0].bbox: box area must be positive, "
+         "annotations[0]: box area must be positive, "
          "got (0.0, 0.0, 1e-200, 1e-200) with area 0.0"),
         (gt_line(bbox=[0.0, 0.0, 5.0]), ParseError,
          "annotations[0].bbox: must be a list of 4 numbers"),
+        # a shape fault is reported before a value fault anywhere in the item
+        (gt_line(bbox=[10.0, 0.0, 5.0, 5.0], drop=["translation"]), ParseError,
+         "annotations[0].translation: must be a list of 3 numbers"),
         (gt_line(bbox=[0.0, 0.0, 5.0, True]), ParseError,
          "annotations[0].bbox[3]: must be a number, got bool"),
         (gt_line(euler=[0.0, 0.0, 0.0]), ParseError,
@@ -359,7 +362,7 @@ class TestParseErrors:
         (gt_line(drop=["quaternion"], euler=[0.0, None, 0.0]), ParseError,
          "annotations[0].euler[1]: must be a number, got NoneType"),
         (gt_line(quaternion=[0.0, 0.0, 0.0, 0.0]), ValidationError,
-         "annotations[0].quaternion: cannot normalize quaternion with norm 0.0"),
+         "annotations[0]: cannot normalize quaternion with norm 0.0"),
         (gt_line(quaternion="identity"), ParseError,
          "annotations[0].quaternion: must be a list of 4 numbers"),
         (gt_line(drop=["class_id"]), ParseError, "annotations[0].class_id: must be an integer"),
@@ -704,6 +707,30 @@ class TestCsvCompat:
         }]})
         assert parse_csv_compat([self.LINE]) == parse_predictions([jsonl])
 
+    @given(st.lists(st.one_of(st.floats(-2.0, 2.0), st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=7, max_size=7),
+           st.one_of(st.none(), st.tuples(st.integers(0, 6),
+                                          st.sampled_from([math.nan, math.inf, -math.inf]))))
+    @example([0.1, 0.2, 0.3, 1.0, 2.0, 10.0, 0.9], None)
+    @example([0.1, 0.2, 0.3, 1.0, 2.0, 10.0, 0.9], (5, math.inf))
+    def test_a_group_reads_as_its_euler_item(self, values, non_finite):
+        # one builder makes both: equal detections, or one refusal whose text
+        # differs only in the path (group[0].z against detections[0].translation[2])
+        if non_finite is not None:
+            values[non_finite[0]] = non_finite[1]
+        pitch, yaw, roll, x, y, z, confidence = values
+        csv_line = "img_a, " + " ".join(map(repr, values))
+        jsonl = json.dumps({"image_id": "img_a", "detections": [{
+            "class_id": 0, "confidence": confidence, "euler": [roll, pitch, yaw],
+            "translation": [x, y, z]}]})
+        outcomes = []
+        for parse, line in ((parse_csv_compat, csv_line), (parse_predictions, jsonl)):
+            try:
+                outcomes.append(parse([line]))
+            except (ParseError, ValidationError) as exc:
+                outcomes.append((type(exc), str(exc).removeprefix(f"line 1: {exc.path}: ")))
+        assert outcomes[0] == outcomes[1]
+
     @pytest.mark.parametrize("line, exc_type, message", [
         ("no-comma-here", ParseError, "expected 'image_id, prediction string'"),
         (", 0 0 0 1 2 10 0.9", ParseError, "image_id: must be a non-empty string"),
@@ -745,15 +772,24 @@ class TestCameraFile:
             save_camera(CameraIntrinsics(np.float32(1000.0), 1000.0, 960.0, 540.0), str(path))
         assert path.read_bytes() == before
 
-    @pytest.mark.parametrize("payload, exc_type", [
-        ("{bad", ParseError),
-        ("[]", ParseError),
-        (json.dumps({"fx": 1000.0, "fy": 1000.0, "cx": 960.0}), ParseError),
-        (json.dumps({"fx": 0.0, "fy": 1000.0, "cx": 960.0, "cy": 540.0}), ValidationError),
-        (json.dumps({"fx": "wide", "fy": 1000.0, "cx": 960.0, "cy": 540.0}), ParseError),
+    @pytest.mark.parametrize("payload, exc_type, message", [
+        ("{bad", ParseError, "invalid JSON (Expecting property name enclosed in double quotes)"),
+        ("[]", ParseError, "expected a JSON object, got list"),
+        (json.dumps({"fx": 1000.0, "fy": 1000.0, "cx": 960.0}), ParseError,
+         "cy: missing required key"),
+        (json.dumps({"fx": 0.0, "fy": 1000.0, "cx": 960.0, "cy": 540.0}), ValidationError,
+         "fx/fy: focal lengths must be positive, got fx=0.0, fy=1000.0"),
+        (json.dumps({"fx": "wide", "fy": 1000.0, "cx": 960.0, "cy": 540.0}), ParseError,
+         "fx: must be a number, got str"),
+        # keys are read in order fx, fy, cx, cy, and each is missing before it is bad
+        (json.dumps({"fx": "wide", "cx": 960.0}), ParseError, "fx: must be a number, got str"),
+        (json.dumps({"fy": True, "cx": "a", "cy": 540.0}), ParseError, "fx: missing required key"),
+        (json.dumps({"fx": 1000.0, "fy": math.inf}), ValidationError, "fy: must be finite, got inf"),
     ])
-    def test_bad_camera_files(self, tmp_path, payload, exc_type):
+    def test_bad_camera_files(self, tmp_path, payload, exc_type, message):
         path = tmp_path / "camera.json"
         path.write_text(payload, encoding="utf-8")
-        with pytest.raises(exc_type):
+        with pytest.raises(exc_type) as err:
             load_camera(str(path))
+        assert type(err.value) is exc_type
+        assert str(err.value) == f"line 1: {message}"

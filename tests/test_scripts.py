@@ -3,11 +3,10 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
-TRANSCRIPT = ROOT / "tests" / "data" / "reader_transcript.jsonl"
-SCORE_TRANSCRIPT = ROOT / "tests" / "data" / "score_transcript.jsonl"
-CLI_TRANSCRIPT = ROOT / "tests" / "data" / "cli_transcript.jsonl"
-POST_TRANSCRIPT = ROOT / "tests" / "data" / "post_transcript.jsonl"
+DATA = ROOT / "tests" / "data"
 
 
 def load_script(name: str):
@@ -30,25 +29,16 @@ def test_ablation_demo_prints_one_row_per_stage(capsys):
     ]
 
 
-def test_reader_transcript_matches_the_committed_one():
-    """Every reader message, accepted input and written-back byte of the corpus."""
-    fresh = load_script("reader_corpus").transcript()
-    assert fresh == TRANSCRIPT.read_text(encoding="utf-8").splitlines()
-
-
-def test_score_transcript_matches_the_committed_one():
-    """Every sweep curve, best threshold and report byte of the scoring corpus."""
-    fresh = load_script("score_corpus").transcript()
-    assert fresh == SCORE_TRANSCRIPT.read_text(encoding="utf-8").splitlines()
-
-
-def test_cli_transcript_matches_the_committed_one():
-    """Every option value's exit code, error line, stdout and written scene."""
-    fresh = load_script("cli_corpus").transcript()
-    assert fresh == CLI_TRANSCRIPT.read_text(encoding="utf-8").splitlines()
-
-
-def test_post_transcript_matches_the_committed_one():
-    """Every ensemble, recovery, threshold and ignore-filter output of the post corpus."""
-    fresh = load_script("post_corpus").transcript()
-    assert fresh == POST_TRANSCRIPT.read_text(encoding="utf-8").splitlines()
+@pytest.mark.parametrize("script, transcript", [
+    # every reader message, accepted input and written-back byte of the corpus
+    ("reader_corpus", "reader_transcript.jsonl"),
+    # every sweep curve, best threshold and report byte of the scoring corpus
+    ("score_corpus", "score_transcript.jsonl"),
+    # every option value's exit code, error line, stdout and written scene
+    ("cli_corpus", "cli_transcript.jsonl"),
+    # every ensemble, recovery, threshold and ignore-filter output of the post corpus
+    ("post_corpus", "post_transcript.jsonl"),
+])
+def test_transcript_matches_the_committed_one(script, transcript):
+    fresh = load_script(script).transcript()
+    assert fresh == (DATA / transcript).read_text(encoding="utf-8").splitlines()

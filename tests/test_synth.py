@@ -155,6 +155,14 @@ class TestPerturb:
         assert 0.9 < t_ratio < 1.1
         assert 0.9 < r_ratio < 1.1
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_jitter_behind_the_camera_is_drawn_again(self, seed):
+        # raised "detection depth must be positive": sigma 10 m against depths from 8 m
+        records, camera = generate_scene(SceneSpec(seed=seed, n_images=200))
+        preds = perturb(records, NoiseSpec(translation_sigma=10.0), seed=seed, camera=camera)
+        assert [len(r.items) for r in preds] == [len(r.items) for r in records]
+        assert all(d.pose.translation.z > 0.0 for r in preds for d in r.items)
+
 
 class TestCorruptXy:
     def setup_preds(self):
