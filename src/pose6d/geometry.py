@@ -53,7 +53,7 @@ class GimbalLockWarning(UserWarning):
     """Pitch is within GIMBAL_LOCK_MARGIN of +/-pi/2; roll/yaw are coupled."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quaternion:
     w: float
     x: float
@@ -67,7 +67,7 @@ class Quaternion:
         return math.sqrt(self.dot(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EulerAngles:
     """Intrinsic yaw-pitch-roll angles in radians (see module docstring)."""
 
@@ -76,7 +76,7 @@ class EulerAngles:
     yaw: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Translation:
     """Camera-frame position in meters; z > 0 is in front of the camera."""
 
@@ -85,7 +85,7 @@ class Translation:
     z: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose:
     rotation: Quaternion
     translation: Translation
@@ -99,7 +99,7 @@ def _finite(value: float) -> bool:
         return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CameraIntrinsics:
     fx: float
     fy: float
@@ -114,7 +114,7 @@ class CameraIntrinsics:
                              f"cx={self.cx}, cy={self.cy}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BBox2D:
     x1: float
     y1: float

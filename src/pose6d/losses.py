@@ -36,7 +36,7 @@ class NotOneHotError(ValueError):
     """Class target is not a one-hot vector."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LossWeights:
     lambda1: float = 1.0
     lambda2: float = 1.0

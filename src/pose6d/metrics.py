@@ -45,7 +45,7 @@ class NoClassesError(ValueError):
     """mAP is undefined: no class appears in ground truth or predictions."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThresholdLadder:
     """Ordered (translation meters, rotation radians) threshold pairs."""
 
@@ -88,7 +88,7 @@ def load_ladder(path: str) -> ThresholdLadder:
     return parse_ladder(_read_json(path))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchResult:
     """Greedy matching of one image at one threshold pair.
 
@@ -191,7 +191,7 @@ def average_precision(flags: Sequence[bool], num_gt: int) -> float:
     return _prefix_aps(tp, _precision(tp), tp.shape[1], num_gt)[0]
 
 
-@dataclass
+@dataclass(slots=True)
 class EvaluationReport:
     """Per-class AP across the ladder plus scalar error statistics."""
 

@@ -34,7 +34,7 @@ class EmptyEnsembleError(ValueError):
     """Ensemble of zero model outputs is undefined."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnsembleConfig:
     iou_threshold: float = 0.5
 
@@ -43,7 +43,7 @@ class EnsembleConfig:
             raise ValueError(f"iou_threshold must be in (0, 1], got {self.iou_threshold}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThresholdSweep:
     lo: float = 0.1
     hi: float = 0.8

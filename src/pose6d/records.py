@@ -85,7 +85,7 @@ def _check_item(item: Detection | Annotation, kind: str) -> None:
         raise ValueError(f"{kind} class_id must be an integer >= 0, got {item.class_id!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     class_id: int
     confidence: float
@@ -98,7 +98,7 @@ class Detection:
         _check_item(self, "detection")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Annotation:
     class_id: int
     pose: Pose
@@ -117,7 +117,7 @@ def _check_record(image_id: object, items: object, field: str) -> None:
         raise ValueError(f"{field} must be a tuple, got {type(items).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageRecord:
     image_id: str
     items: tuple
@@ -136,7 +136,7 @@ def _index_by_image(records: Sequence[ImageRecord], what: str) -> dict[str, Imag
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IgnoreRegions:
     image_id: str
     rects: tuple[BBox2D, ...]

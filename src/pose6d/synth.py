@@ -61,7 +61,7 @@ class TooLargeError(ValueError):
     """Input exceeds the oracle's exhaustive-regime size cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoiseSpec:
     """Perturbation model applied to ground truth to fake detector output."""
 
@@ -87,7 +87,7 @@ class NoiseSpec:
                 raise ValueError(f"{name} must satisfy 0 <= lo <= hi <= 1, got ({lo}, {hi})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SceneSpec:
     """Parameters of a synthetic multi-image scene."""
 
@@ -165,7 +165,7 @@ def _jitter_translation(rng: np.random.Generator, t: Translation, sigma: float) 
         magnitude = abs(float(rng.normal(0.0, sigma)))
         d = _unit_vector(rng, 3)
         z = t.z + magnitude * float(d[2])
-        if z > 0.0:
+        if z > 0.0 and magnitude < math.inf:
             return Translation(t.x + magnitude * float(d[0]), t.y + magnitude * float(d[1]), z)
 
 

@@ -163,6 +163,16 @@ class TestPerturb:
         assert [len(r.items) for r in preds] == [len(r.items) for r in records]
         assert all(d.pose.translation.z > 0.0 for r in preds for d in r.items)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_jitter_magnitude_that_overflows_is_drawn_again(self, seed):
+        # raised "detection has a non-finite pose": |normal(0, 1e308)| beyond the float range
+        records, camera = generate_scene(SceneSpec(seed=seed, n_images=50))
+        preds = perturb(records, NoiseSpec(translation_sigma=1e308), seed=seed, camera=camera)
+        assert [len(r.items) for r in preds] == [len(r.items) for r in records]
+        translations = [d.pose.translation for r in preds for d in r.items]
+        assert all(math.isfinite(t.x) and math.isfinite(t.y) and 0.0 < t.z < math.inf
+                   for t in translations)
+
 
 class TestCorruptXy:
     def setup_preds(self):
