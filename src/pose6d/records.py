@@ -47,6 +47,7 @@ from .geometry import (
     Pose,
     Quaternion,
     Translation,
+    _slot_init,
     quat_from_euler,
     quat_normalize,
 )
@@ -85,6 +86,7 @@ def _check_item(item: Detection | Annotation, kind: str) -> None:
         raise ValueError(f"{kind} class_id must be an integer >= 0, got {item.class_id!r}")
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Detection:
     class_id: int
@@ -98,6 +100,7 @@ class Detection:
         _check_item(self, "detection")
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Annotation:
     class_id: int
@@ -117,6 +120,7 @@ def _check_record(image_id: object, items: object, field: str) -> None:
         raise ValueError(f"{field} must be a tuple, got {type(items).__name__}")
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class ImageRecord:
     image_id: str
@@ -136,6 +140,7 @@ def _index_by_image(records: Sequence[ImageRecord], what: str) -> dict[str, Imag
     return out
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class IgnoreRegions:
     image_id: str

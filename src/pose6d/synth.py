@@ -54,6 +54,15 @@ _DEFAULT_DEPTH_RANGE = (8.0, 50.0)
 
 _CAMERA = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0)
 
+# Depths, in meters, at which the car's box (``extent_bbox`` of CAR_EXTENT
+# through _CAMERA) is finite and non-degenerate. Its center projects inside
+# the 1920 x 1080 image and its half-extents are 2250 / z and 750 / z px. At
+# 1e9 m the half-height, 7.5e-7 px, is over a million ulps of a coordinate
+# below 2048, so x1 < x2 and y1 < y2; at 1e-9 m the box is 4.5e12 x 1.5e12 px,
+# with an area of 6.75e24. It overflows below about 2e-151 m and collapses to
+# a point beyond about 1e16 m.
+_DEPTH_BOUND = (1e-9, 1e9)
+
 _LATERAL_RANGE = (0.6, 1.5)  # meters
 
 
@@ -109,6 +118,10 @@ class SceneSpec:
         zlo, zhi = self.depth_range
         if not (0.0 < zlo <= zhi < math.inf):
             raise ValueError(f"depth_range must satisfy 0 < lo <= hi < inf, got ({zlo}, {zhi})")
+        if not (_DEPTH_BOUND[0] <= zlo and zhi <= _DEPTH_BOUND[1]):
+            raise ValueError(f"depth_range must lie within [{_DEPTH_BOUND[0]:g}, "
+                             f"{_DEPTH_BOUND[1]:g}] m, where a car's box is finite and "
+                             f"non-degenerate, got ({zlo}, {zhi})")
         if self.n_classes < 1:
             raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
 

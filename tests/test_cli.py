@@ -22,6 +22,8 @@ from pose6d.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, main
 from helpers import ann, as_detection, det, image
 
 K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0)
+DEPTH_BOUND = ("depth_range must lie within [1e-09, 1e+09] m, where a car's box is finite and "
+               "non-degenerate")
 
 
 def run(argv):
@@ -381,16 +383,22 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert err == "error: grid of 1000000000 points exceeds the cap of 100001\n"
 
-    @pytest.mark.parametrize("option, value, message", [
-        ("--depth-max", "inf", "depth_range must satisfy 0 < lo <= hi < inf, got (8.0, inf)"),
-        ("--rot-sigma", "inf", "rotation_sigma must be finite and >= 0, got inf"),
-        ("--trans-sigma", "inf", "translation_sigma must be finite and >= 0, got inf"),
-        ("--seed", "-1", "seed must be >= 0, got -1"),
-    ], ids=["depth-max inf", "rot-sigma inf", "trans-sigma inf", "seed -1"])
-    def test_synth_values_the_spec_refuses(self, tmp_path, option, value, message):
+    @pytest.mark.parametrize("options, message", [
+        (["--depth-max=inf"], "depth_range must satisfy 0 < lo <= hi < inf, got (8.0, inf)"),
+        (["--rot-sigma=inf"], "rotation_sigma must be finite and >= 0, got inf"),
+        (["--trans-sigma=inf"], "translation_sigma must be finite and >= 0, got inf"),
+        (["--seed=-1"], "seed must be >= 0, got -1"),
+        # these three exited 1 with "box coordinates must be finite", "degenerate
+        # box" and "box width, height and area must be finite"
+        (["--depth-max=1e308"], f"{DEPTH_BOUND}, got (8.0, 1e+308)"),
+        (["--depth-max=1e17"], f"{DEPTH_BOUND}, got (8.0, 1e+17)"),
+        (["--depth-min=1e-300", "--depth-max=1e-300"], f"{DEPTH_BOUND}, got (1e-300, 1e-300)"),
+    ], ids=["depth-max inf", "rot-sigma inf", "trans-sigma inf", "seed -1", "depth-max 1e308",
+            "depth-max 1e17", "depth 1e-300"])
+    def test_synth_values_the_spec_refuses(self, tmp_path, options, message):
         # these ended in an OverflowError traceback or exited 1 mid-generation
         out_dir = tmp_path / "scene"
-        code, out, err = run(["synth", f"{option}={value}", "--out-dir", str(out_dir)])
+        code, out, err = run(["synth", *options, "--out-dir", str(out_dir)])
         assert (code, out) == (EXIT_INPUT, "")
         assert err == f"error: {message}\n"
         assert not out_dir.exists()

@@ -1,6 +1,8 @@
 """Smoke tests for the scripts under ``scripts/``."""
 
 import importlib.util
+import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -42,3 +44,71 @@ def test_ablation_demo_prints_one_row_per_stage(capsys):
 def test_transcript_matches_the_committed_one(script, transcript):
     fresh = load_script(script).transcript()
     assert fresh == (DATA / transcript).read_text(encoding="utf-8").splitlines()
+
+
+def _benchmark_copy(dest: Path, with_sources: bool = True) -> Path:
+    """A copy of the files ``perfbench/run.py`` needs to run from ``dest``."""
+    ignore = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(ROOT / "perfbench", dest / "perfbench", ignore=ignore)
+    shutil.copy(ROOT / "BENCHMARK.json", dest / "BENCHMARK.json")
+    if with_sources:
+        shutil.copytree(ROOT / "src", dest / "src", ignore=ignore)
+    return dest
+
+
+def test_perf_ab_on_two_copies_of_one_tree_finds_no_gain_and_no_refusal(tmp_path, capsys):
+    parent, change = _benchmark_copy(tmp_path / "parent"), _benchmark_copy(tmp_path / "change")
+    code = load_script("perf_ab").main(["--parent", str(parent), "--change", str(change),
+                                        "--workload", "score-sparse", "--seeds", "3",
+                                        "--size", "smoke", "--seconds", "1"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[0].startswith("pair 1 seed 3 score-sparse (parent first): latency_p50_s ")
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert json.loads(out[-1]) == {"refused": False, "verdicts": {
+        f"score-sparse {name}": "too few pairs" for name in names}}
+
+
+def test_perf_ab_refuses_trees_whose_benchmark_differs(tmp_path, capsys):
+    parent = _benchmark_copy(tmp_path / "parent", with_sources=False)
+    change = _benchmark_copy(tmp_path / "change", with_sources=False)
+    with open(change / "perfbench" / "golden.json", "a", encoding="utf-8") as handle:
+        handle.write(" ")
+    code = load_script("perf_ab").main(["--parent", str(parent), "--change", str(change)])
+    assert code == 2
+    assert capsys.readouterr().err == (f"refused: the benchmark differs between the trees: "
+                                       f"{parent / 'perfbench' / 'golden.json'}\n")
+
+
+def test_perf_ab_refuses_a_run_that_is_not_correct(tmp_path, capsys):
+    result = {"correct": False, "attempted": 4, "failed": 1,
+              "metrics": {"ok_op_ratio": {"value": 0.75, "unit": "ratio"}}}
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(f"print({json.dumps(result)!r})\n")
+        shutil.copy(ROOT / "BENCHMARK.json", tmp_path / side / "BENCHMARK.json")
+    code = load_script("perf_ab").main(["--parent", str(tmp_path / "parent"),
+                                        "--change", str(tmp_path / "change"),
+                                        "--workload", "sweep-dense", "--seeds", "7"])
+    assert code == 2
+    assert capsys.readouterr().err == (f"refused: {tmp_path / 'parent'}: sweep-dense seed 7: "
+                                       f"correct=False, failed 1 of 4 operations\n")
+
+
+@pytest.mark.parametrize("parent, change, verdict", [
+    # won 10 of 10, and the medians 0.8 apart against a parent IQR of 0.45
+    ([10.0, 10.2, 10.4, 10.1, 10.3, 10.0, 10.2, 10.4, 10.1, 10.3],
+     [9.2, 9.4, 9.6, 9.3, 9.5, 9.2, 9.4, 9.6, 9.3, 9.5], "gain"),
+    # won 10 of 10, but the gap (0.05) is inside the parent's IQR
+    ([10.0, 10.2, 10.4, 10.1, 10.3, 10.0, 10.2, 10.4, 10.1, 10.3],
+     [9.95, 10.15, 10.35, 10.05, 10.25, 9.95, 10.15, 10.35, 10.05, 10.25], "-"),
+    # won 8 of 10: not nine in ten
+    ([10.0, 10.2, 10.4, 10.1, 10.3, 10.0, 10.2, 10.4, 10.1, 10.3],
+     [9.2, 9.4, 9.6, 9.3, 9.5, 9.2, 9.4, 9.6, 10.2, 10.4], "-"),
+    ([9.2, 9.4, 9.6, 9.3, 9.5], [10.0, 10.2, 10.4, 10.1, 10.3], "worse"),
+    ([1.0] * 5, [1.3] * 5, "over bound"),
+    ([10.0, 10.2, 10.4, 10.1], [9.2, 9.4, 9.6, 9.3], "too few pairs"),
+])
+def test_perf_ab_verdicts(parent, change, verdict):
+    spec = {"name": "latency_p50_s", "better": "lower", "bound": 0.2}
+    assert load_script("perf_ab").compare(spec, parent, change)["verdict"] == verdict

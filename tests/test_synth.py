@@ -1,5 +1,6 @@
 """Synthetic scene generation, perturbation, and oracle tests."""
 
+import io
 import math
 
 import pytest
@@ -17,8 +18,12 @@ from pose6d import (
     generate_scene,
     mean_average_precision,
     oracle_map,
+    parse_ground_truth,
+    parse_predictions,
     perturb,
     project,
+    serialize_ground_truth,
+    serialize_predictions,
 )
 
 from helpers import ann, as_detection, det, image
@@ -74,10 +79,36 @@ class TestGenerateScene:
         {"n_classes": 0},
         {"seed": -1},
         {"depth_range": (8.0, math.inf)},
+        # beyond the depth bound; the first three built a box that overflowed
+        # or collapsed mid-generation
+        {"depth_range": (8.0, 1e308)},
+        {"depth_range": (8.0, 1e17)},
+        {"depth_range": (1e-300, 1e-300)},
+        {"depth_range": (1e-300, 50.0)},
+        {"depth_range": (8.0, 1.0000001e9)},
     ])
     def test_spec_validation(self, kwargs):
         with pytest.raises(ValueError):
             SceneSpec(**kwargs)
+
+    @pytest.mark.parametrize("depth", [1e-9, 1e9])
+    def test_a_scene_at_either_end_of_the_bound_is_generated_and_perturbed(self, depth):
+        spec = SceneSpec(seed=5, n_images=20, objects_per_image=(1, 4), depth_range=(depth, depth))
+        records, camera = generate_scene(spec)
+        noise = NoiseSpec(translation_sigma=0.5, rotation_sigma=0.1, miss_rate=0.2,
+                          false_positive_rate=0.5)
+        preds = perturb(records, noise, seed=5, camera=camera)
+        assert sum(len(r.items) for r in records) > 0
+        assert sum(len(r.items) for r in preds) > 0
+        for record in records:
+            for a in record.items:
+                assert a.pose.translation.z == depth
+                assert 0.0 < a.bbox.area() < math.inf
+        for parse, serialize, written in ((parse_ground_truth, serialize_ground_truth, records),
+                                          (parse_predictions, serialize_predictions, preds)):
+            stream = io.StringIO()
+            serialize(written, stream)
+            assert parse(stream.getvalue().splitlines()) == written
 
     def test_noise_spec_validation(self):
         with pytest.raises(ValueError):
