@@ -63,10 +63,10 @@ OPTIONS = {
         "--seed": ["2", "4294967296", "1e3", "0x10"],
         "--images": ["2", "1e3"],
         "--objects-min": ["4", "5"],
-        "--objects-max": ["1", "6"],
+        "--objects-max": ["1", "6", "9223372036854775808"],
         "--depth-min": ["50", "51", "1e-300"],
         "--depth-max": ["8", "7.9", "1e3"],
-        "--classes": ["2", "1e3"],
+        "--classes": ["2", "1e3", "9223372036854775807", "9223372036854775808"],
         "--trans-sigma": ["0.5", "1e-300"],
         "--rot-sigma": ["0.5", "3.2", "1e-300"],
         "--miss-rate": ["1", "0.5", "1.0000001"],

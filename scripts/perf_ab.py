@@ -17,8 +17,11 @@ medians, the pairs the change won, and the gap between the medians in
 units of the parent's interquartile range. The verdict is ``gain`` when
 the change won at least nine in ten pairs and the gap exceeds that range,
 ``worse`` for the same the other way, and ``over bound`` when an
-end-to-end median is worse by more than its bound; under five pairs it
-gives none. Its last line is one JSON object with every verdict.
+end-to-end median is worse by more than its bound. It is ``unresolved``
+when a metric has a bound and the parent's interquartile range, relative
+to its median, is wider than that bound, unless every change run is better
+than every parent run: such runs spread too widely to tell. Under ten
+pairs it gives none. Its last line is one JSON object with every verdict.
 """
 
 from __future__ import annotations
@@ -34,9 +37,8 @@ from pathlib import Path
 
 WORKLOADS = ("score-sparse", "sweep-dense", "post-ensemble")
 WIN_SHARE = 0.9
-# five pairs all won by chance happen with probability 1/32; fewer pairs
-# cannot separate a gain from noise, so they get no verdict
-MIN_PAIRS = 5
+# a gain needs nine in ten pairs won, so fewer than ten pairs get no verdict
+MIN_PAIRS = 10
 
 
 class Refused(Exception):
@@ -119,10 +121,14 @@ def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
     else:
         gap = 0.0 if c_med == p_med else math.copysign(math.inf, c_med - p_med)
     relative = (c_med - p_med) / abs(p_med) if p_med else 0.0
+    bound = spec.get("bound")
+    all_better = max(sign * c for c in change) < min(sign * p for p in parent)
     verdict = "-"
     if len(parent) < MIN_PAIRS:
         verdict = "too few pairs"
-    elif spec.get("bound") is not None and sign * relative > spec["bound"]:
+    elif bound is not None and iqr > bound * abs(p_med) and not all_better:
+        verdict = "unresolved"
+    elif bound is not None and sign * relative > bound:
         verdict = "over bound"
     elif won >= WIN_SHARE * len(parent) and -sign * gap > 1.0:
         verdict = "gain"

@@ -48,18 +48,17 @@ from .losses import (
 from .metrics import (
     DEFAULT_LADDER,
     EvaluationReport,
-    MatchResult,
     NoClassesError,
     ThresholdLadder,
     average_precision,
     load_ladder,
-    match,
     parse_ladder,
     mean_average_precision,
 )
 from .postprocess import (
     EmptyEnsembleError,
     EnsembleConfig,
+    MissingBoxError,
     ThresholdSweep,
     apply_confidence_threshold,
     ensemble_max,

@@ -4,7 +4,8 @@ Subcommands: ``eval`` (score predictions against ground truth), ``post``
 (apply post-processing stages), ``ensemble`` (merge model outputs),
 ``sweep`` (confidence-threshold search), ``synth`` (generate synthetic
 data). Exit codes: 0 success, 1 computation error, 2 input or usage
-error. Reports and records go to files; stdout carries the human summary.
+error, which includes an item without a box given to a stage that reads
+boxes. Reports and records go to files; stdout carries the human summary.
 The only randomness is in ``synth``, driven entirely by ``--seed``.
 
 An option value is checked once, before any file is read, by the library
@@ -26,6 +27,7 @@ from .metrics import (DEFAULT_LADDER, ThresholdLadder, _check_threshold, load_la
                       mean_average_precision)
 from .postprocess import (
     EnsembleConfig,
+    MissingBoxError,
     ThresholdSweep,
     apply_confidence_threshold,
     ensemble_max,
@@ -264,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     func: Callable[[argparse.Namespace], int] = args.func
     try:
         return func(args)
-    except (ParseError, ValidationError, OSError, argparse.ArgumentTypeError) as exc:
+    except (ParseError, ValidationError, MissingBoxError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:

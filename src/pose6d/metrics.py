@@ -10,8 +10,8 @@ per class and per pair over the dataset-wide confidence ranking with the
 all-points precision envelope, and mAP is the mean over classes of the
 mean over pairs.
 
-``match``, ``mean_average_precision`` and ``sweep_threshold`` share one
-matching core, ``Evaluation``: match once, score many (see its docstring).
+``mean_average_precision`` and ``sweep_threshold`` share one matching
+core, ``Evaluation``: match once, score many (see its docstring).
 
 The report's error statistics (translation MAE, angular error
 mean/median, precision/recall, TP/FP/FN counts) are computed by
@@ -88,21 +88,6 @@ def load_ladder(path: str) -> ThresholdLadder:
     return parse_ladder(_read_json(path))
 
 
-@dataclass(frozen=True, slots=True)
-class MatchResult:
-    """Greedy matching of one image at one threshold pair.
-
-    ``pairs`` holds (prediction index, ground-truth index) in the order
-    predictions were matched; ``trans_errors``/``rot_errors`` align with it.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-    unmatched_pred: tuple[int, ...]
-    unmatched_gt: tuple[int, ...]
-    trans_errors: tuple[float, ...]
-    rot_errors: tuple[float, ...]
-
-
 def _match_image(dets: Sequence[Detection], anns: Sequence[Annotation],
                  pairs: Sequence[tuple[float, float]]) -> list[list[tuple]]:
     """Per pair, the (det index, gt index, distance, angle) hits in visiting order.
@@ -144,19 +129,6 @@ def _match_image(dets: Sequence[Detection], anns: Sequence[Annotation],
                     break
         out.append(hits)
     return out
-
-
-def match(preds: Sequence[Detection], gts: Sequence[Annotation],
-          pair: tuple[float, float]) -> MatchResult:
-    """Greedily match one image's detections to its ground truth."""
-    ladder = ThresholdLadder(pairs=(tuple(pair),))
-    hits = _match_image(preds, gts, ladder.pairs)[0]
-    matched, taken = {h[0] for h in hits}, {h[1] for h in hits}
-    return MatchResult(
-        pairs=tuple((h[0], h[1]) for h in hits),
-        unmatched_pred=tuple(i for i in range(len(preds)) if i not in matched),
-        unmatched_gt=tuple(j for j in range(len(gts)) if j not in taken),
-        trans_errors=tuple(h[2] for h in hits), rot_errors=tuple(h[3] for h in hits))
 
 
 def _precision(tp: np.ndarray) -> np.ndarray:
@@ -362,21 +334,10 @@ def mean_average_precision(
         fp += num_dets - len(hits)
         fn += num_gts - len(hits)
     tp = len(trans_errors)
-    mae = _mean(trans_errors) if tp else None
-    rot_mean = _mean(rot_errors) if tp else None
-    rot_median = float(statistics.median(rot_errors)) if tp else None
-    precision = tp / (tp + fp) if tp + fp else None
-    recall = tp / (tp + fn) if tp + fn else None
-
-    report = EvaluationReport(
-        ladder=ladder,
-        per_class_ap=per_class_ap,
-        mean_ap=mean_ap,
-        mae_trans=mae,
-        rot_error_mean=rot_mean,
-        rot_error_median=rot_median,
-        precision=precision,
-        recall=recall,
-        tp=tp, fp=fp, fn=fn,
-    )
-    return mean_ap, report
+    return mean_ap, EvaluationReport(
+        ladder=ladder, per_class_ap=per_class_ap, mean_ap=mean_ap,
+        mae_trans=_mean(trans_errors) if tp else None,
+        rot_error_mean=_mean(rot_errors) if tp else None,
+        rot_error_median=float(statistics.median(rot_errors)) if tp else None,
+        precision=tp / (tp + fp) if tp + fp else None,
+        recall=tp / (tp + fn) if tp + fn else None, tp=tp, fp=fp, fn=fn)

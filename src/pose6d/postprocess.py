@@ -34,6 +34,16 @@ class EmptyEnsembleError(ValueError):
     """Ensemble of zero model outputs is undefined."""
 
 
+class MissingBoxError(ValueError):
+    """A stage that reads 2D boxes got an item without one."""
+
+
+def _missing_box(stage: str, record: ImageRecord, item, where: str = "") -> MissingBoxError:
+    """``item`` is the first box-less one of ``record``: the stages scan in order."""
+    return MissingBoxError(f"{stage} requires items with a bbox; {where}image "
+                           f"{record.image_id!r}, item {record.items.index(item)} has none")
+
+
 @dataclass(frozen=True, slots=True)
 class EnsembleConfig:
     iou_threshold: float = 0.5
@@ -70,22 +80,21 @@ class ThresholdSweep:
         return grid
 
 
-def _require_bbox(det: Detection, stage: str) -> BBox2D:
-    if det.bbox is None:
-        raise ValueError(f"{stage} requires detections with a bbox")
-    return det.bbox
-
-
 def recover_xy(det: Detection, k: CameraIntrinsics) -> Detection:
     """Replace (x, y) with the box center back-projected at the predicted z."""
-    box = _require_bbox(det, "recover_xy")
+    if (box := det.bbox) is None:
+        raise MissingBoxError("recover_xy requires a detection with a bbox")
     u, v = bbox_center(box)
     t = backproject(u, v, det.pose.translation.z, k)
     return Detection(det.class_id, det.confidence, box, Pose(det.pose.rotation, t))
 
 
 def recover_xy_records(records: Sequence[ImageRecord], k: CameraIntrinsics) -> list[ImageRecord]:
-    return [ImageRecord(r.image_id, tuple(recover_xy(d, k) for d in r.items)) for r in records]
+    try:
+        return [ImageRecord(r.image_id, tuple(recover_xy(d, k) for d in r.items)) for r in records]
+    except MissingBoxError:  # located only on failure
+        record, det = next((r, d) for r in records for d in r.items if d.bbox is None)
+        raise _missing_box("recover_xy", record, det) from None
 
 
 def apply_confidence_threshold(records: Sequence[ImageRecord], threshold: float) -> list[ImageRecord]:
@@ -125,7 +134,7 @@ def filter_ignore(records: Sequence[ImageRecord], regions: Iterable[IgnoreRegion
     An item is dropped iff area(bbox intersect union(rects)) / area(bbox)
     is strictly greater than ``overlap_frac``; the boundary case is kept.
     Works on detection and annotation records alike, but every item in a
-    touched image must carry a bbox.
+    touched image must carry a bbox (MissingBoxError otherwise).
     """
     _check_threshold(overlap_frac, "overlap_frac")
     rects_by_id: dict[str, list[tuple[float, float, float, float]]] = {}
@@ -140,7 +149,7 @@ def filter_ignore(records: Sequence[ImageRecord], regions: Iterable[IgnoreRegion
         kept = []
         for item in record.items:
             if item.bbox is None:
-                raise ValueError("filter_ignore requires items with a bbox")
+                raise _missing_box("filter_ignore", record, item)
             if _covered_fraction(item.bbox, rects) <= overlap_frac:
                 kept.append(item)
         out.append(ImageRecord(record.image_id, tuple(kept)))
@@ -158,15 +167,17 @@ def ensemble_max(model_outputs: Sequence[Sequence[ImageRecord]],
     clustering, whose seeds absorb later detections at IoU >= threshold,
     keeps the same ones. Image order follows first appearance across
     models; the image set is the union. An image_id repeated within one
-    model's output raises ValueError.
+    model's output raises ValueError, and a detection without a box
+    MissingBoxError.
     """
     if not model_outputs:
         raise EmptyEnsembleError("ensemble needs at least one model output")
     pools: dict[str, list[Detection]] = {}
-    for records in model_outputs:
+    for m, records in enumerate(model_outputs):
         for record in _index_by_image(records, "predictions").values():
             for det in record.items:
-                _require_bbox(det, "ensemble_max")
+                if det.bbox is None:
+                    raise _missing_box("ensemble_max", record, det, f"input {m}, ")
             pools.setdefault(record.image_id, []).extend(record.items)
     merged = []
     for image_id, pool in pools.items():

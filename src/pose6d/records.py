@@ -13,7 +13,8 @@ meters, a rotation as exactly one of ``quaternion`` ``[w, x, y, z]`` or
 [0, 1]. Quaternions are normalized at load time and written at full
 round-trip precision, so ``parse(serialize(records))`` reproduces
 field-exactly any records built with unit quaternions. The three kinds
-share one reader and one writer, driven by one table.
+share one reader and one writer, driven by one table. Every file is read
+as UTF-8; a byte that is not is a ParseError at its line.
 
 One builder, ``_build_item``, makes every item: it checks the item's shape
 (exact JSON types, list lengths, one rotation), type-checks its numbers in
@@ -409,8 +410,19 @@ def serialize_ignore(regions: Iterable[IgnoreRegions], stream: IO[str]) -> None:
 
 
 def _load(path: str, parse: Callable[[IO[str]], object]):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse(handle)
+    except UnicodeDecodeError:  # its offset is within a read chunk: decode once more
+        with open(path, "rb") as handle:
+            data = handle.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:  # lines counted as the text reader splits them
+            before = io.StringIO(data[:exc.start].decode("utf-8"), newline=None).getvalue()
+            raise ParseError(before.count("\n") + 1, "", f"byte {exc.start} of {path} is not "
+                             f"UTF-8 ({exc.reason})") from None
+        raise
 
 
 def _save(records: Iterable, path: str, serialize: Callable[[Iterable, IO[str]], None]) -> None:

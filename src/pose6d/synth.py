@@ -14,8 +14,9 @@ magnitude (``|N(0, sigma)|``) along an isotropic random direction, for
 translations in meters and rotations in radians about a random axis, so
 the expected translation error at sigma is ``sigma * sqrt(2 / pi)``. A
 translation jitter that leaves depth ``<= 0`` is drawn again (magnitude and
-direction, from the same stream): a run without one draws nothing extra, and
-one with redraws, a sigma near the depths, has a smaller mean error.
+direction, from the same stream), and so is a translation magnitude or a
+rotation angle that overflows to infinity: a run without one draws nothing
+extra, and one with redraws, a sigma near the depths, has a smaller mean error.
 
 ``oracle_map`` re-derives mAP by exhaustive quadratic enumeration in pure
 Python. Apart from shared geometry primitives it is written independently
@@ -64,6 +65,8 @@ _CAMERA = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0)
 _DEPTH_BOUND = (1e-9, 1e9)
 
 _LATERAL_RANGE = (0.6, 1.5)  # meters
+
+_MAX_DRAW = 2**63 - 1  # numpy draws integers as int64: the largest count it can draw
 
 
 class TooLargeError(ValueError):
@@ -124,6 +127,9 @@ class SceneSpec:
                              f"non-degenerate, got ({zlo}, {zhi})")
         if self.n_classes < 1:
             raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
+        if max(hi, self.n_classes) > _MAX_DRAW:
+            raise ValueError(f"n_classes and objects_per_image must be at most {_MAX_DRAW}, "
+                             f"numpy's int64 draw range, got {self.n_classes} and ({lo}, {hi})")
 
 
 def _stream(seed: int, purpose: int, image_index: int) -> np.random.Generator:
@@ -141,7 +147,7 @@ def _unit_vector(rng: np.random.Generator, size: int) -> np.ndarray:
 
 def _random_quat(rng: np.random.Generator) -> Quaternion:
     w, x, y, z = _unit_vector(rng, 4)
-    return quat_normalize(Quaternion(float(w), float(x), float(y), float(z)))
+    return Quaternion(float(w), float(x), float(y), float(z))
 
 
 def _sample_object(rng: np.random.Generator, spec_camera: CameraIntrinsics,
@@ -185,7 +191,8 @@ def _jitter_translation(rng: np.random.Generator, t: Translation, sigma: float) 
 def _jitter_rotation(rng: np.random.Generator, q: Quaternion, sigma: float) -> Quaternion:
     if sigma == 0.0:
         return q
-    angle = abs(float(rng.normal(0.0, sigma)))
+    while (angle := abs(float(rng.normal(0.0, sigma)))) == math.inf:  # sin(inf) raises
+        pass
     axis = _unit_vector(rng, 3)
     half = 0.5 * angle
     s = math.sin(half)

@@ -25,7 +25,6 @@ from pose6d import (
     iou_2d,
     perturb,
 )
-from pose6d.metrics import MatchResult
 
 IDENTITY = Quaternion(1.0, 0.0, 0.0, 0.0)
 
@@ -169,7 +168,9 @@ def reference_evaluation(pred_records, gt_records, ladder):
     from one tuple of TP flags per detection: ``buckets[c]`` is class c's
     negated confidences in ranking order (stable, so ties keep image, then
     input order), per pair its TP array and precision array, and its
-    ground-truth count; ``last`` each image's MatchResult at the last pair."""
+    ground-truth count; ``last`` per image, in ``Evaluation``'s image order,
+    its reference hits at the last pair with its detection and ground-truth
+    counts."""
     pred_by_id = {r.image_id: r for r in pred_records}
     gt_by_id = {r.image_id: r for r in gt_records}
     gt_count = Counter(a.class_id for r in gt_records for a in r.items)
@@ -182,13 +183,7 @@ def reference_evaluation(pred_records, gt_records, ladder):
         matched = [{h[0] for h in hits} for hits in per_pair]
         for i, d in enumerate(dets):
             rows[d.class_id].append((d.confidence, tuple(i in m for m in matched)))
-        hits = per_pair[-1]
-        taken = {h[1] for h in hits}
-        last.append(MatchResult(
-            pairs=tuple((h[0], h[1]) for h in hits),
-            unmatched_pred=tuple(i for i in range(len(dets)) if i not in matched[-1]),
-            unmatched_gt=tuple(j for j in range(len(anns)) if j not in taken),
-            trans_errors=tuple(h[2] for h in hits), rot_errors=tuple(h[3] for h in hits)))
+        last.append((per_pair[-1], len(dets), len(anns)))
     buckets = {}
     for c, class_rows in rows.items():
         class_rows.sort(key=lambda r: -r[0])
@@ -220,16 +215,18 @@ def reference_per_class_ap(buckets, threshold):
 
 
 def report_statistics(last) -> dict:
-    """The report's last-pair fields computed from per-image MatchResults, as
-    the package's statistics functions once computed them; the referee of
+    """The report's last-pair fields computed from ``reference_evaluation``'s
+    per-image hits and counts, as the package's statistics functions once
+    computed them from one matching per image: the matched detections and
+    ground truth, and the unmatched rest of each. The referee of
     ``mean_average_precision``'s report built from the matching's hits. The
     error statistics are None without a match, and precision or recall is
     None when its denominator is zero."""
-    trans_errors = [e for m in last for e in m.trans_errors]
-    rot_errors = [e for m in last for e in m.rot_errors]
-    tp = sum(len(m.pairs) for m in last)
-    fp = sum(len(m.unmatched_pred) for m in last)
-    fn = sum(len(m.unmatched_gt) for m in last)
+    trans_errors = [dist for hits, _, _ in last for _, _, dist, _ in hits]
+    rot_errors = [angle for hits, _, _ in last for _, _, _, angle in hits]
+    tp = sum(len({i for i, *_ in hits}) for hits, _, _ in last)
+    fp = sum(len(set(range(n_dets)) - {i for i, *_ in hits}) for hits, n_dets, _ in last)
+    fn = sum(len(set(range(n_gts)) - {j for _, j, *_ in hits}) for hits, _, n_gts in last)
     return {"mae_trans": float(sum(trans_errors) / len(trans_errors)) if tp else None,
             "rot_error_mean": float(sum(rot_errors) / len(rot_errors)) if tp else None,
             "rot_error_median": float(statistics.median(rot_errors)) if tp else None,

@@ -24,6 +24,8 @@ from helpers import ann, as_detection, det, image
 K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0)
 DEPTH_BOUND = ("depth_range must lie within [1e-09, 1e+09] m, where a car's box is finite and "
                "non-degenerate")
+INT64_BOUND = ("n_classes and objects_per_image must be at most 9223372036854775807, numpy's "
+               "int64 draw range")
 
 
 def run(argv):
@@ -249,6 +251,14 @@ class TestSynth:
         with open(report_path, encoding="utf-8") as handle:
             assert json.load(handle)["mAP"] == 1.0  # zero-noise defaults
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_rotation_sigma_of_1e308_finishes(self, tmp_path, seed):
+        # exited 1 with "math domain error": a drawn angle overflowed to infinity
+        code, out, err = run(["synth", "--rot-sigma", "1e308", "--images", "20",
+                              "--seed", str(seed), "--out-dir", str(tmp_path)])
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("wrote 20 images")
+
     def test_reruns_are_byte_identical(self, tmp_path):
         blobs = []
         for name in ("one", "two"):
@@ -393,8 +403,12 @@ class TestExitCodes:
         (["--depth-max=1e308"], f"{DEPTH_BOUND}, got (8.0, 1e+308)"),
         (["--depth-max=1e17"], f"{DEPTH_BOUND}, got (8.0, 1e+17)"),
         (["--depth-min=1e-300", "--depth-max=1e-300"], f"{DEPTH_BOUND}, got (1e-300, 1e-300)"),
+        # these two exited 1 with "high is out of bounds for int64"
+        (["--classes=100000000000000000000"], f"{INT64_BOUND}, got 100000000000000000000 and (1, 4)"),
+        (["--objects-max=100000000000000000000"],
+         f"{INT64_BOUND}, got 1 and (1, 100000000000000000000)"),
     ], ids=["depth-max inf", "rot-sigma inf", "trans-sigma inf", "seed -1", "depth-max 1e308",
-            "depth-max 1e17", "depth 1e-300"])
+            "depth-max 1e17", "depth 1e-300", "classes 1e20", "objects-max 1e20"])
     def test_synth_values_the_spec_refuses(self, tmp_path, options, message):
         # these ended in an OverflowError traceback or exited 1 mid-generation
         out_dir = tmp_path / "scene"
@@ -434,12 +448,65 @@ class TestExitCodes:
                           "--ladder", str(ladder_path)])
         assert code == EXIT_INPUT
 
-    def test_ensemble_without_bboxes_is_a_compute_error(self, tmp_path):
-        pred_path = str(tmp_path / "m.jsonl")
-        save_predictions([image("a", det(0.0, 0.0, 10.0, confidence=0.5))], pred_path)
-        code, _, err = run(["ensemble", pred_path, "--out", str(tmp_path / "out.jsonl")])
-        assert code == EXIT_COMPUTE
-        assert err == "error: ensemble_max requires detections with a bbox\n"
+    @pytest.mark.parametrize("command, message", [
+        # exited 1 with a bare "ensemble_max requires detections with a bbox"
+        (["ensemble", "BOXED", "BOXLESS"],
+         "ensemble_max requires items with a bbox; input 1, image 'b', item 1 has none"),
+        (["post", "--pred", "BOXLESS", "--recover-xy", "--camera", "CAMERA"],
+         "recover_xy requires items with a bbox; image 'b', item 1 has none"),
+        # exited 1 with a bare "filter_ignore requires items with a bbox"
+        (["post", "--pred", "BOXLESS", "--ignore", "REGIONS"],
+         "filter_ignore requires items with a bbox; image 'b', item 1 has none"),
+        (["eval", "--pred", "BOXLESS", "--gt", "GT", "--camera", "CAMERA", "--ignore", "REGIONS"],
+         "filter_ignore requires items with a bbox; image 'b', item 1 has none"),
+    ], ids=["ensemble", "post recover-xy", "post ignore", "eval ignore"])
+    def test_a_box_less_item_is_a_located_input_error(self, tmp_path, camera_path, command,
+                                                      message):
+        with_box = det(0.0, 0.0, 10.0, confidence=0.5, bbox=boxed(0.0, 0.0, 10.0))
+        paths = {"BOXED": str(tmp_path / "boxed.jsonl"), "BOXLESS": str(tmp_path / "boxless.jsonl"),
+                 "REGIONS": str(tmp_path / "regions.jsonl"), "CAMERA": camera_path,
+                 "GT": str(tmp_path / "gt.jsonl")}
+        save_ground_truth([image("b", ann(0.0, 0.0, 10.0))], paths["GT"])
+        save_predictions([image("b", with_box, with_box)], paths["BOXED"])
+        save_predictions([image("a"), image("b", with_box, det(0.0, 0.0, 10.0, confidence=0.5))],
+                         paths["BOXLESS"])
+        save_ignore([IgnoreRegions("b", (boxed(0.0, 0.0, 10.0),))], paths["REGIONS"])
+        out = tmp_path / "out.jsonl"
+        code, _, err = run([paths.get(a, a) for a in command] + ["--out", str(out)])
+        assert (code, err) == (EXIT_INPUT, f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["pred", "csv", "gt", "ignore", "camera", "ladder"])
+    def test_a_file_that_is_not_utf8_is_a_parse_error_at_its_line(self, tmp_path, perfect_files,
+                                                                  kind):
+        # each exited 1 with "'utf-8' codec can't decode byte 0xff in position 23",
+        # naming neither the file nor the line
+        pred, gt, camera = perfect_files
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_bytes(b"first \xc3\xa9\r\nsecond\rthird \xff\n")  # universal newlines
+        argv = {"pred": ["eval", "--pred", str(bad), "--gt", gt],
+                "csv": ["eval", "--pred", str(bad), "--format", "csv", "--gt", gt],
+                "gt": ["eval", "--pred", pred, "--gt", str(bad)],
+                "ignore": ["eval", "--pred", pred, "--gt", gt, "--camera", camera,
+                           "--ignore", str(bad)],
+                "camera": ["post", "--pred", pred, "--recover-xy", "--camera", str(bad),
+                           "--out", str(tmp_path / "out.jsonl")],
+                "ladder": ["eval", "--pred", pred, "--gt", gt, "--ladder", str(bad)]}[kind]
+        code, out, err = run(argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"error: line 3: byte 23 of {bad} is not UTF-8 (invalid start byte)\n"
+
+    def test_a_byte_past_the_first_read_is_located_exactly(self, tmp_path, perfect_files):
+        _, gt, _ = perfect_files
+        bad = tmp_path / "pred.jsonl"
+        save_predictions([image("a", *(det(0.0, 0.0, 10.0) for _ in range(200)))], str(bad))
+        first = bad.read_bytes()
+        assert len(first) > 8192  # beyond the text reader's first chunk
+        bad.write_bytes(first + b"\xe2\x82")  # cut mid-character
+        code, _, err = run(["eval", "--pred", str(bad), "--gt", gt])
+        assert code == EXIT_INPUT
+        assert err == (f"error: line 2: byte {len(first)} of {bad} is not UTF-8 "
+                       "(unexpected end of data)\n")
 
     @pytest.mark.parametrize("command, removed", [
         ("eval", ["--jobs", "1"]),

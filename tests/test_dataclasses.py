@@ -28,7 +28,6 @@ from pose6d import (
     IgnoreRegions,
     ImageRecord,
     LossWeights,
-    MatchResult,
     NoiseSpec,
     Pose,
     Quaternion,
@@ -60,7 +59,6 @@ VALUES = [
 # one instance of every other dataclass
 OTHERS = [
     ThresholdLadder(((2.0, 0.5),)),
-    MatchResult(((0, 0),), (), (1,), (0.25,), (0.125,)),
     EvaluationReport(ThresholdLadder(((2.0, 0.5),)), {0: (1.0,)}, 1.0, 0.25, 0.125, 0.125,
                      1.0, 0.5, 1, 0, 1),
     EnsembleConfig(),

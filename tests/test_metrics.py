@@ -24,14 +24,13 @@ from pose6d import (
     average_precision,
     generate_scene,
     load_ladder,
-    match,
     mean_average_precision,
     parse_ladder,
     perturb,
     quat_from_euler,
 )
 
-from pose6d.metrics import Evaluation
+from pose6d.metrics import Evaluation, _match_image
 
 from helpers import ann, as_detection, crowded_scene, det, image
 
@@ -125,73 +124,62 @@ class TestLadder:
         assert load_ladder(str(path)).pairs == ((0.25, math.radians(2.5)),)
 
 
+def hits(preds, gts):
+    """The (det, gt, distance, angle) hits of one image at PAIR, in visiting order."""
+    return _match_image(preds, gts, (PAIR,))[0]
+
+
 class TestMatch:
     def test_higher_confidence_claims_the_target_first(self):
         gts = [ann(0.0, 0.0, 10.0)]
         preds = [det(0.5, 0.0, 10.0, confidence=0.9),   # farther but more confident
                  det(0.1, 0.0, 10.0, confidence=0.8)]   # nearer yet outranked
-        result = match(preds, gts, PAIR)
-        assert result.pairs == ((0, 0),)
-        assert result.unmatched_pred == (1,)
-        assert result.trans_errors == (0.5,)
+        assert hits(preds, gts) == [(0, 0, 0.5, 0.0)]
 
     def test_each_detection_takes_the_nearest_free_target(self):
         gts = [ann(0.4, 0.0, 10.0), ann(0.1, 0.0, 10.0)]
         preds = [det(0.0, 0.0, 10.0, confidence=0.9)]
-        result = match(preds, gts, PAIR)
-        assert result.pairs == ((0, 1),)
-        assert result.unmatched_gt == (0,)
+        assert hits(preds, gts) == [(0, 1, 0.1, 0.0)]
 
     def test_distance_tie_goes_to_the_lower_target_index(self):
         gts = [ann(0.3, 0.0, 10.0), ann(-0.3, 0.0, 10.0)]
         preds = [det(0.0, 0.0, 10.0)]
-        assert match(preds, gts, PAIR).pairs == ((0, 0),)
+        assert hits(preds, gts) == [(0, 0, 0.3, 0.0)]
 
     def test_confidence_tie_goes_to_the_earlier_detection(self):
         gts = [ann(0.0, 0.0, 10.0)]
         preds = [det(0.1, 0.0, 10.0, confidence=0.7),
                  det(0.05, 0.0, 10.0, confidence=0.7)]
-        assert match(preds, gts, PAIR).pairs == ((0, 0),)
+        assert hits(preds, gts) == [(0, 0, 0.1, 0.0)]
 
     def test_both_gates_must_hold(self):
         gts = [ann(0.0, 0.0, 10.0)]
         too_far = det(2.0, 0.0, 10.0)
         too_rotated = det(0.0, 0.0, 10.0, quat=rotated(math.radians(20.0)))
-        assert match([too_far], gts, PAIR).pairs == ()
-        assert match([too_rotated], gts, PAIR).pairs == ()
+        assert hits([too_far], gts) == []
+        assert hits([too_rotated], gts) == []
 
     def test_boundary_distances_and_angles_count_as_matches(self):
         gts = [ann(0.0, 0.0, 10.0)]
         at_edge = det(1.0, 0.0, 10.0, quat=rotated(math.radians(10.0) - 1e-12))
-        result = match([at_edge], gts, PAIR)
-        assert result.pairs == ((0, 0),)
+        assert hits([at_edge], gts) == [(0, 0, 1.0, pytest.approx(math.radians(10.0) - 1e-12))]
 
     def test_rotation_gate_does_not_block_a_farther_candidate(self):
         # the nearest target fails the angle check; the detection must still
         # claim the farther one that passes both gates
         gts = [ann(0.2, 0.0, 10.0, quat=rotated(math.radians(30.0))),
                ann(0.5, 0.0, 10.0)]
-        result = match([det(0.0, 0.0, 10.0)], gts, PAIR)
-        assert result.pairs == ((0, 1),)
+        assert hits([det(0.0, 0.0, 10.0)], gts) == [(0, 1, 0.5, 0.0)]
 
     def test_class_mismatch_never_matches(self):
         gts = [ann(0.0, 0.0, 10.0, class_id=1)]
-        result = match([det(0.0, 0.0, 10.0, class_id=0)], gts, PAIR)
-        assert result.pairs == ()
-        assert result.unmatched_pred == (0,)
-        assert result.unmatched_gt == (0,)
+        assert hits([det(0.0, 0.0, 10.0, class_id=0)], gts) == []
 
     def test_targets_are_matched_at_most_once(self):
         gts = [ann(0.0, 0.0, 10.0)]
         preds = [det(0.1, 0.0, 10.0, confidence=0.9),
                  det(0.2, 0.0, 10.0, confidence=0.8)]
-        result = match(preds, gts, PAIR)
-        assert result.pairs == ((0, 0),)
-        assert result.unmatched_pred == (1,)
-
-    def test_invalid_pair_is_rejected(self):
-        with pytest.raises(ValueError):
-            match([], [], (0.0, 1.0))
+        assert hits(preds, gts) == [(0, 0, 0.1, 0.0)]
 
 
 class TestNonFinitePoses:

@@ -11,6 +11,7 @@ from pose6d import (
     EmptyEnsembleError,
     EnsembleConfig,
     IgnoreRegions,
+    MissingBoxError,
     ThresholdSweep,
     Translation,
     apply_confidence_threshold,
@@ -53,8 +54,16 @@ class TestRecoverXy:
         assert fixed.pose.translation.y == pytest.approx(t.y, abs=1e-9)
 
     def test_requires_a_bbox(self):
-        with pytest.raises(ValueError, match="bbox"):
+        with pytest.raises(MissingBoxError, match="^recover_xy requires a detection with a bbox$"):
             recover_xy(det(0.0, 0.0, 10.0), K)
+
+    def test_the_records_variant_names_the_first_box_less_detection(self):
+        boxed = det(0.0, 0.0, 10.0, bbox=BBox2D(950.0, 530.0, 970.0, 550.0))
+        records = [image("a", boxed), image("b", boxed, boxed, det(0.0, 0.0, 10.0),
+                                            det(1.0, 0.0, 10.0))]
+        with pytest.raises(MissingBoxError) as err:
+            recover_xy_records(records, K)
+        assert str(err.value) == "recover_xy requires items with a bbox; image 'b', item 2 has none"
 
     def test_records_variant_maps_every_detection(self):
         records = [image("a", det(9.0, 9.0, 10.0, bbox=BBox2D(1150.0, 630.0, 1170.0, 650.0))),
@@ -128,9 +137,12 @@ class TestIgnoreFilter:
         assert filter_ignore(records, [IgnoreRegions("a", (self.BOX,))]) == records
 
     def test_touched_images_require_bboxes(self):
-        records = [image("a", det(0.0, 0.0, 10.0))]
-        with pytest.raises(ValueError, match="bbox"):
+        # raised a bare "filter_ignore requires items with a bbox", naming no image
+        boxed = det(0.0, 0.0, 10.0, bbox=self.BOX)
+        records = [image("a", boxed, det(0.0, 0.0, 10.0), det(1.0, 0.0, 10.0))]
+        with pytest.raises(MissingBoxError) as err:
             filter_ignore(records, [IgnoreRegions("a", (self.BOX,))])
+        assert str(err.value) == "filter_ignore requires items with a bbox; image 'a', item 1 has none"
 
     def test_filters_annotations_the_same_way(self):
         records = [image("a",
@@ -225,8 +237,14 @@ class TestEnsembleMax:
             ensemble_max([])
 
     def test_detections_need_bboxes(self):
-        with pytest.raises(ValueError, match="bbox"):
-            ensemble_max([[image("a", det(0.0, 0.0, 10.0, confidence=0.9))]])
+        # raised a bare "ensemble_max requires detections with a bbox"
+        boxed = det(0.0, 0.0, 10.0, bbox=BBox2D(0.0, 0.0, 1.0, 1.0))
+        models = [[image("a", boxed)], [image("a", boxed), image("b", boxed, boxed, det(0.0, 0.0, 10.0))]]
+        with pytest.raises(MissingBoxError) as err:
+            ensemble_max(models)
+        assert str(err.value) == ("ensemble_max requires items with a bbox; input 1, image 'b', "
+                                  "item 2 has none")
+        assert issubclass(MissingBoxError, ValueError)
 
     @pytest.mark.parametrize("kwargs", [
         {"iou_threshold": 0.0},

@@ -8,10 +8,10 @@ with the package's scoring on crowded scenes shaped like the benchmark's
 
 The matching core and its ranking are refereed by the code they replaced,
 kept in ``tests/helpers.py``: ``_match_image`` must give the same hits, and
-``Evaluation`` the same per-class AP at every threshold, and ``match`` the
-same last-pair ``MatchResult``s, bit for bit. The report's last-pair
-statistics, built from the matching's hits, must equal those the referee
-computes from the reference ``MatchResult``s with its own arithmetic, and
+``Evaluation`` the same per-class AP at every threshold and the same
+per-image last-pair hits and counts that the report is built from, bit for
+bit. The report's last-pair statistics must equal those the referee
+computes from the reference hits with its own arithmetic, and
 ``BBox2D``'s one-sum fast test must accept and refuse exactly what its
 field-by-field checks do, with the same exception.
 
@@ -39,7 +39,6 @@ from pose6d import (
     apply_confidence_threshold,
     ensemble_max,
     iou_2d,
-    match,
     mean_average_precision,
     oracle_map,
     quat_from_euler,
@@ -304,16 +303,13 @@ def crowded_lattice(draw):
 def test_matching_and_ranking_equal_the_reference_bit_for_bit(scene, ladder):
     preds, gts = scene
     gt_by_id = {r.image_id: r.items for r in gts}
-    pred_by_id = {r.image_id: r.items for r in preds}
     for record in preds:
         anns = gt_by_id.get(record.image_id, ())
         assert repr(_match_image(record.items, anns, ladder.pairs)) == repr(
             reference_match_image(record.items, anns, ladder.pairs))
     evaluation = Evaluation(preds, gts, ladder)
     buckets, last = reference_evaluation(preds, gts, ladder)
-    order = list(gt_by_id) + [i for i in pred_by_id if i not in gt_by_id]
-    assert repr([match(pred_by_id.get(i, ()), gt_by_id.get(i, ()), ladder.pairs[-1])
-                 for i in order]) == repr(last)
+    assert repr(evaluation._last_hits) == repr(last)
     for t in MATCH_THRESHOLDS:
         expected = reference_per_class_ap(buckets, t)
         if expected:
@@ -325,7 +321,7 @@ def test_matching_and_ranking_equal_the_reference_bit_for_bit(scene, ladder):
 
 @settings(max_examples=300, deadline=None)
 @given(crowded_lattice(), st.sampled_from(MATCH_LADDERS))
-def test_report_equals_the_statistics_of_the_match_results_bit_for_bit(scene, ladder):
+def test_report_equals_the_statistics_of_the_reference_hits_bit_for_bit(scene, ladder):
     preds, gts = scene
     try:
         _, report = mean_average_precision(preds, gts, ladder)

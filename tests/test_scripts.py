@@ -105,9 +105,17 @@ def test_perf_ab_refuses_a_run_that_is_not_correct(tmp_path, capsys):
     # won 8 of 10: not nine in ten
     ([10.0, 10.2, 10.4, 10.1, 10.3, 10.0, 10.2, 10.4, 10.1, 10.3],
      [9.2, 9.4, 9.6, 9.3, 9.5, 9.2, 9.4, 9.6, 10.2, 10.4], "-"),
-    ([9.2, 9.4, 9.6, 9.3, 9.5], [10.0, 10.2, 10.4, 10.1, 10.3], "worse"),
-    ([1.0] * 5, [1.3] * 5, "over bound"),
+    ([9.2, 9.4, 9.6, 9.3, 9.5, 9.2, 9.4, 9.6, 9.3, 9.5],
+     [10.0, 10.2, 10.4, 10.1, 10.3, 10.0, 10.2, 10.4, 10.1, 10.3], "worse"),
+    ([1.0] * 10, [1.3] * 10, "over bound"),
+    # five pairs all won, which gave "gain" when five pairs sufficed
+    ([10.0, 10.2, 10.4, 10.1, 10.3], [9.2, 9.4, 9.6, 9.3, 9.5], "too few pairs"),
     ([10.0, 10.2, 10.4, 10.1], [9.2, 9.4, 9.6, 9.3], "too few pairs"),
+    # the parent's IQR is two thirds of its median against a bound of 0.2: even a change
+    # 1.5x slower cannot be told from it
+    ([1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0], [1.5, 3.0] * 5, "unresolved"),
+    # as wide, but every change run beats every parent run
+    ([1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0], [0.1, 0.2] * 5, "gain"),
 ])
 def test_perf_ab_verdicts(parent, change, verdict):
     spec = {"name": "latency_p50_s", "better": "lower", "bound": 0.2}

@@ -2,8 +2,11 @@
 
 import io
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pose6d import (
     CAR_EXTENT,
@@ -29,6 +32,49 @@ from pose6d import (
 from helpers import ann, as_detection, det, image
 
 HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
+
+INT64_MAX = 2**63 - 1
+
+
+def assert_round_trips(records, preds):
+    for parse, serialize, written in ((parse_ground_truth, serialize_ground_truth, records),
+                                      (parse_predictions, serialize_predictions, preds)):
+        stream = io.StringIO()
+        serialize(written, stream)
+        assert parse(stream.getvalue().splitlines()) == written
+
+
+def edges(lo, hi, *values):
+    """Any float in [lo, hi], or one of the given edge values."""
+    return st.sampled_from(values) | st.floats(lo, hi)
+
+
+SIGMAS = edges(0.0, sys.float_info.max, 5e-324, 1e-300, 0.5, 10.0, 1e308, sys.float_info.max)
+RATES = edges(0.0, 1.0, 0.0, 5e-324, 0.5, 1.0)
+DEPTHS = edges(1e-9, 1e9, 1e-9, 8.0, 50.0, 1e9)
+CONFIDENCES = edges(0.0, 1.0, 0.0, 5e-324, 0.5, 1.0 - 2**-53, 1.0)
+
+
+@st.composite
+def ordered(draw, values):
+    return tuple(sorted((draw(values), draw(values))))
+
+
+@st.composite
+def specs(draw):
+    """A scene spec at the edges of what SceneSpec and NoiseSpec accept, with
+    at most three images of at most four objects."""
+    noise = NoiseSpec(translation_sigma=draw(SIGMAS), rotation_sigma=draw(SIGMAS),
+                      miss_rate=draw(RATES), false_positive_rate=draw(RATES),
+                      tp_confidence=draw(ordered(CONFIDENCES)),
+                      fp_confidence=draw(ordered(CONFIDENCES)))
+    return SceneSpec(seed=draw(st.sampled_from([0, 1, 2**32, INT64_MAX, 2**128])
+                               | st.integers(0, 2**64)),
+                     n_images=draw(st.integers(0, 3)),
+                     objects_per_image=draw(ordered(st.integers(0, 4))),
+                     depth_range=draw(ordered(DEPTHS)),
+                     n_classes=draw(st.sampled_from([1, 2, INT64_MAX]) | st.integers(1, INT64_MAX)),
+                     noise=noise)
 
 
 class TestGenerateScene:
@@ -91,6 +137,27 @@ class TestGenerateScene:
         with pytest.raises(ValueError):
             SceneSpec(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, got", [
+        # numpy's integers() raised "high is out of bounds for int64" mid-generation
+        ({"n_classes": 10**20}, "100000000000000000000 and (1, 4)"),
+        ({"n_classes": 2**63}, "9223372036854775808 and (1, 4)"),
+        ({"objects_per_image": (1, 10**20)}, "1 and (1, 100000000000000000000)"),
+        ({"objects_per_image": (2**63, 2**63)}, "1 and (9223372036854775808, 9223372036854775808)"),
+    ])
+    def test_counts_beyond_numpys_draw_range_are_refused(self, kwargs, got):
+        with pytest.raises(ValueError) as err:
+            SceneSpec(**kwargs)
+        assert str(err.value) == ("n_classes and objects_per_image must be at most "
+                                  f"9223372036854775807, numpy's int64 draw range, got {got}")
+
+    def test_the_largest_class_count_numpy_draws_is_generated(self):
+        spec = SceneSpec(seed=3, n_images=4, n_classes=INT64_MAX, noise=NoiseSpec(
+            false_positive_rate=1.0))
+        records, camera = generate_scene(spec)
+        preds = perturb(records, spec.noise, spec.seed, camera)
+        assert all(0 <= a.class_id <= INT64_MAX for r in records for a in r.items)
+        assert_round_trips(records, preds)
+
     @pytest.mark.parametrize("depth", [1e-9, 1e9])
     def test_a_scene_at_either_end_of_the_bound_is_generated_and_perturbed(self, depth):
         spec = SceneSpec(seed=5, n_images=20, objects_per_image=(1, 4), depth_range=(depth, depth))
@@ -104,11 +171,15 @@ class TestGenerateScene:
             for a in record.items:
                 assert a.pose.translation.z == depth
                 assert 0.0 < a.bbox.area() < math.inf
-        for parse, serialize, written in ((parse_ground_truth, serialize_ground_truth, records),
-                                          (parse_predictions, serialize_predictions, preds)):
-            stream = io.StringIO()
-            serialize(written, stream)
-            assert parse(stream.getvalue().splitlines()) == written
+        assert_round_trips(records, preds)
+
+    @settings(max_examples=200, deadline=None)
+    @given(specs())
+    def test_every_accepted_spec_is_generated_perturbed_and_round_trips(self, spec):
+        records, camera = generate_scene(spec)
+        preds = perturb(records, spec.noise, spec.seed, camera)
+        assert len(records) == len(preds) == spec.n_images
+        assert_round_trips(records, preds)
 
     def test_noise_spec_validation(self):
         with pytest.raises(ValueError):
@@ -203,6 +274,15 @@ class TestPerturb:
         translations = [d.pose.translation for r in preds for d in r.items]
         assert all(math.isfinite(t.x) and math.isfinite(t.y) and 0.0 < t.z < math.inf
                    for t in translations)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_rotation_angle_that_overflows_is_drawn_again(self, seed):
+        # raised "math domain error": sin of |normal(0, 1e308)| beyond the float range,
+        # as pose6d synth --rot-sigma 1e308 --images 20 did for every seed from 0 to 7
+        records, camera = generate_scene(SceneSpec(seed=seed, n_images=20))
+        preds = perturb(records, NoiseSpec(rotation_sigma=1e308), seed=seed, camera=camera)
+        assert [len(r.items) for r in preds] == [len(r.items) for r in records]
+        assert_round_trips(records, preds)
 
 
 class TestCorruptXy:
