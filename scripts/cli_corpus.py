@@ -11,7 +11,9 @@ whose ``trans_m``, then ``rot_deg``, takes each JSON number and a few
 non-numbers.
 ``--pred`` and ``--gt`` name missing files, so a case that ends in "No
 such file" shows that the value passed every check made before the
-inputs are read. ``synth`` writes to a temporary directory.
+inputs are read. ``synth`` writes to a temporary directory. Last, ``eval
+--ignore`` reads a ground truth whose box-less annotation sits at a depth
+where the car's footprint is no box (1e17 m, 1e-200 m), or at 10 m.
 
 Each run gives one JSON line: the exit code, the last stderr line (the
 usage that argparse prints above it is wrapped to the terminal width),
@@ -87,25 +89,43 @@ LADDER_VALUES = COMMON[:3] + ["NaN", "Infinity", "-Infinity", "1e308", "5e-324",
                               "-" + "1" * 401, "true", "null", "\"1\""]
 
 
-def cases() -> Iterator[tuple[str, str, list[str], str | None]]:
-    """(command, case label, argv, ladder file text or None) for every case."""
+# ``eval --ignore`` inputs: the ground truth is a boxed annotation and, as
+# item 1, a box-less one at depth Z; the camera is synth's
+IGNORE_FILES = {
+    "PRED": '{"image_id": "a", "detections": []}\n',
+    "GT": '{"image_id": "a", "annotations": [{"class_id": 0, "bbox": [0, 0, 1, 1], '
+          '"quaternion": [1, 0, 0, 0], "translation": [0, 0, 10]}, {"class_id": 0, '
+          '"quaternion": [1, 0, 0, 0], "translation": [0, 0, Z]}]}\n',
+    "CAMERA": '{"fx": 1000, "fy": 1000, "cx": 960, "cy": 540}\n',
+    "IGNORE": '{"image_id": "a", "rects": [[0, 0, 960, 540]]}\n',
+}
+
+
+def cases() -> Iterator[tuple[str, str, list[str], dict[str, str]]]:
+    """(command, case label, argv, {placeholder: text of the file written
+    for it}) for every case."""
     for command, (base, options) in OPTIONS.items():
         for option, boundary in options.items():
             for value in boundary + COMMON:
-                yield command, f"{option} {value}", [command, *base, f"{option}={value}"], None
+                yield command, f"{option} {value}", [command, *base, f"{option}={value}"], {}
     base = OPTIONS["synth"][0]
     for option, elements in PAIRS.items():
         for name, other, position in elements:
             for value in PAIR_VALUES + COMMON:
                 pair = [other, other]
                 pair[position] = value
-                yield "synth", f"{option} {name}={value}", ["synth", *base, option, *pair], None
+                yield "synth", f"{option} {name}={value}", ["synth", *base, option, *pair], {}
     base = OPTIONS["eval"][0]
     for key, other in (("trans_m", '"rot_deg": 5'), ("rot_deg", '"trans_m": 1')):
         for value in LADDER_VALUES:
             label = value if len(value) < 20 else f"{value[:2]}... ({len(value)} chars)"
             text = f'[{{"{key}": {value}, {other}}}]'
-            yield "eval", f"--ladder {key} {label}", ["eval", *base, "--ladder", "LADDER"], text
+            yield "eval", f"--ladder {key} {label}", ["eval", *base, "--ladder", "LADDER"], \
+                {"LADDER": text}
+    for z in ("1e17", "1e-200", "10"):
+        files = {**IGNORE_FILES, "GT": IGNORE_FILES["GT"].replace("Z", z)}
+        yield "eval", f"--ignore box-less z={z}", ["eval", "--pred", "PRED", "--gt", "GT", "--camera",
+                                                    "CAMERA", "--ignore", "IGNORE"], files
 
 
 def _digest(out_dir: str) -> str:
@@ -116,14 +136,17 @@ def _digest(out_dir: str) -> str:
     return sha.hexdigest()
 
 
-def outcome(argv: list[str], ladder: str | None, tmp: str) -> dict:
-    """What ``main`` makes of ``argv``, with its path placeholders in ``tmp``."""
+def outcome(argv: list[str], files: dict[str, str], tmp: str) -> dict:
+    """What ``main`` makes of ``argv``, with its path placeholders in ``tmp``
+    and ``files`` written there; a ``--pred`` or ``--gt`` not in ``files``
+    names a missing file."""
     paths = {"PRED": "missing-pred.jsonl", "GT": "missing-gt.jsonl", "OUT": "out",
-             "LADDER": "ladder.json"}
+             "LADDER": "ladder.json", "CAMERA": "camera.json", "IGNORE": "ignore.jsonl"}
+    paths.update((name, paths[name].removeprefix("missing-")) for name in files)
     argv = [os.path.join(tmp, paths[a]) if a in paths else a for a in argv]
-    if ladder is not None:
-        with open(os.path.join(tmp, "ladder.json"), "w", encoding="utf-8") as handle:
-            handle.write(ladder)
+    for name, text in files.items():
+        with open(os.path.join(tmp, paths[name]), "w", encoding="utf-8") as handle:
+            handle.write(text)
     out, err = io.StringIO(), io.StringIO()
     result: dict = {}
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -147,8 +170,8 @@ def outcome(argv: list[str], ladder: str | None, tmp: str) -> dict:
 def transcript() -> list[str]:
     """One JSON line per case: command, case label and outcome."""
     with tempfile.TemporaryDirectory() as tmp:
-        return [json.dumps({"command": command, "case": label, **outcome(argv, ladder, tmp)})
-                for command, label, argv, ladder in cases()]
+        return [json.dumps({"command": command, "case": label, **outcome(argv, files, tmp)})
+                for command, label, argv, files in cases()]
 
 
 def main() -> int:

@@ -10,6 +10,8 @@ scenes aimed at the edges of the post-processing rules:
   image present in one model only and empty images;
 - ignore filtering: a coverage of exactly 0.5, three overlapping
   rectangles, an image without regions and a region without detections.
+- recovery: a detection the reader accepts whose box center back-projects
+  beyond the float range.
 
 Each scene is written to files and run through the command line as a
 user would: ``pose6d ensemble`` at ``--iou`` 0.05, 0.3, 0.5, 0.7 and 1.0,
@@ -43,6 +45,7 @@ import numpy as np
 
 from pose6d import (
     BBox2D,
+    CameraIntrinsics,
     Detection,
     EnsembleConfig,
     IgnoreRegions,
@@ -57,6 +60,7 @@ from pose6d import (
     filter_ignore,
     generate_scene,
     perturb,
+    recover_xy_records,
     save_camera,
     save_ignore,
     save_predictions,
@@ -72,6 +76,7 @@ NOISE = NoiseSpec(translation_sigma=0.5, rotation_sigma=0.2, miss_rate=0.2,
 IOUS = ["0.05", "0.3", "0.5", "0.7", "1.0"]
 OVERLAPS = ["0", "0.25", "0.5", "0.75", "1"]
 IDENTITY = Quaternion(1.0, 0.0, 0.0, 0.0)
+CAMERA = CameraIntrinsics(1000.0, 1000.0, 960.0, 540.0)
 
 
 def _det(x: float, box: tuple[float, float, float, float] | None, confidence: float,
@@ -154,6 +159,14 @@ def _edge_models() -> list[list[ImageRecord]]:
     return [m0, m1, m2]
 
 
+def _overflowing() -> list[ImageRecord]:
+    """One model whose image 'a' has, as item 1, a detection that the reader
+    accepts and whose recovered x overflows: (1.5e200 - cx) * 1e200 / fx."""
+    far = Detection(0, 0.9, BBox2D(1e200, 0, 2e200, 1),
+                    Pose(IDENTITY, Translation(0.0, 0.0, 1e200)))
+    return [_image("a", _det(0, (0, 0, 1, 1), 0.8), far)]
+
+
 def _ignore_scene() -> tuple[list[ImageRecord], list[IgnoreRegions]]:
     """Detections and rectangles whose covered fractions sit on or near the cutoffs."""
     preds = [
@@ -187,6 +200,7 @@ def scenes() -> Iterator[Scene]:
     yield "a detection without a bbox", [[_image("a", _det(0, None, 0.9))],
                                         [_image("a", _det(1, (0, 0, 1, 1), 0.8))]], \
         [IgnoreRegions("a", (BBox2D(0, 0, 1, 1),))], None, ["0.5"]
+    yield "a box center beyond the float range", [_overflowing()], [], CAMERA, []
 
 
 def commands(n_models: int, camera: bool, overlaps: list[str]) -> Iterator[tuple[str, list[str]]]:
@@ -256,6 +270,8 @@ def library_cases() -> Iterator[tuple[str, Callable[[], list[ImageRecord]]]]:
     yield "ignore with a repeated region id", lambda: filter_ignore(preds[1:2], split)
     yield "ignore without a bbox", lambda: filter_ignore(nobox, [IgnoreRegions("a", ())])
     yield "ignore overlap 1.5", lambda: filter_ignore(preds, regions, 1.5)
+    yield "recover a box center beyond the float range", \
+        lambda: recover_xy_records(_overflowing(), CAMERA)
 
 
 def transcript() -> list[str]:

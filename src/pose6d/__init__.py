@@ -58,7 +58,6 @@ from .metrics import (
 from .postprocess import (
     EmptyEnsembleError,
     EnsembleConfig,
-    MissingBoxError,
     ThresholdSweep,
     apply_confidence_threshold,
     ensemble_max,
@@ -72,8 +71,10 @@ from .records import (
     Detection,
     IgnoreRegions,
     ImageRecord,
+    MissingBoxError,
     NonFiniteError,
     ParseError,
+    RecoveryOverflowError,
     ValidationError,
     load_camera,
     load_csv_compat,

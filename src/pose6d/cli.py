@@ -5,7 +5,9 @@ Subcommands: ``eval`` (score predictions against ground truth), ``post``
 ``sweep`` (confidence-threshold search), ``synth`` (generate synthetic
 data). Exit codes: 0 success, 1 computation error, 2 input or usage
 error, which includes an item without a box given to a stage that reads
-boxes. Reports and records go to files; stdout carries the human summary.
+boxes (or one whose car footprint ``eval --ignore`` cannot make a box) and
+a box center that ``--recover-xy`` takes beyond the float range. Reports
+and records go to files; stdout carries the human summary.
 The only randomness is in ``synth``, driven entirely by ``--seed``.
 
 An option value is checked once, before any file is read, by the library
@@ -27,7 +29,6 @@ from .metrics import (DEFAULT_LADDER, ThresholdLadder, _check_threshold, load_la
                       mean_average_precision)
 from .postprocess import (
     EnsembleConfig,
-    MissingBoxError,
     ThresholdSweep,
     apply_confidence_threshold,
     ensemble_max,
@@ -36,8 +37,11 @@ from .postprocess import (
     sweep_threshold,
 )
 from .records import (
+    MissingBoxError,
     ParseError,
+    RecoveryOverflowError,
     ValidationError,
+    _item_at,
     load_camera,
     load_csv_compat,
     load_ground_truth,
@@ -81,13 +85,22 @@ def _load_camera_arg(path: str | None, stage: str | None):
 
 
 def _ensure_gt_bboxes(gt_records, camera):
+    """Give each box-less annotation the car's footprint box at its pose; a
+    depth at which that is no box raises MissingBoxError at its image and item."""
     out = []
     for record in gt_records:
-        items = tuple(
-            a if a.bbox is not None else replace(
-                a, bbox=extent_bbox(a.pose.translation, CAR_EXTENT[0], CAR_EXTENT[2], camera))
-            for a in record.items)
-        out.append(replace(record, items=items))
+        items = []
+        for a in record.items:
+            if a.bbox is None:
+                try:
+                    bbox = extent_bbox(a.pose.translation, CAR_EXTENT[0], CAR_EXTENT[2], camera)
+                except ValueError as exc:
+                    raise MissingBoxError(f"eval --ignore needs a box for {_item_at(record, a)}, and "
+                                          f"the car's footprint at z={a.pose.translation.z} is none: "
+                                          f"{exc}") from None
+                a = replace(a, bbox=bbox)
+            items.append(a)
+        out.append(replace(record, items=tuple(items)))
     return out
 
 
@@ -266,7 +279,8 @@ def main(argv: list[str] | None = None) -> int:
     func: Callable[[argparse.Namespace], int] = args.func
     try:
         return func(args)
-    except (ParseError, ValidationError, MissingBoxError, OSError, argparse.ArgumentTypeError) as exc:
+    except (ParseError, ValidationError, MissingBoxError, RecoveryOverflowError, OSError,
+            argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:

@@ -23,25 +23,15 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .geometry import BBox2D, CameraIntrinsics, Pose, backproject, bbox_center
+from .geometry import BBox2D, CameraIntrinsics
 from .metrics import DEFAULT_LADDER, Evaluation, NoClassesError, ThresholdLadder, _check_threshold, _class_mean
-from .records import Detection, IgnoreRegions, ImageRecord, _index_by_image
+from .records import Detection, IgnoreRegions, ImageRecord, _index_by_image, _missing_box, _recovered
 
 _MAX_GRID_POINTS = 100_001  # a 1e-5 step over [0, 1]
 
 
 class EmptyEnsembleError(ValueError):
     """Ensemble of zero model outputs is undefined."""
-
-
-class MissingBoxError(ValueError):
-    """A stage that reads 2D boxes got an item without one."""
-
-
-def _missing_box(stage: str, record: ImageRecord, item, where: str = "") -> MissingBoxError:
-    """``item`` is the first box-less one of ``record``: the stages scan in order."""
-    return MissingBoxError(f"{stage} requires items with a bbox; {where}image "
-                           f"{record.image_id!r}, item {record.items.index(item)} has none")
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,20 +71,16 @@ class ThresholdSweep:
 
 
 def recover_xy(det: Detection, k: CameraIntrinsics) -> Detection:
-    """Replace (x, y) with the box center back-projected at the predicted z."""
-    if (box := det.bbox) is None:
-        raise MissingBoxError("recover_xy requires a detection with a bbox")
-    u, v = bbox_center(box)
-    t = backproject(u, v, det.pose.translation.z, k)
-    return Detection(det.class_id, det.confidence, box, Pose(det.pose.rotation, t))
+    """Replace (x, y) with the box center back-projected at the predicted z.
+
+    A detection without a box raises MissingBoxError, and one whose x or y
+    would overflow RecoveryOverflowError."""
+    return _recovered((det,), k)[0]
 
 
 def recover_xy_records(records: Sequence[ImageRecord], k: CameraIntrinsics) -> list[ImageRecord]:
-    try:
-        return [ImageRecord(r.image_id, tuple(recover_xy(d, k) for d in r.items)) for r in records]
-    except MissingBoxError:  # located only on failure
-        record, det = next((r, d) for r in records for d in r.items if d.bbox is None)
-        raise _missing_box("recover_xy", record, det) from None
+    """``recover_xy`` on every detection; a refusal names its image and item."""
+    return [ImageRecord(r.image_id, _recovered(r.items, k, r)) for r in records]
 
 
 def apply_confidence_threshold(records: Sequence[ImageRecord], threshold: float) -> list[ImageRecord]:

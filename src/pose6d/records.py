@@ -24,7 +24,8 @@ checks shape field by field (a ParseError, or a non-finite number's
 ValidationError, at the first bad field), then builds the item through the
 same builder, whose value refusal becomes a ValidationError at the item;
 both carry the 1-based line number and the field path. So the fast path
-changes no message and no record.
+changes no message and no record. Lateral recovery makes its detections
+from validated ones, in ``_recovered``, which no reader uses.
 
 A single-class CSV compatibility reader takes rows ``image_id, S``, where
 ``S`` repeats ``pitch yaw roll x y z confidence`` groups; each is built as
@@ -75,6 +76,29 @@ class NonFiniteError(ValueError):
     """A detection or annotation pose has a NaN or infinite component."""
 
 
+class RecoveryOverflowError(NonFiniteError):
+    """A lateral position recovered from a box center is beyond the float range."""
+
+
+class MissingBoxError(ValueError):
+    """A stage that reads 2D boxes got an item without one."""
+
+
+def _item_at(record: ImageRecord, item) -> str:
+    """``item``'s place in ``record``. The stages scan in order and refuse
+    the first bad item, so no earlier item equals it."""
+    return f"image {record.image_id!r}, item {record.items.index(item)}"
+
+
+def _missing_box(stage: str, record: ImageRecord, item, where: str = "") -> MissingBoxError:
+    return MissingBoxError(f"{stage} requires items with a bbox; {where}{_item_at(record, item)} "
+                           "has none")
+
+
+def _non_finite_pose(kind: str, pose: Pose) -> str:
+    return f"{kind} has a non-finite pose: {pose}"
+
+
 def _check_item(item: Detection | Annotation, kind: str) -> None:
     """The reader's item invariants: z > 0 (so not NaN), a finite pose, an int class_id >= 0."""
     t, q = item.pose.translation, item.pose.rotation
@@ -82,7 +106,7 @@ def _check_item(item: Detection | Annotation, kind: str) -> None:
         raise ValueError(f"{kind} depth must be positive, got z={t.z}")
     if not (math.isfinite(t.x) and math.isfinite(t.y) and math.isfinite(t.z) and math.isfinite(q.w)
             and math.isfinite(q.x) and math.isfinite(q.y) and math.isfinite(q.z)):
-        raise NonFiniteError(f"{kind} has a non-finite pose: {item.pose}")
+        raise NonFiniteError(_non_finite_pose(kind, item.pose))
     if isinstance(item.class_id, bool) or not isinstance(item.class_id, int) or item.class_id < 0:
         raise ValueError(f"{kind} class_id must be an integer >= 0, got {item.class_id!r}")
 
@@ -110,6 +134,49 @@ class Annotation:
 
     def __post_init__(self) -> None:
         _check_item(self, "annotation")
+
+
+_new = object.__new__
+_set_x, _set_y, _set_z = Translation.x.__set__, Translation.y.__set__, Translation.z.__set__
+_set_rotation, _set_translation = Pose.rotation.__set__, Pose.translation.__set__
+_set_class_id, _set_confidence = Detection.class_id.__set__, Detection.confidence.__set__
+_set_bbox, _set_pose = Detection.bbox.__set__, Detection.pose.__set__
+
+
+def _recovered(items: tuple, k: CameraIntrinsics, record: ImageRecord | None = None) -> tuple:
+    """``items``, validated detections, with x and y back-projected from each
+    box center at its z (``backproject``'s arithmetic) and checked by
+    ``_check_item``'s rule; the rest is the detection's own. The new
+    ``Translation``, ``Pose`` and ``Detection`` are stored through their
+    slots, with no ``__init__`` to run. MissingBoxError and
+    RecoveryOverflowError are raised where found, naming the image and item
+    when ``items`` are ``record``'s."""
+    fx, fy, cx, cy = k.fx, k.fy, k.cx, k.cy
+    out = []
+    for det in items:
+        if (box := det.bbox) is None:
+            if record is None:
+                raise MissingBoxError("recover_xy requires a detection with a bbox")
+            raise _missing_box("recover_xy", record, det)
+        pose = det.pose
+        z = pose.translation.z
+        x = ((box.x1 + box.x2) * 0.5 - cx) * z / fx
+        y = ((box.y1 + box.y2) * 0.5 - cy) * z / fy
+        if not (math.isfinite(x) and math.isfinite(y)):
+            where = "" if record is None else f" at {_item_at(record, det)}"
+            raise RecoveryOverflowError(f"recover_xy overflows{where}: " + _non_finite_pose(
+                "detection", Pose(pose.rotation, Translation(x, y, z))))
+        _set_x(t := _new(Translation), x)
+        _set_y(t, y)
+        _set_z(t, z)
+        _set_rotation(new_pose := _new(Pose), pose.rotation)
+        _set_translation(new_pose, t)
+        _set_class_id(moved := _new(Detection), det.class_id)
+        _set_confidence(moved, det.confidence)
+        _set_bbox(moved, box)
+        _set_pose(moved, new_pose)
+        out.append(moved)
+    return tuple(out)
 
 
 def _check_record(image_id: object, items: object, field: str) -> None:

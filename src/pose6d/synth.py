@@ -68,6 +68,11 @@ _LATERAL_RANGE = (0.6, 1.5)  # meters
 
 _MAX_DRAW = 2**63 - 1  # numpy draws integers as int64: the largest count it can draw
 
+# Objects a scene may hold, counting an empty image as one. A generation
+# takes about 27 us per object (2 vCPUs, Python 3.11), so under a minute at
+# the cap; perturbing and writing the files take about three times that.
+_MAX_OBJECTS = 1_000_000
+
 
 class TooLargeError(ValueError):
     """Input exceeds the oracle's exhaustive-regime size cap."""
@@ -130,6 +135,9 @@ class SceneSpec:
         if max(hi, self.n_classes) > _MAX_DRAW:
             raise ValueError(f"n_classes and objects_per_image must be at most {_MAX_DRAW}, "
                              f"numpy's int64 draw range, got {self.n_classes} and ({lo}, {hi})")
+        if self.n_images * max(hi, 1) > _MAX_OBJECTS:
+            raise ValueError(f"a scene holds at most {_MAX_OBJECTS} objects, counting an empty "
+                             f"image as one, got n_images={self.n_images} with up to {hi} each")
 
 
 def _stream(seed: int, purpose: int, image_index: int) -> np.random.Generator:

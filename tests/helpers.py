@@ -15,12 +15,17 @@ from pose6d import (
     BBox2D,
     Detection,
     ImageRecord,
+    MissingBoxError,
     NoiseSpec,
+    NonFiniteError,
     Pose,
     Quaternion,
+    RecoveryOverflowError,
     SceneSpec,
     Translation,
     angular_error,
+    backproject,
+    bbox_center,
     generate_scene,
     iou_2d,
     perturb,
@@ -275,3 +280,25 @@ def reference_thresholds(sweep) -> list[float]:
     12 decimals and clamped into ``[lo, hi]``."""
     return [min(max(round(sweep.lo + i * sweep.step, 12), sweep.lo), sweep.hi)
             for i in range(sweep._size())]
+
+
+def reference_recover_xy_records(records, k) -> list[ImageRecord]:
+    """``recover_xy_records`` rebuilt through the public constructors, as it
+    was first written: ``bbox_center`` and ``backproject`` give the
+    translation and ``Detection`` checks the whole result. A refusal is
+    located by counting items, with the package's messages."""
+    out = []
+    for record in records:
+        items = []
+        for i, d in enumerate(record.items):
+            where = f"image {record.image_id!r}, item {i}"
+            if d.bbox is None:
+                raise MissingBoxError(f"recover_xy requires items with a bbox; {where} has none")
+            u, v = bbox_center(d.bbox)
+            pose = Pose(d.pose.rotation, backproject(u, v, d.pose.translation.z, k))
+            try:
+                items.append(Detection(d.class_id, d.confidence, d.bbox, pose))
+            except NonFiniteError as exc:
+                raise RecoveryOverflowError(f"recover_xy overflows at {where}: {exc}") from None
+        out.append(ImageRecord(record.image_id, tuple(items)))
+    return out

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from pose6d import (
+    BBox2D,
     CameraIntrinsics,
     IgnoreRegions,
     Translation,
@@ -407,8 +408,12 @@ class TestExitCodes:
         (["--classes=100000000000000000000"], f"{INT64_BOUND}, got 100000000000000000000 and (1, 4)"),
         (["--objects-max=100000000000000000000"],
          f"{INT64_BOUND}, got 1 and (1, 100000000000000000000)"),
+        # accepted, it would run for hours and exhaust memory before writing
+        (["--images=250001"], "a scene holds at most 1000000 objects, counting an empty image "
+                              "as one, got n_images=250001 with up to 4 each"),
     ], ids=["depth-max inf", "rot-sigma inf", "trans-sigma inf", "seed -1", "depth-max 1e308",
-            "depth-max 1e17", "depth 1e-300", "classes 1e20", "objects-max 1e20"])
+            "depth-max 1e17", "depth 1e-300", "classes 1e20", "objects-max 1e20",
+            "images over the object cap"])
     def test_synth_values_the_spec_refuses(self, tmp_path, options, message):
         # these ended in an OverflowError traceback or exited 1 mid-generation
         out_dir = tmp_path / "scene"
@@ -475,6 +480,38 @@ class TestExitCodes:
         code, _, err = run([paths.get(a, a) for a in command] + ["--out", str(out)])
         assert (code, err) == (EXIT_INPUT, f"error: {message}\n")
         assert not out.exists()
+
+    def test_a_recovered_position_beyond_the_float_range_is_a_located_input_error(
+            self, tmp_path, camera_path):
+        # exited 1 with the constructor's unlocated "detection has a non-finite pose"
+        pred, out = str(tmp_path / "pred.jsonl"), tmp_path / "out.jsonl"
+        far = det(0.0, 0.0, 1e200, bbox=BBox2D(1e200, 0.0, 2e200, 1.0))
+        save_predictions([image("a", far)], pred)
+        code, _, err = run(["post", "--pred", pred, "--recover-xy", "--camera", camera_path,
+                            "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert err.startswith("error: recover_xy overflows at image 'a', item 0: detection has a "
+                              "non-finite pose: Pose(")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("z, reason", [
+        (1e17, "degenerate box (960.0, 540.0, 960.0, 540.0): requires x1 < x2 and y1 < y2"),
+        (1e-200, "box width, height and area must be finite, got "
+                 "(-2.25e+203, -7.5e+202, 2.25e+203, 7.5e+202)"),
+    ])
+    def test_a_box_less_annotation_whose_footprint_is_no_box_is_a_located_input_error(
+            self, tmp_path, camera_path, z, reason):
+        # each exited 1 with the box's unlocated message
+        pred, gt, regions = (str(tmp_path / name) for name in ("pred.jsonl", "gt.jsonl",
+                                                               "regions.jsonl"))
+        save_predictions([image("b")], pred)
+        save_ground_truth([image("b", ann(0.0, 0.0, 10.0), ann(0.0, 0.0, z))], gt)
+        save_ignore([IgnoreRegions("b", (boxed(0.0, 0.0, 10.0),))], regions)
+        code, out, err = run(["eval", "--pred", pred, "--gt", gt, "--camera", camera_path,
+                              "--ignore", regions])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == (f"error: eval --ignore needs a box for image 'b', item 1, and the car's "
+                       f"footprint at z={z} is none: {reason}\n")
 
     @pytest.mark.parametrize("kind", ["pred", "csv", "gt", "ignore", "camera", "ladder"])
     def test_a_file_that_is_not_utf8_is_a_parse_error_at_its_line(self, tmp_path, perfect_files,

@@ -35,6 +35,7 @@ from pose6d import (
     ThresholdLadder,
     ThresholdSweep,
     Translation,
+    recover_xy,
 )
 
 from helpers import ann, det, image
@@ -117,3 +118,24 @@ def test_copies_replace_and_assignment_behave_as_on_a_frozen_dataclass(value):
     name = dataclasses.fields(value)[0].name
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(value, name, getattr(value, name))
+
+
+def test_a_recovered_detection_is_laid_out_and_copied_like_a_constructed_one():
+    # recovery stores the new Translation, Pose and Detection through their
+    # slots, without running __init__
+    camera = CameraIntrinsics(1000.0, 1000.0, 960.0, 540.0)
+    recovered = recover_xy(det(99.0, 99.0, 10.0, confidence=0.75, class_id=3,
+                               quat=POSE.rotation, bbox=BOX), camera)
+    constructed = Detection(3, 0.75, BOX, Pose(POSE.rotation, Translation(-9.0, -4.9, 10.0)))
+    assert (recovered, hash(recovered), repr(recovered)) == (
+        constructed, hash(constructed), repr(constructed))
+    for value in (recovered, recovered.pose, recovered.pose.translation):
+        assert not hasattr(value, "__dict__"), _type_name(value)
+    for copy_of in COPIES:
+        other = copy_of(recovered)
+        assert (other, hash(other), repr(other)) == (
+            constructed, hash(constructed), repr(constructed))
+    with pytest.raises(ValueError):
+        dataclasses.replace(recovered, **REFUSED[Detection])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        recovered.confidence = 0.5

@@ -1,17 +1,23 @@
 """Recovery, thresholding, ignore filtering, ensembling, and sweep tests."""
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from pose6d import (
     BBox2D,
     CameraIntrinsics,
     DEFAULT_LADDER,
+    Detection,
     EmptyEnsembleError,
     EnsembleConfig,
     IgnoreRegions,
+    ImageRecord,
     MissingBoxError,
+    NonFiniteError,
+    Pose,
+    Quaternion,
+    RecoveryOverflowError,
     ThresholdSweep,
     Translation,
     apply_confidence_threshold,
@@ -25,9 +31,55 @@ from pose6d import (
 )
 
 from helpers import (ann, as_detection, crowded_scene, det, image, reference_evaluation,
-                     reference_thresholds, with_extra)
+                     reference_recover_xy_records, reference_thresholds, with_extra)
 
 K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0)
+
+MAX_FLOAT = 1.7976931348623157e308
+# finite coordinates, in pixels or meters, and out to the float range, where
+# a center or its back-projection overflows
+COORDS = (st.floats(-1e4, 1e4) | st.floats(-MAX_FLOAT, MAX_FLOAT)
+          | st.sampled_from([0.0, -0.0, 1e200, -1e200, 1e308, 5e-324]))
+# positive finite depths and focal lengths, from the smallest subnormal up
+POSITIVE = (st.floats(1e-3, 1e4) | st.floats(5e-324, MAX_FLOAT)
+            | st.sampled_from([1e-300, 1.0, 1e200, MAX_FLOAT]))
+ROTATIONS = [Quaternion(1.0, 0.0, 0.0, 0.0), Quaternion(0.5, 0.5, 0.5, 0.5)]
+CAMERAS = st.builds(CameraIntrinsics, POSITIVE, POSITIVE, COORDS, COORDS) | st.just(K)
+
+
+@st.composite
+def boxes(draw) -> BBox2D:
+    x1, x2 = sorted((draw(COORDS), draw(COORDS)))
+    y1, y2 = sorted((draw(COORDS), draw(COORDS)))
+    try:
+        return BBox2D(x1, y1, x2, y2)
+    except ValueError:  # degenerate, or a width or area beyond the float range
+        reject()
+
+
+@st.composite
+def detections(draw) -> Detection:
+    """A detection anywhere in depth, box-less about one time in eight; its x
+    and y are what recovery replaces."""
+    box = None if draw(st.integers(0, 7)) == 5 else draw(boxes())  # not an end, which draws favour
+    return Detection(draw(st.integers(0, 2)), draw(st.floats(0.0, 1.0)), box,
+                     Pose(draw(st.sampled_from(ROTATIONS)),
+                          Translation(draw(COORDS), draw(COORDS), draw(POSITIVE))))
+
+
+# one to three images, not all empty
+RECORDS = st.lists(st.lists(detections(), max_size=4), min_size=1, max_size=3).filter(any).map(
+    lambda images: [ImageRecord(f"img{i}", tuple(items)) for i, items in enumerate(images)])
+
+
+def outcome(call):
+    """A call's records, as themselves and as their repr, or the type and
+    message of its refusal."""
+    try:
+        records = call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return records, repr(records)
 
 
 class TestRecoverXy:
@@ -42,8 +94,8 @@ class TestRecoverXy:
         fixed = recover_xy(original, K)
         assert fixed.class_id == original.class_id
         assert fixed.confidence == original.confidence
-        assert fixed.bbox == original.bbox
-        assert fixed.pose.rotation == original.pose.rotation
+        assert fixed.bbox is original.bbox
+        assert fixed.pose.rotation is original.pose.rotation
         assert fixed.pose.translation.z == original.pose.translation.z
 
     def test_round_trips_a_consistent_detection(self):
@@ -64,6 +116,34 @@ class TestRecoverXy:
         with pytest.raises(MissingBoxError) as err:
             recover_xy_records(records, K)
         assert str(err.value) == "recover_xy requires items with a bbox; image 'b', item 2 has none"
+
+    def test_a_box_center_beyond_the_float_range_is_refused_where_it_is_found(self):
+        # the reader accepts this detection; recovering it exited 1 with the
+        # constructor's unlocated NonFiniteError
+        far = det(0.0, 0.0, 1e200, bbox=BBox2D(1e200, 0.0, 2e200, 1.0))
+        pose = ("Pose(rotation=Quaternion(w=1.0, x=0.0, y=0.0, z=0.0), "
+                "translation=Translation(x=inf, y=-5.394999999999999e+199, z=1e+200))")
+        with pytest.raises(RecoveryOverflowError) as err:
+            recover_xy(far, K)
+        assert str(err.value) == f"recover_xy overflows: detection has a non-finite pose: {pose}"
+        boxed = det(0.0, 0.0, 10.0, bbox=BBox2D(950.0, 530.0, 970.0, 550.0))
+        records = [image("a", boxed), image("b", boxed, far, det(0.0, 0.0, 10.0), far)]
+        with pytest.raises(RecoveryOverflowError) as err:  # before the box-less item 2
+            recover_xy_records(records, K)
+        assert str(err.value) == ("recover_xy overflows at image 'b', item 1: "
+                                  f"detection has a non-finite pose: {pose}")
+        assert issubclass(RecoveryOverflowError, NonFiniteError)
+
+    @settings(max_examples=500, deadline=None)
+    @given(RECORDS, CAMERAS)
+    @example([image("a", det(0.0, 0.0, 1e200, bbox=BBox2D(1e200, 0.0, 2e200, 1.0)))], K)
+    @example([image("a", det(0.0, 0.0, 1.0, bbox=BBox2D(1e308, 0.0, 1.7e308, 1.0)))], K)
+    @example([image("a", det(0.0, 0.0, 1.0, bbox=BBox2D(1.0, 0.0, 3.0, 1.0)))],
+             CameraIntrinsics(5e-324, 1.0, 0.0, 0.0))
+    @example([image("a"), image("b", det(0.0, 0.0, 10.0))], K)
+    def test_the_records_variant_equals_a_rebuild_through_the_constructors(self, records, k):
+        assert outcome(lambda: recover_xy_records(records, k)) == outcome(
+            lambda: reference_recover_xy_records(records, k))
 
     def test_records_variant_maps_every_detection(self):
         records = [image("a", det(9.0, 9.0, 10.0, bbox=BBox2D(1150.0, 630.0, 1170.0, 650.0))),

@@ -150,6 +150,21 @@ class TestGenerateScene:
         assert str(err.value) == ("n_classes and objects_per_image must be at most "
                                   f"9223372036854775807, numpy's int64 draw range, got {got}")
 
+    @pytest.mark.parametrize("kwargs, got", [
+        ({"n_images": 250_001}, "n_images=250001 with up to 4 each"),
+        ({"n_images": 1, "objects_per_image": (0, 1_000_001)}, "n_images=1 with up to 1000001 each"),
+        # an empty image counts as one
+        ({"n_images": 1_000_001, "objects_per_image": (0, 0)}, "n_images=1000001 with up to 0 each"),
+        ({"n_images": 2**63, "objects_per_image": (2**62, 2**62)},
+         f"n_images={2**63} with up to {2**62} each"),
+    ])
+    def test_a_scene_beyond_the_object_cap_is_refused(self, kwargs, got):
+        # only refusals: a scene near the cap takes minutes to generate
+        with pytest.raises(ValueError) as err:
+            SceneSpec(**kwargs)
+        assert str(err.value) == ("a scene holds at most 1000000 objects, counting an empty "
+                                  f"image as one, got {got}")
+
     def test_the_largest_class_count_numpy_draws_is_generated(self):
         spec = SceneSpec(seed=3, n_images=4, n_classes=INT64_MAX, noise=NoiseSpec(
             false_positive_rate=1.0))
