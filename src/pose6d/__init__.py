@@ -58,11 +58,12 @@ from .metrics import (
 from .postprocess import (
     EmptyEnsembleError,
     EnsembleConfig,
+    MissingBoxError,
+    RecoveryOverflowError,
     ThresholdSweep,
     apply_confidence_threshold,
     ensemble_max,
     filter_ignore,
-    recover_xy,
     recover_xy_records,
     sweep_threshold,
 )
@@ -71,10 +72,8 @@ from .records import (
     Detection,
     IgnoreRegions,
     ImageRecord,
-    MissingBoxError,
     NonFiniteError,
     ParseError,
-    RecoveryOverflowError,
     ValidationError,
     load_camera,
     load_csv_compat,

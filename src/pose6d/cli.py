@@ -29,7 +29,10 @@ from .metrics import (DEFAULT_LADDER, ThresholdLadder, _check_threshold, load_la
                       mean_average_precision)
 from .postprocess import (
     EnsembleConfig,
+    MissingBoxError,
+    RecoveryOverflowError,
     ThresholdSweep,
+    _item_at,
     apply_confidence_threshold,
     ensemble_max,
     filter_ignore,
@@ -37,11 +40,8 @@ from .postprocess import (
     sweep_threshold,
 )
 from .records import (
-    MissingBoxError,
     ParseError,
-    RecoveryOverflowError,
     ValidationError,
-    _item_at,
     load_camera,
     load_csv_compat,
     load_ground_truth,

@@ -329,7 +329,14 @@ def iou_2d(a: BBox2D, b: BBox2D) -> float:
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
-    return inter / (a.area() + b.area() - inter)
+    if (union := a.area() + b.area() - inter) == math.inf:
+        return _halved_iou(inter, a.area(), b.area())
+    return inter / union
+
+
+def _halved_iou(inter: float, area_a: float, area_b: float) -> float:
+    """IoU of a pair whose union overflows: halving every term changes no quotient."""
+    return inter * 0.5 / (area_a * 0.5 + area_b * 0.5 - inter * 0.5)
 
 
 def extent_bbox(t: Translation, width_m: float, height_m: float, k: CameraIntrinsics) -> BBox2D:

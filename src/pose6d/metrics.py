@@ -159,7 +159,7 @@ def average_precision(flags: Sequence[bool], num_gt: int) -> float:
     """
     if num_gt < 0:
         raise ValueError(f"num_gt must be >= 0, got {num_gt}")
-    tp = np.asarray(flags, dtype=bool).reshape(1, -1)
+    tp = np.fromiter(flags, dtype=bool).reshape(1, -1)  # an iterator too, which asarray wraps whole
     return _prefix_aps(tp, _precision(tp), tp.shape[1], num_gt)[0]
 
 
@@ -255,7 +255,7 @@ class Evaluation:
                  ladder: ThresholdLadder = DEFAULT_LADDER):
         pred_by_id = _index_by_image(pred_records, "predictions")
         gt_by_id = _index_by_image(gt_records, "ground truth")
-        gt_count = Counter(a.class_id for r in gt_records for a in r.items)
+        gt_count = Counter(a.class_id for r in gt_by_id.values() for a in r.items)
         confidences: list[float] = []
         members: dict[int, list[int]] = defaultdict(list)  # flat detection indices per class
         matched: list[list[int]] = [[] for _ in ladder.pairs]  # flat matched indices per pair

@@ -2,8 +2,8 @@
 
 Four stages, applied in this order by the CLI when combined:
 
-1. ``recover_xy``: keep only the predicted depth and re-derive the lateral
-   position by back-projecting the 2D box center at that depth.
+1. ``recover_xy_records``: keep only the predicted depth and re-derive the
+   lateral position by back-projecting the 2D box center at that depth.
 2. ``apply_confidence_threshold``: drop detections below a cutoff
    (boundary kept); ``sweep_threshold`` picks the cutoff by evaluated mAP.
 3. ``ensemble_max``: keep a detection of the pooled models iff its IoU with
@@ -23,15 +23,35 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .geometry import BBox2D, CameraIntrinsics
+from .geometry import BBox2D, CameraIntrinsics, Pose, Translation, _halved_iou
 from .metrics import DEFAULT_LADDER, Evaluation, NoClassesError, ThresholdLadder, _check_threshold, _class_mean
-from .records import Detection, IgnoreRegions, ImageRecord, _index_by_image, _missing_box, _recovered
+from .records import (Detection, IgnoreRegions, ImageRecord, NonFiniteError, _index_by_image,
+                      _non_finite_pose)
 
 _MAX_GRID_POINTS = 100_001  # a 1e-5 step over [0, 1]
 
 
 class EmptyEnsembleError(ValueError):
     """Ensemble of zero model outputs is undefined."""
+
+
+class MissingBoxError(ValueError):
+    """A stage that reads 2D boxes got an item without one."""
+
+
+class RecoveryOverflowError(NonFiniteError):
+    """A lateral position recovered from a box center is beyond the float range."""
+
+
+def _item_at(record: ImageRecord, item) -> str:
+    """``item``'s place in ``record``. The stages scan in order and refuse
+    the first bad item, so no earlier item equals it."""
+    return f"image {record.image_id!r}, item {record.items.index(item)}"
+
+
+def _missing_box(stage: str, record: ImageRecord, item, where: str = "") -> MissingBoxError:
+    return MissingBoxError(f"{stage} requires items with a bbox; {where}{_item_at(record, item)} "
+                           "has none")
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,17 +90,46 @@ class ThresholdSweep:
         return grid
 
 
-def recover_xy(det: Detection, k: CameraIntrinsics) -> Detection:
-    """Replace (x, y) with the box center back-projected at the predicted z.
-
-    A detection without a box raises MissingBoxError, and one whose x or y
-    would overflow RecoveryOverflowError."""
-    return _recovered((det,), k)[0]
+_new = object.__new__
+_set_x, _set_y, _set_z = Translation.x.__set__, Translation.y.__set__, Translation.z.__set__
+_set_rotation, _set_translation = Pose.rotation.__set__, Pose.translation.__set__
+_set_class_id, _set_confidence = Detection.class_id.__set__, Detection.confidence.__set__
+_set_bbox, _set_pose = Detection.bbox.__set__, Detection.pose.__set__
 
 
 def recover_xy_records(records: Sequence[ImageRecord], k: CameraIntrinsics) -> list[ImageRecord]:
-    """``recover_xy`` on every detection; a refusal names its image and item."""
-    return [ImageRecord(r.image_id, _recovered(r.items, k, r)) for r in records]
+    """The records with each detection's (x, y) back-projected from its box
+    center at its z (``backproject``'s arithmetic) and checked finite; the rest
+    is the detection's own, stored through the slots of a new ``Translation``,
+    ``Pose`` and ``Detection`` with no ``__init__``. MissingBoxError and
+    RecoveryOverflowError name the image and item."""
+    fx, fy, cx, cy = k.fx, k.fy, k.cx, k.cy
+    out = []
+    for record in records:
+        items = []
+        for det in record.items:
+            if (box := det.bbox) is None:
+                raise _missing_box("recover_xy", record, det)
+            pose = det.pose
+            z = pose.translation.z
+            x = ((box.x1 + box.x2) * 0.5 - cx) * z / fx
+            y = ((box.y1 + box.y2) * 0.5 - cy) * z / fy
+            if not (math.isfinite(x) and math.isfinite(y)):
+                pose = Pose(pose.rotation, Translation(x, y, z))
+                raise RecoveryOverflowError(f"recover_xy overflows at {_item_at(record, det)}: "
+                                            + _non_finite_pose("detection", pose))
+            _set_x(t := _new(Translation), x)
+            _set_y(t, y)
+            _set_z(t, z)
+            _set_rotation(new_pose := _new(Pose), pose.rotation)
+            _set_translation(new_pose, t)
+            _set_class_id(moved := _new(Detection), det.class_id)
+            _set_confidence(moved, det.confidence)
+            _set_bbox(moved, box)
+            _set_pose(moved, new_pose)
+            items.append(moved)
+        out.append(ImageRecord(record.image_id, tuple(items)))
+    return out
 
 
 def apply_confidence_threshold(records: Sequence[ImageRecord], threshold: float) -> list[ImageRecord]:
@@ -156,6 +205,7 @@ def ensemble_max(model_outputs: Sequence[Sequence[ImageRecord]],
     model's output raises ValueError, and a detection without a box
     MissingBoxError.
     """
+    model_outputs = list(model_outputs)
     if not model_outputs:
         raise EmptyEnsembleError("ensemble needs at least one model output")
     pools: dict[str, list[Detection]] = {}
@@ -165,7 +215,7 @@ def ensemble_max(model_outputs: Sequence[Sequence[ImageRecord]],
                 if det.bbox is None:
                     raise _missing_box("ensemble_max", record, det, f"input {m}, ")
             pools.setdefault(record.image_id, []).extend(record.items)
-    merged = []
+    threshold, merged = config.iou_threshold, []
     for image_id, pool in pools.items():
         pool.sort(key=attrgetter("confidence"), reverse=True)  # stable: model, then input order
         kept_boxes: dict[int, list[tuple[float, float, float, float, float]]] = {}
@@ -179,7 +229,8 @@ def ensemble_max(model_outputs: Sequence[Sequence[ImageRecord]],
                 ix = (x2 if x2 < kx2 else kx2) - (x1 if x1 > kx1 else kx1)
                 iy = (y2 if y2 < ky2 else ky2) - (y1 if y1 > ky1 else ky1)
                 if ix > 0.0 and iy > 0.0 and (
-                        (inter := ix * iy) / (area + k_area - inter) >= config.iou_threshold):
+                        (inter := ix * iy) / (union := area + k_area - inter) >= threshold
+                        or union == math.inf and _halved_iou(inter, area, k_area) >= threshold):
                     break
             else:
                 boxes.append((x1, y1, x2, y2, area))

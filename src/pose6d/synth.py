@@ -219,6 +219,7 @@ def perturb(gt_records: Sequence[ImageRecord], noise: NoiseSpec, seed: int,
     classes present). With all-zero noise the output equals the ground
     truth with confidence 1.
     """
+    gt_records = list(gt_records)  # read twice below
     all_items = [a for r in gt_records for a in r.items]
     classes = sorted({a.class_id for a in all_items})
     if all_items:
@@ -253,7 +254,7 @@ def perturb(gt_records: Sequence[ImageRecord], noise: NoiseSpec, seed: int,
 def corrupt_xy(pred_records: Sequence[ImageRecord], seed: int) -> list[ImageRecord]:
     """Push every detection's (x, y) sideways while keeping z and the box.
 
-    This manufactures the failure mode ``recover_xy`` repairs: lateral
+    This manufactures the failure mode ``recover_xy_records`` repairs: lateral
     position off by a distance drawn from ``_LATERAL_RANGE``, depth and 2D
     box intact.
     """
@@ -282,11 +283,10 @@ def oracle_map(pred_records: Sequence[ImageRecord], gt_records: Sequence[ImageRe
     Refuses more than MAX_ORACLE_DETECTIONS total detections. Like
     metrics, it rejects a repeated image_id.
     """
-    total = sum(len(r.items) for r in pred_records)
+    pred_map = {i: r.items for i, r in _index_by_image(pred_records, "predictions").items()}
+    total = sum(map(len, pred_map.values()))
     if total > MAX_ORACLE_DETECTIONS:
         raise TooLargeError(f"{total} detections exceed the oracle cap of {MAX_ORACLE_DETECTIONS}")
-
-    pred_map = {i: r.items for i, r in _index_by_image(pred_records, "predictions").items()}
     gt_map = {i: r.items for i, r in _index_by_image(gt_records, "ground truth").items()}
     image_ids = list(gt_map) + [i for i in pred_map if i not in gt_map]
     images = [(pred_map.get(i, ()), gt_map.get(i, ())) for i in image_ids]

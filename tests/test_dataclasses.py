@@ -35,7 +35,7 @@ from pose6d import (
     ThresholdLadder,
     ThresholdSweep,
     Translation,
-    recover_xy,
+    recover_xy_records,
 )
 
 from helpers import ann, det, image
@@ -124,8 +124,9 @@ def test_a_recovered_detection_is_laid_out_and_copied_like_a_constructed_one():
     # recovery stores the new Translation, Pose and Detection through their
     # slots, without running __init__
     camera = CameraIntrinsics(1000.0, 1000.0, 960.0, 540.0)
-    recovered = recover_xy(det(99.0, 99.0, 10.0, confidence=0.75, class_id=3,
-                               quat=POSE.rotation, bbox=BOX), camera)
+    moved = det(99.0, 99.0, 10.0, confidence=0.75, class_id=3, quat=POSE.rotation, bbox=BOX)
+    [record] = recover_xy_records([image("a", moved)], camera)
+    [recovered] = record.items
     constructed = Detection(3, 0.75, BOX, Pose(POSE.rotation, Translation(-9.0, -4.9, 10.0)))
     assert (recovered, hash(recovered), repr(recovered)) == (
         constructed, hash(constructed), repr(constructed))

@@ -326,6 +326,13 @@ class TestBoxes:
             BBox2D(*coords)
         assert str(err.value) == f"box area must be positive, got {shown}"
 
+    def test_iou_of_boxes_whose_union_overflows(self):
+        # area 1.5e308 each: the union overflowed to inf, so the IoU read 0.0
+        b = BBox2D(0.0, 0.0, 1e154, 1.5e154)
+        assert iou_2d(b, b) == 1.0
+        half = BBox2D(0.0, 0.0, 1e154, 0.75e154)
+        assert iou_2d(b, half) == iou_2d(half, b) == pytest.approx(0.5, rel=1e-15)
+
     def test_a_box_with_a_subnormal_area_is_kept_and_scores(self):
         b = BBox2D(0.0, 0.0, 1e-160, 1e-160)
         assert 0.0 < b.area() < 1e-300

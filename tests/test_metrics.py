@@ -205,6 +205,11 @@ class TestAveragePrecision:
     def test_perfect_ranking_is_exactly_one(self):
         assert average_precision([True] * 7, 7) == 1.0
 
+    @pytest.mark.parametrize("flags", [[False], [False, True], [True, False, True]])
+    def test_an_iterator_scores_as_a_list_does(self, flags):
+        # asarray made an iterator one truthy object, so iter([False]) scored 1.0
+        assert average_precision(iter(flags), 2) == average_precision(flags, 2)
+
     def test_negative_gt_count_is_rejected(self):
         with pytest.raises(ValueError):
             average_precision([True], -1)
@@ -319,6 +324,13 @@ def perfect_setup():
 
 
 class TestMeanAveragePrecision:
+    def test_iterators_score_as_lists_do(self):
+        # the ground truth was read twice, so an iterator of it scored 0.0
+        preds, gts = perfect_setup()
+        expected = mean_average_precision(preds, gts)
+        assert expected[0] == 1.0
+        assert mean_average_precision(iter(preds), iter(gts)) == expected
+
     def test_perfect_predictions_score_exactly_one(self):
         preds, gts = perfect_setup()
         value, report = mean_average_precision(preds, gts)

@@ -25,7 +25,6 @@ from pose6d import (
     extent_bbox,
     filter_ignore,
     mean_average_precision,
-    recover_xy,
     recover_xy_records,
     sweep_threshold,
 )
@@ -82,16 +81,23 @@ def outcome(call):
     return records, repr(records)
 
 
+def recover_one(detection: Detection) -> Detection:
+    """``detection`` recovered as the one item of a one-image record."""
+    [record] = recover_xy_records([image("a", detection)], K)
+    [fixed] = record.items
+    return fixed
+
+
 class TestRecoverXy:
     def test_box_center_overrides_lateral_position(self):
         wrong = det(99.0, -99.0, 10.0, bbox=BBox2D(1150.0, 630.0, 1170.0, 650.0))
-        fixed = recover_xy(wrong, K)
+        fixed = recover_one(wrong)
         assert fixed.pose.translation == Translation(2.0, 1.0, 10.0)
 
     def test_everything_but_x_y_is_preserved(self):
         original = det(99.0, -99.0, 10.0, confidence=0.42, class_id=3,
                        bbox=BBox2D(1150.0, 630.0, 1170.0, 650.0))
-        fixed = recover_xy(original, K)
+        fixed = recover_one(original)
         assert fixed.class_id == original.class_id
         assert fixed.confidence == original.confidence
         assert fixed.bbox is original.bbox
@@ -101,13 +107,9 @@ class TestRecoverXy:
     def test_round_trips_a_consistent_detection(self):
         t = Translation(3.0, -1.5, 25.0)
         consistent = det(t.x, t.y, t.z, bbox=extent_bbox(t, 4.5, 1.5, K))
-        fixed = recover_xy(consistent, K)
+        fixed = recover_one(consistent)
         assert fixed.pose.translation.x == pytest.approx(t.x, abs=1e-9)
         assert fixed.pose.translation.y == pytest.approx(t.y, abs=1e-9)
-
-    def test_requires_a_bbox(self):
-        with pytest.raises(MissingBoxError, match="^recover_xy requires a detection with a bbox$"):
-            recover_xy(det(0.0, 0.0, 10.0), K)
 
     def test_the_records_variant_names_the_first_box_less_detection(self):
         boxed = det(0.0, 0.0, 10.0, bbox=BBox2D(950.0, 530.0, 970.0, 550.0))
@@ -123,9 +125,6 @@ class TestRecoverXy:
         far = det(0.0, 0.0, 1e200, bbox=BBox2D(1e200, 0.0, 2e200, 1.0))
         pose = ("Pose(rotation=Quaternion(w=1.0, x=0.0, y=0.0, z=0.0), "
                 "translation=Translation(x=inf, y=-5.394999999999999e+199, z=1e+200))")
-        with pytest.raises(RecoveryOverflowError) as err:
-            recover_xy(far, K)
-        assert str(err.value) == f"recover_xy overflows: detection has a non-finite pose: {pose}"
         boxed = det(0.0, 0.0, 10.0, bbox=BBox2D(950.0, 530.0, 970.0, 550.0))
         records = [image("a", boxed), image("b", boxed, far, det(0.0, 0.0, 10.0), far)]
         with pytest.raises(RecoveryOverflowError) as err:  # before the box-less item 2
@@ -315,6 +314,19 @@ class TestEnsembleMax:
     def test_zero_models_is_an_error(self):
         with pytest.raises(EmptyEnsembleError):
             ensemble_max([])
+        with pytest.raises(EmptyEnsembleError):  # an empty iterator is truthy: it returned []
+            ensemble_max(iter([]))
+
+    def test_iterators_merge_as_lists_do(self):
+        models = [[image("a", boxed_det(0.0, 10.0, confidence=0.9))],
+                  [image("a", boxed_det(0.1, 10.0, confidence=0.7),
+                         boxed_det(40.0, 12.0, confidence=0.5)), image("b")]]
+        assert ensemble_max(iter(map(iter, models))) == ensemble_max(models)
+
+    def test_identical_boxes_whose_union_overflows_merge(self):
+        # the two areas sum past the float range: the IoU read 0 and both were kept
+        d = det(0.0, 0.0, 10.0, confidence=0.9, bbox=BBox2D(0.0, 0.0, 1e154, 1.5e154))
+        assert ensemble_max([[image("a", d)], [image("a", d)]]) == [image("a", d)]
 
     def test_detections_need_bboxes(self):
         # raised a bare "ensemble_max requires detections with a bbox"
@@ -431,6 +443,11 @@ class TestSweepThreshold:
         assert best == 0.1
         assert [t for t, _ in curve] == ThresholdSweep().thresholds()
         assert all(value == 1.0 for t, value in curve if t <= 0.7)
+
+    def test_iterators_sweep_as_lists_do(self):
+        # the ground truth was read twice, so an iterator of it scored 0.0
+        preds, gts = self.perfect_scene()
+        assert sweep_threshold(iter(preds), iter(gts)) == sweep_threshold(preds, gts)
 
     def test_cutting_a_junk_class_lifts_the_mean(self):
         preds, gts = self.perfect_scene()

@@ -629,7 +629,11 @@ class TestConstructorValidation:
     # NaN fails every "beyond the gate" comparison, so a NaN pose used to
     # match the ground truth at its place and score mAP 1.0; now no such
     # item exists to be matched, scored, post-processed or saved
-    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("value", [
+        *NON_FINITE,
+        # ints beyond the float range: the finiteness check raised OverflowError
+        pytest.param(10 ** 400, id="int 1e400"), pytest.param(-10 ** 400, id="int -1e400"),
+    ])
     @pytest.mark.parametrize("component", [
         "translation.x", "translation.y",
         "rotation.w", "rotation.x", "rotation.y", "rotation.z",

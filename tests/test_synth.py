@@ -210,6 +210,14 @@ class TestGenerateScene:
 
 
 class TestPerturb:
+    def test_an_iterator_is_perturbed_as_a_list_is(self):
+        # the records were read twice, so an iterator gave []
+        records, camera = generate_scene(SceneSpec(seed=3, n_images=4))
+        noise = NoiseSpec(translation_sigma=0.5, miss_rate=0.3, false_positive_rate=0.5)
+        expected = perturb(records, noise, 5, camera)
+        assert sum(len(r.items) for r in expected) > 0
+        assert perturb(iter(records), noise, 5, camera) == expected
+
     def test_zero_noise_copies_the_scene_with_full_confidence(self):
         records, camera = generate_scene(SceneSpec(seed=7, n_images=4, objects_per_image=(1, 3)))
         preds = perturb(records, NoiseSpec(), seed=7, camera=camera)
@@ -331,6 +339,15 @@ class TestCorruptXy:
 
 
 class TestOracle:
+    def test_iterators_score_as_lists_do(self):
+        # the predictions were totalled before they were indexed, so an
+        # iterator of them scored 0.0
+        records, camera = generate_scene(SceneSpec(seed=3, n_images=4))
+        preds = perturb(records, NoiseSpec(translation_sigma=0.5, false_positive_rate=0.5), 5, camera)
+        expected = oracle_map(preds, records)
+        assert expected > 0.0
+        assert oracle_map(iter(preds), iter(records)) == expected
+
     def test_perfect_single_detection(self):
         gts = [image("a", ann(0.0, 0.0, 10.0))]
         preds = [image("a", as_detection(gts[0].items[0], 1.0))]
