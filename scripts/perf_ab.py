@@ -17,7 +17,11 @@ medians, the pairs the change won, and the gap between the medians in
 units of the parent's interquartile range. The verdict is ``gain`` when
 the change won at least nine in ten pairs and the gap exceeds that range,
 ``worse`` for the same the other way, and ``over bound`` when an
-end-to-end median is worse by more than its bound. It is ``unresolved``
+end-to-end median is worse by more than its bound. A metric with a bound
+gets ``gain`` or ``worse`` only when its median also moved by more than a
+tenth of that bound: a quartile range far inside the bound, as
+``peak_rss_mb``'s often is, would otherwise call a shift that matters to
+no bound a change. It is ``unresolved``
 when a metric has a bound and the parent's interquartile range, relative
 to its median, is wider than that bound, unless every change run is better
 than every parent run: such runs spread too widely to tell. Under ten
@@ -37,6 +41,9 @@ from pathlib import Path
 
 WORKLOADS = ("score-sparse", "sweep-dense", "post-ensemble")
 WIN_SHARE = 0.9
+# a bounded metric's median must move by more than this share of its bound
+# for a gain or worse verdict
+NOISE_FLOOR = 0.1
 # a gain needs nine in ten pairs won, so fewer than ten pairs get no verdict
 MIN_PAIRS = 10
 
@@ -123,6 +130,7 @@ def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
     relative = (c_med - p_med) / abs(p_med) if p_med else 0.0
     bound = spec.get("bound")
     all_better = max(sign * c for c in change) < min(sign * p for p in parent)
+    moved = bound is None or abs(relative) > NOISE_FLOOR * bound
     verdict = "-"
     if len(parent) < MIN_PAIRS:
         verdict = "too few pairs"
@@ -130,9 +138,9 @@ def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
         verdict = "unresolved"
     elif bound is not None and sign * relative > bound:
         verdict = "over bound"
-    elif won >= WIN_SHARE * len(parent) and -sign * gap > 1.0:
+    elif moved and won >= WIN_SHARE * len(parent) and -sign * gap > 1.0:
         verdict = "gain"
-    elif lost >= WIN_SHARE * len(parent) and sign * gap > 1.0:
+    elif moved and lost >= WIN_SHARE * len(parent) and sign * gap > 1.0:
         verdict = "worse"
     return {"parent": [p_med, p_q1, p_q3], "change": [c_med, c_q1, c_q3], "relative": relative,
             "won": won, "pairs": len(parent), "gap_iqr": gap, "verdict": verdict}

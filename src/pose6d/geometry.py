@@ -169,27 +169,28 @@ class BBox2D:
         # the common case in one test: a sum is finite only if every term is,
         # and adding to 0.0 converts each int on its own, so an int beyond
         # the float range fails here too; any other case takes the field checks
+        x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
         try:
-            if (self.x1 < self.x2 and self.y1 < self.y2 and (area := self.area()) > 0.0
-                    and math.isfinite(0.0 + self.x1 + self.y1 + self.x2 + self.y2 + area)):
+            if (x1 < x2 and y1 < y2 and (area := self.area()) > 0.0
+                    and math.isfinite(0.0 + x1 + y1 + x2 + y2 + area) and type(x1) is not bool
+                    and type(y1) is not bool and type(x2) is not bool and type(y2) is not bool):
                 return
         except (OverflowError, TypeError):
             pass
-        if not all(map(_finite, (self.x1, self.y1, self.x2, self.y2))):
-            raise ValueError(f"box coordinates must be finite, got "
-                             f"({self.x1}, {self.y1}, {self.x2}, {self.y2})")
-        if not (self.x1 < self.x2 and self.y1 < self.y2):
-            raise ValueError(
-                f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2}): "
-                "requires x1 < x2 and y1 < y2"
-            )
+        if bool in (type(x1), type(y1), type(x2), type(y2)):  # it would compare as 0 or 1
+            raise ValueError(f"box coordinates must be numbers, not bools, got "
+                             f"({x1}, {y1}, {x2}, {y2})")
+        if not all(map(_finite, (x1, y1, x2, y2))):
+            raise ValueError(f"box coordinates must be finite, got ({x1}, {y1}, {x2}, {y2})")
+        if not (x1 < x2 and y1 < y2):
+            raise ValueError(f"degenerate box ({x1}, {y1}, {x2}, {y2}): requires x1 < x2 and y1 < y2")
         area = self.area()
         if not _finite(area):  # w, h > 0 here, so an inf w or h makes it inf
             raise ValueError(f"box width, height and area must be finite, got "
-                             f"({self.x1}, {self.y1}, {self.x2}, {self.y2})")
+                             f"({x1}, {y1}, {x2}, {y2})")
         if not area > 0.0:  # w, h > 0 here, but their product can underflow to 0
-            raise ValueError(f"box area must be positive, got "
-                             f"({self.x1}, {self.y1}, {self.x2}, {self.y2}) with area {area}")
+            raise ValueError(f"box area must be positive, got ({x1}, {y1}, {x2}, {y2}) with "
+                             f"area {area}")
 
     def area(self) -> float:
         return (self.x2 - self.x1) * (self.y2 - self.y1)

@@ -26,7 +26,8 @@ from typing import Iterable, Sequence
 from .geometry import BBox2D, CameraIntrinsics, Pose, Translation, _halved_iou
 from .metrics import DEFAULT_LADDER, Evaluation, NoClassesError, ThresholdLadder, _check_threshold, _class_mean
 from .records import (Detection, IgnoreRegions, ImageRecord, NonFiniteError, _index_by_image,
-                      _non_finite_pose)
+                      _new, _non_finite_pose, _set_bbox, _set_class_id, _set_confidence, _set_pose,
+                      _set_rotation, _set_translation, _set_tx, _set_ty, _set_tz)
 
 _MAX_GRID_POINTS = 100_001  # a 1e-5 step over [0, 1]
 
@@ -90,13 +91,6 @@ class ThresholdSweep:
         return grid
 
 
-_new = object.__new__
-_set_x, _set_y, _set_z = Translation.x.__set__, Translation.y.__set__, Translation.z.__set__
-_set_rotation, _set_translation = Pose.rotation.__set__, Pose.translation.__set__
-_set_class_id, _set_confidence = Detection.class_id.__set__, Detection.confidence.__set__
-_set_bbox, _set_pose = Detection.bbox.__set__, Detection.pose.__set__
-
-
 def recover_xy_records(records: Sequence[ImageRecord], k: CameraIntrinsics) -> list[ImageRecord]:
     """The records with each detection's (x, y) back-projected from its box
     center at its z (``backproject``'s arithmetic) and checked finite; the rest
@@ -118,9 +112,9 @@ def recover_xy_records(records: Sequence[ImageRecord], k: CameraIntrinsics) -> l
                 pose = Pose(pose.rotation, Translation(x, y, z))
                 raise RecoveryOverflowError(f"recover_xy overflows at {_item_at(record, det)}: "
                                             + _non_finite_pose("detection", pose))
-            _set_x(t := _new(Translation), x)
-            _set_y(t, y)
-            _set_z(t, z)
+            _set_tx(t := _new(Translation), x)
+            _set_ty(t, y)
+            _set_tz(t, z)
             _set_rotation(new_pose := _new(Pose), pose.rotation)
             _set_translation(new_pose, t)
             _set_class_id(moved := _new(Detection), det.class_id)

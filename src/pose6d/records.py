@@ -17,9 +17,15 @@ share one reader and one writer, driven by one table. Every file is read
 as UTF-8; a byte that is not is a ParseError at its line.
 
 One builder, ``_build_item``, makes every item: it checks the item's shape
-(exact JSON types, list lengths, one rotation), type-checks its numbers in
-one test over all of them, and leaves every value to the constructors.
-Only a line with an item that fails is read again on the located path. It
+(exact JSON types, list lengths, one rotation) and type-checks its numbers
+in one test over all of them. A detection or annotation then has its
+values checked in one combined test, no looser than the constructors, and
+is stored through its slots with no ``__init__``, as its record is. The
+constructors are the refusal path: an item that fails the test is built
+through them, so it is refused with their message or, when the test is
+stricter than they are (a quaternion to normalise, finite values whose sum
+overflows), built as the same record. Only a line with an item that fails
+is read again on the located path. It
 checks shape field by field (a ParseError, or a non-finite number's
 ValidationError, at the first bad field), then builds the item through the
 same builder, whose value refusal becomes a ValidationError at the item;
@@ -37,7 +43,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
@@ -48,6 +54,7 @@ from .geometry import (
     Pose,
     Quaternion,
     Translation,
+    _UNIT_NORM_SQ_TOL,
     _slot_init,
     quat_from_euler,
     quat_normalize,
@@ -80,7 +87,8 @@ def _non_finite_pose(kind: str, pose: Pose) -> str:
 
 
 def _check_item(item: Detection | Annotation, kind: str) -> None:
-    """The reader's item invariants: z > 0 (so not NaN), a finite pose, an int class_id >= 0."""
+    """The reader's item invariants: z > 0 (so not NaN), a finite pose of
+    numbers that are not bools, an int class_id >= 0."""
     t, q = item.pose.translation, item.pose.rotation
     if not t.z > 0.0:
         raise ValueError(f"{kind} depth must be positive, got z={t.z}")
@@ -90,6 +98,9 @@ def _check_item(item: Detection | Annotation, kind: str) -> None:
             raise NonFiniteError(_non_finite_pose(kind, item.pose))
     except OverflowError:  # an int beyond the float range
         raise NonFiniteError(_non_finite_pose(kind, item.pose)) from None
+    if (type(t.x) is bool or type(t.y) is bool or type(t.z) is bool or type(q.w) is bool
+            or type(q.x) is bool or type(q.y) is bool or type(q.z) is bool):
+        raise ValueError(f"{kind} has a bool in its pose: {item.pose}")
     if isinstance(item.class_id, bool) or not isinstance(item.class_id, int) or item.class_id < 0:
         raise ValueError(f"{kind} class_id must be an integer >= 0, got {item.class_id!r}")
 
@@ -105,6 +116,8 @@ class Detection:
     def __post_init__(self) -> None:
         if not (0.0 <= self.confidence <= 1.0):
             raise ValueError(f"confidence must be within [0, 1], got {self.confidence}")
+        if type(self.confidence) is bool:
+            raise ValueError(f"confidence must be a number, got {self.confidence}")
         _check_item(self, "detection")
 
 
@@ -157,6 +170,22 @@ class IgnoreRegions:
     def __post_init__(self) -> None:
         _check_record(self.image_id, self.rects, "rects")
 
+
+def _slot_setters(cls: type) -> tuple:
+    """The bound ``__set__`` of each of ``cls``'s field slots, in field order."""
+    return tuple(vars(cls)[f.name].__set__ for f in fields(cls))
+
+
+# The one table of bound slot setters, for builds that have checked every
+# value already and store with no __init__: the reader's items and
+# postprocess's recovered detections.
+_new = object.__new__
+_set_qw, _set_qx, _set_qy, _set_qz = _slot_setters(Quaternion)
+_set_tx, _set_ty, _set_tz = _slot_setters(Translation)
+_set_rotation, _set_translation = _slot_setters(Pose)
+_set_x1, _set_y1, _set_x2, _set_y2 = _slot_setters(BBox2D)
+_set_class_id, _set_confidence, _set_bbox, _set_pose = _slot_setters(Detection)
+_set_ann_class_id, _set_ann_pose, _set_ann_bbox = _slot_setters(Annotation)
 
 Lines = Union[IO[str], Iterable[str]]
 
@@ -255,15 +284,18 @@ def _floats(value: object, count: int) -> list[float]:
 
 
 def _build_item(kind: type, obj: object):
-    """The one item builder: it checks only the shape of ``obj`` and leaves
-    every value to the constructors, so where ``_parse_item`` would fail on
-    shape it raises KeyError, TypeError, ValueError or OverflowError instead.
-    An item's numbers are type-checked once, as one list, and a list of the
-    wrong length fails the arity of the constructor it is passed to; only an
-    item with a number to convert (an int) takes ``_floats`` list by list."""
+    """The one item builder: it checks the shape of ``obj``, so where
+    ``_parse_item`` would fail on shape it raises KeyError, TypeError,
+    ValueError or OverflowError instead. An item's numbers are type-checked
+    once, as one list; only an item with a number to convert (an int) takes
+    ``_floats`` list by list. Its values are then checked in one test, no
+    looser than the constructors, and stored through the slots with no
+    ``__init__``; an item that fails the test (or whose finite terms sum
+    beyond the float range) is built by ``_construct_item``, whose
+    constructors refuse it or build the same record."""
     if kind is BBox2D:
         return BBox2D(*_floats(obj, 4))
-    if type(obj) is not dict or type(obj["class_id"]) is not int or (
+    if type(obj) is not dict or type(class_id := obj["class_id"]) is not int or (
             ("euler" in obj) == ("quaternion" in obj)):
         raise TypeError(obj)
     euler = "euler" in obj
@@ -276,13 +308,63 @@ def _build_item(kind: type, obj: object):
         rotation, translation = _floats(rotation, 3 if euler else 4), _floats(translation, 3)
         bbox = None if bbox is None else _floats(bbox, 4)
         confidence, = _floats([confidence], 1)
+    # Every number is a float now. A sum of floats is finite only if every
+    # term is, and a squared norm (in Quaternion.dot's order) within 1e-12 of
+    # 1 is one that quat_normalize returns unchanged.
+    tx, ty, tz = translation
+    total = tx + ty + tz
+    if euler:
+        q = quat_from_euler(EulerAngles(*rotation))
+        total += q.w + q.x + q.y + q.z
+        valid = True
+    else:
+        w, x, y, z = rotation
+        valid = abs(w * w + x * x + y * y + z * z - 1.0) <= _UNIT_NORM_SQ_TOL
+    if bbox is not None:
+        x1, y1, x2, y2 = bbox
+        area = (x2 - x1) * (y2 - y1)
+        valid = valid and x1 < x2 and y1 < y2 and area > 0.0
+        total += x1 + y1 + x2 + y2 + area
+    if not (valid and tz > 0.0 and 0.0 <= confidence <= 1.0 and class_id >= 0
+            and math.isfinite(total)):
+        return _construct_item(kind, class_id, confidence, euler, rotation, translation, bbox)
+    if not euler:
+        _set_qw(q := _new(Quaternion), w)
+        _set_qx(q, x)
+        _set_qy(q, y)
+        _set_qz(q, z)
+    _set_tx(t := _new(Translation), tx)
+    _set_ty(t, ty)
+    _set_tz(t, tz)
+    _set_rotation(pose := _new(Pose), q)
+    _set_translation(pose, t)
+    if bbox is not None:
+        _set_x1(bbox := _new(BBox2D), x1)
+        _set_y1(bbox, y1)
+        _set_x2(bbox, x2)
+        _set_y2(bbox, y2)
+    if kind is Annotation:
+        _set_ann_class_id(item := _new(Annotation), class_id)
+        _set_ann_pose(item, pose)
+        _set_ann_bbox(item, bbox)
+        return item
+    _set_class_id(item := _new(Detection), class_id)
+    _set_confidence(item, confidence)
+    _set_bbox(item, bbox)
+    _set_pose(item, pose)
+    return item
+
+
+def _construct_item(kind: type, class_id: int, confidence: float, euler: bool,
+                    rotation: list[float], translation: list[float], bbox: list[float] | None):
+    """The item built through its constructors: the refusal path, with their messages."""
     rotation = (quat_from_euler(EulerAngles(*rotation)) if euler
                 else quat_normalize(Quaternion(*rotation)))
     pose = Pose(rotation, Translation(*translation))
     bbox = None if bbox is None else BBox2D(*bbox)
     if kind is Annotation:
-        return Annotation(obj["class_id"], pose, bbox)
-    return Detection(obj["class_id"], confidence, bbox, pose)
+        return Annotation(class_id, pose, bbox)
+    return Detection(class_id, confidence, bbox, pose)
 
 
 def _box_values(box: BBox2D) -> list[float]:
@@ -315,6 +397,7 @@ def _parse_jsonl(stream: Lines, key: str) -> list:
     """Read JSONL whose lines carry ``image_id`` and a ``key`` list of items."""
     record_type, _, kind, _, _ = _KINDS[key]
     build = partial(_build_item, kind)
+    set_image_id, set_items = _slot_setters(record_type)
     records = []
     seen: set[str] = set()
     for number, line in _iter_lines(stream):
@@ -333,7 +416,10 @@ def _parse_jsonl(stream: Lines, key: str) -> list:
         except (KeyError, TypeError, ValueError, OverflowError):  # locate the fault
             built = tuple(_parse_item(kind, number, item, f"{key}[{i}]")
                           for i, item in enumerate(items))
-        records.append(record_type(image_id, built))
+        # _get_image_id has checked the id and the items are a tuple
+        set_image_id(record := _new(record_type), image_id)
+        set_items(record, built)
+        records.append(record)
     return records
 
 

@@ -14,6 +14,7 @@ from pose6d import (
     Annotation,
     BBox2D,
     Detection,
+    EulerAngles,
     ImageRecord,
     MissingBoxError,
     NoiseSpec,
@@ -29,6 +30,8 @@ from pose6d import (
     generate_scene,
     iou_2d,
     perturb,
+    quat_from_euler,
+    quat_normalize,
 )
 
 IDENTITY = Quaternion(1.0, 0.0, 0.0, 0.0)
@@ -242,14 +245,16 @@ def report_statistics(last) -> dict:
 
 def reference_box_check(x1, y1, x2, y2) -> None:
     """The box rule checked field by field, as ``BBox2D`` first checked it;
-    the referee of its one-sum fast test. An int beyond the float range
-    counts as not finite."""
+    the referee of its one-sum fast test. A bool is no number, and an int
+    beyond the float range counts as not finite."""
     def finite(value) -> bool:
         try:
             return math.isfinite(value)
         except OverflowError:
             return False
 
+    if any(isinstance(v, bool) for v in (x1, y1, x2, y2)):
+        raise ValueError(f"box coordinates must be numbers, not bools, got ({x1}, {y1}, {x2}, {y2})")
     if not all(map(finite, (x1, y1, x2, y2))):
         raise ValueError(f"box coordinates must be finite, got ({x1}, {y1}, {x2}, {y2})")
     if not (x1 < x2 and y1 < y2):
@@ -259,6 +264,32 @@ def reference_box_check(x1, y1, x2, y2) -> None:
         raise ValueError(f"box width, height and area must be finite, got ({x1}, {y1}, {x2}, {y2})")
     if not area > 0.0:
         raise ValueError(f"box area must be positive, got ({x1}, {y1}, {x2}, {y2}) with area {area}")
+
+
+def reference_build_item(kind: type, obj: dict) -> Detection | Annotation:
+    """A decoded, well-shaped item built through the constructors alone, as
+    ``records._build_item`` built it before it stored items through their
+    slots; its referee. Each list is taken as floats when it holds only ints
+    and floats (a bool is neither), else TypeError; an int beyond the float
+    range raises OverflowError."""
+    def floats(values: list) -> list[float]:
+        if not all(type(v) in (float, int) for v in values):
+            raise TypeError(values)
+        return [float(v) for v in values]
+
+    if type(obj["class_id"]) is not int or ("euler" in obj) == ("quaternion" in obj):
+        raise TypeError(obj)
+    euler = "euler" in obj
+    rotation = floats(obj["euler"] if euler else obj["quaternion"])
+    translation = floats(obj["translation"])
+    bbox = None if obj.get("bbox") is None else floats(obj["bbox"])
+    confidence, = floats([obj["confidence"]]) if kind is Detection else [0.0]
+    pose = Pose(quat_from_euler(EulerAngles(*rotation)) if euler
+                else quat_normalize(Quaternion(*rotation)), Translation(*translation))
+    bbox = None if bbox is None else BBox2D(*bbox)
+    if kind is Annotation:
+        return Annotation(obj["class_id"], pose, bbox)
+    return Detection(obj["class_id"], confidence, bbox, pose)
 
 
 def covered_by_inclusion_exclusion(box: BBox2D, rects) -> float:

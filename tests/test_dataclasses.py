@@ -3,13 +3,17 @@
 Every dataclass in ``pose6d`` is declared with ``slots=True``: an instance
 is one allocation, with no ``__dict__`` and no weak references. The value
 and record types are also frozen, and ``dataclasses.replace`` builds
-through ``__init__``, so it re-runs their checks.
+through ``__init__``, so it re-runs their checks. What the reader and
+lateral recovery store through the slots, with no ``__init__``, behaves
+exactly as what the constructors build.
 """
 
 import copy
 import dataclasses
 import importlib
 import inspect
+import io
+import json
 import pickle
 import pkgutil
 import weakref
@@ -35,7 +39,12 @@ from pose6d import (
     ThresholdLadder,
     ThresholdSweep,
     Translation,
+    parse_ground_truth,
+    parse_predictions,
+    quat_from_euler,
     recover_xy_records,
+    serialize_ground_truth,
+    serialize_predictions,
 )
 
 from helpers import ann, det, image
@@ -120,6 +129,23 @@ def test_copies_replace_and_assignment_behave_as_on_a_frozen_dataclass(value):
         setattr(value, name, getattr(value, name))
 
 
+def assert_like_constructed(value, constructed):
+    """``value`` is laid out, hashed, copied, replaced and frozen as ``constructed`` is."""
+    expected = (constructed, hash(constructed), repr(constructed))
+    assert type(value) is type(constructed)
+    assert (value, hash(value), repr(value)) == expected
+    assert not hasattr(value, "__dict__"), _type_name(value)
+    for copy_of in COPIES:
+        other = copy_of(value)
+        assert (other, hash(other), repr(other)) == expected
+    if type(value) in REFUSED:
+        with pytest.raises(ValueError):
+            dataclasses.replace(value, **REFUSED[type(value)])
+    name = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, name, getattr(value, name))
+
+
 def test_a_recovered_detection_is_laid_out_and_copied_like_a_constructed_one():
     # recovery stores the new Translation, Pose and Detection through their
     # slots, without running __init__
@@ -128,15 +154,39 @@ def test_a_recovered_detection_is_laid_out_and_copied_like_a_constructed_one():
     [record] = recover_xy_records([image("a", moved)], camera)
     [recovered] = record.items
     constructed = Detection(3, 0.75, BOX, Pose(POSE.rotation, Translation(-9.0, -4.9, 10.0)))
-    assert (recovered, hash(recovered), repr(recovered)) == (
-        constructed, hash(constructed), repr(constructed))
-    for value in (recovered, recovered.pose, recovered.pose.translation):
-        assert not hasattr(value, "__dict__"), _type_name(value)
-    for copy_of in COPIES:
-        other = copy_of(recovered)
-        assert (other, hash(other), repr(other)) == (
-            constructed, hash(constructed), repr(constructed))
-    with pytest.raises(ValueError):
-        dataclasses.replace(recovered, **REFUSED[Detection])
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        recovered.confidence = 0.5
+    for value, like in [(recovered, constructed), (recovered.pose, constructed.pose),
+                        (recovered.pose.translation, constructed.pose.translation)]:
+        assert_like_constructed(value, like)
+
+
+@pytest.mark.parametrize("serialize, parse, constructed", [
+    (serialize_predictions, parse_predictions, VALUES[6]),
+    (serialize_ground_truth, parse_ground_truth, VALUES[7]),
+], ids=["Detection", "Annotation"])
+def test_a_read_record_is_laid_out_and_copied_like_a_constructed_one(serialize, parse,
+                                                                     constructed):
+    # the reader stores the record, its item and the item's parts through
+    # their slots, without running __init__
+    buffer = io.StringIO()
+    serialize([image("img_0", constructed)], buffer)
+    [record] = parse(io.StringIO(buffer.getvalue()))
+    [item] = record.items
+    for value, like in [(record, image("img_0", constructed)), (item, constructed),
+                        (item.bbox, constructed.bbox), (item.pose, constructed.pose),
+                        (item.pose.rotation, constructed.pose.rotation),
+                        (item.pose.translation, constructed.pose.translation)]:
+        assert_like_constructed(value, like)
+
+
+def test_a_read_euler_item_is_laid_out_and_copied_like_a_constructed_one():
+    line = json.dumps({"image_id": "img_0", "detections": [{
+        "class_id": 3, "confidence": 0.75, "euler": [0.1, 0.2, 0.3],
+        "translation": [1.0, -2.0, 10.0]}]})
+    [record] = parse_predictions([line])
+    [item] = record.items
+    constructed = Detection(3, 0.75, None, Pose(quat_from_euler(EulerAngles(0.1, 0.2, 0.3)),
+                                                Translation(1.0, -2.0, 10.0)))
+    for value, like in [(record, image("img_0", constructed)), (item, constructed),
+                        (item.pose, constructed.pose),
+                        (item.pose.translation, constructed.pose.translation)]:
+        assert_like_constructed(value, like)

@@ -141,8 +141,9 @@ NON_FINITE = (math.nan, math.inf, -math.inf)
 @st.composite
 def loose_items(draw, kind):
     """A Detection or Annotation whose fields now and then break an item
-    invariant: NaN or inf, a depth <= 0, a negative or bool class_id, a
-    confidence outside [0, 1], a degenerate box. Quaternions are unit.
+    invariant: NaN or inf, a bool for a number, a depth <= 0, a negative or
+    bool class_id, a confidence outside [0, 1], a degenerate box.
+    Quaternions are unit.
     Building a bad item raises ValueError out of the draw."""
     def field(valid, *bad):  # one draw in twenty takes a bad value
         return draw(st.sampled_from(bad) if draw(st.integers(0, 19)) == 0 else valid)
@@ -150,19 +151,19 @@ def loose_items(draw, kind):
     finite = st.floats(allow_nan=False, allow_infinity=False)
     bbox = None
     if draw(st.booleans()):
-        x1, y1 = field(coords, *NON_FINITE), field(coords, *NON_FINITE)
+        x1, y1 = field(coords, *NON_FINITE, False), field(coords, *NON_FINITE)
         bbox = BBox2D(x1, y1, x1 + field(st.floats(0.1, 100.0), 0.0, math.inf),
                       y1 + field(st.floats(0.1, 100.0), -1.0, math.nan))
     fields = {
         "class_id": field(st.integers(0, 50), -1, True, False),
         "bbox": bbox,
         "pose": Pose(draw(unit_quaternions()),
-                     Translation(field(finite, *NON_FINITE), field(finite, *NON_FINITE),
+                     Translation(field(finite, *NON_FINITE, True), field(finite, *NON_FINITE),
                                  field(st.floats(0.0, exclude_min=True, allow_infinity=False),
-                                       0.0, -1.0, *NON_FINITE))),
+                                       0.0, -1.0, True, *NON_FINITE))),
     }
     if kind is Detection:
-        fields["confidence"] = field(unit_interval, -0.1, 1.5, math.nan)
+        fields["confidence"] = field(unit_interval, -0.1, 1.5, math.nan, True, False)
     return kind(**fields)
 
 
@@ -588,11 +589,14 @@ class TestFastPathChangesNoResult:
         assert read == located
 
     def test_clean_files_never_take_the_located_path(self, tmp_path, monkeypatch):
-        # a fast path that always fell back would still give every right answer
-        calls = []
-        located = records_module._parse_item
+        # a fast path that always fell back would still give every right
+        # answer, and so would an item builder that always took its constructors
+        calls, constructed = [], []
+        located, construct = records_module._parse_item, records_module._construct_item
         monkeypatch.setattr(records_module, "_parse_item",
                             lambda *args: calls.append(args) or located(*args))
+        monkeypatch.setattr(records_module, "_construct_item",
+                            lambda *args: constructed.append(args) or construct(*args))
         gts, camera = generate_scene(SceneSpec(seed=0, n_images=40, objects_per_image=(1, 6),
                                                n_classes=5, noise=CROWDED_NOISE))
         preds = perturb(gts, CROWDED_NOISE, 1, camera)
@@ -604,10 +608,11 @@ class TestFastPathChangesNoResult:
             save(records, path)
             assert load(path) == records
         assert sum(len(r.items) for r in preds + gts) > 200
-        assert calls == []
-        with pytest.raises(ValidationError):  # the count is live
+        assert calls == constructed == []
+        with pytest.raises(ValidationError):  # the counts are live
             parse_predictions([pred_line(class_id=-1)])
         assert len(calls) == 1
+        assert len(constructed) == 2  # on the fast path, then on the located one
 
 
 FINITE_POSE = Pose(IDENTITY, Translation(1.0, 2.0, 10.0))
@@ -672,6 +677,23 @@ class TestConstructorValidation:
         box = BBox2D(0.0, 0.0, 10.0, 10.0)
         with pytest.raises(ValueError, match=r"^detection depth must be positive, got z=-5$"):
             Detection(0, 0.9, box, Pose(IDENTITY, Translation(0, 0, -5)))
+
+    # each built, wrote true or false, and was refused on reading ("must be a
+    # number, got bool"); a bool is an int, so it compared and summed as 0 or 1
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Detection(0, True, None, FINITE_POSE), "confidence must be a number, got True"),
+        (lambda: det(0.0, 0.0, True), "detection has a bool in its pose: "
+         f"{Pose(IDENTITY, Translation(0.0, 0.0, True))}"),
+        (lambda: det(0.0, 0.0, 10.0, bbox=BBox2D(False, False, True, True)),
+         "box coordinates must be numbers, not bools, got (False, False, True, True)"),
+        (lambda: det(0.0, 0.0, 10.0, quat=Quaternion(True, 0, 0, 0)),
+         "detection has a bool in its pose: "
+         f"{Pose(Quaternion(True, 0, 0, 0), Translation(0.0, 0.0, 10.0))}"),
+    ], ids=["confidence", "z", "box", "quaternion"])
+    def test_a_bool_in_a_float_field_cannot_be_built(self, make, message):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("z", [0.0, -1e-300, math.nan])
     @pytest.mark.parametrize("make, kind", [(det, "detection"), (ann, "annotation")])

@@ -13,7 +13,10 @@ per-image last-pair hits and counts that the report is built from, bit for
 bit. The report's last-pair statistics must equal those the referee
 computes from the reference hits with its own arithmetic, and
 ``BBox2D``'s one-sum fast test must accept and refuse exactly what its
-field-by-field checks do, with the same exception.
+field-by-field checks do, with the same exception. The reader's item
+builder, which checks an item's values in one test and stores it through
+its slots, must build what the constructors build, or refuse it with their
+exception.
 
 Post-processing has two more: ``ensemble_max`` is refereed by greedy
 clustering written out (``helpers.greedy_ensemble``), and the ignore
@@ -28,8 +31,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pose6d import (
+    Annotation,
     BBox2D,
     DEFAULT_LADDER,
+    Detection,
     EnsembleConfig,
     EulerAngles,
     NoClassesError,
@@ -45,6 +50,7 @@ from pose6d import (
     sweep_threshold,
 )
 
+from pose6d import records
 from pose6d.metrics import Evaluation, _match_image
 from pose6d.postprocess import _covered_fraction
 
@@ -60,6 +66,7 @@ from helpers import (
     reference_evaluation,
     reference_match_image,
     reference_box_check,
+    reference_build_item,
     reference_per_class_ap,
     report_statistics,
 )
@@ -398,6 +405,113 @@ def test_box_fast_test_agrees_with_the_field_checks(x1, y1, x2, y2):
         "sum overflows", "sum overflows negative", "area overflows", "area underflows", "nan"])
 def test_box_fast_test_pinned_cases(coords, expected):
     assert refusal(BBox2D, *coords) == refusal(reference_box_check, *coords) == expected
+
+
+def built(build, *args):
+    """``repr`` and value of what ``build(*args)`` returns, or the type and
+    message of what it raises."""
+    try:
+        value = build(*args)
+    except Exception as exc:  # the referee compares whatever is raised
+        return type(exc), str(exc)
+    return repr(value), value
+
+
+# every kind of number an item's checks can trip on: NaN, both infinities,
+# values whose sum overflows, subnormals, signed zeros, ints (in and beyond
+# the float range) and bools
+EDGE_NUMBERS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 1.5e308, 5e-324, -5e-324,
+                1e-300, 0.0, -0.0, 1.0, -1.0, 0, 1, -1, 10 ** 400, -10 ** 400, True, False]
+
+
+def number(plain, edges=EDGE_NUMBERS):
+    """Mostly a draw from ``plain``, one in ten from ``edges``: an item has
+    about ten numbers, so about two in three items have an edge in them."""
+    return st.integers(0, 9).flatmap(lambda k: st.sampled_from(edges) if k == 0 else plain)
+
+
+# squared quaternion norms (1 + offset) at and around the unit test's 1e-12
+NORM_OFFSETS = st.one_of(
+    st.sampled_from([0.0, 1e-12, -1e-12, 0.999e-12, -0.999e-12, 1.001e-12, -1.001e-12,
+                     2e-12, -2e-12, 3.0, -0.75, -1.0]),
+    st.floats(-3e-12, 3e-12))
+
+
+@st.composite
+def quaternions(draw):
+    """A quaternion whose squared norm is 1 + a drawn offset, and now and
+    then an edge number in one component."""
+    comps = [draw(st.floats(-1.0, 1.0)) for _ in range(4)]
+    norm = math.sqrt(sum(c * c for c in comps))
+    if norm < 1e-3:
+        comps, norm = [1.0, 0.0, 0.0, 0.0], 1.0
+    scale = math.sqrt(1.0 + draw(NORM_OFFSETS)) / norm
+    comps = [c * scale for c in comps]
+    if draw(st.integers(0, 9)) == 0:
+        comps[draw(st.integers(0, 3))] = draw(st.sampled_from(EDGE_NUMBERS))
+    return comps
+
+
+# boxes the box rule refuses or that only the constructor path accepts:
+# degenerate, inverted with a positive area, an area that underflows or
+# overflows, a sum that overflows
+EDGE_BOXES = [[1.0, 1.0, 1.0, 2.0], [1.0, 2.0, 3.0, 2.0], [3.0, 2.0, 1.0, 1.0],
+              [0.0, 0.0, 5e-324, 5e-324], [-1e308, -1e308, 1e308, 1e308],
+              [1e308, 0.0, 1.5e308, 1.0], [-1.5e308, -1.0, -1e308, 0.0], [0.0, 0.0, 1.0, 1.0]]
+
+
+@st.composite
+def decoded_items(draw, kind):
+    """A well-shaped decoded item of ``kind``, quaternion or euler, with or
+    without a box, its numbers drawn at the edges of every item check."""
+    coord = number(st.floats(-1e3, 1e3))
+    obj = {"class_id": draw(number(st.integers(0, 50), [-1, 10 ** 400, True, False])),
+           "translation": [draw(coord), draw(coord), draw(number(st.floats(1e-3, 1e3)))]}
+    if kind is Detection:
+        obj["confidence"] = draw(number(st.floats(0.0, 1.0),
+                                        EDGE_NUMBERS + [math.nextafter(1.0, 2.0), 2]))
+    if draw(st.booleans()):
+        obj["quaternion"] = draw(quaternions())
+    else:
+        obj["euler"] = [draw(number(st.floats(-4.0, 4.0))) for _ in range(3)]
+    box = draw(st.sampled_from(["none", "null", "drawn", "edge"]))
+    if box == "null":
+        obj["bbox"] = None
+    elif box == "drawn":
+        x1, y1 = draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))
+        obj["bbox"] = [x1, y1, x1 + draw(st.floats(0.1, 100.0)), y1 + draw(st.floats(0.1, 100.0))]
+        if draw(st.integers(0, 9)) == 0:
+            obj["bbox"][draw(st.integers(0, 3))] = draw(st.sampled_from(EDGE_NUMBERS))
+    elif box == "edge":
+        obj["bbox"] = list(draw(st.sampled_from(EDGE_BOXES)))
+    return obj
+
+
+@pytest.mark.parametrize("kind", [Detection, Annotation], ids=["detection", "annotation"])
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_item_builder_builds_or_refuses_as_the_constructors_do(kind, data):
+    obj = data.draw(decoded_items(kind))
+    assert built(records._build_item, kind, obj) == built(reference_build_item, kind, obj)
+
+
+@pytest.mark.parametrize("obj", [
+    # finite terms whose sum overflows: each is finite, so the item is built
+    {"class_id": 0, "quaternion": [1.0, 0.0, 0.0, 0.0], "translation": [1e308, 1e308, 1.0]},
+    {"class_id": 0, "quaternion": [1.0, 0.0, 0.0, 0.0], "translation": [0.0, 0.0, 1.0],
+     "bbox": [1e308, 0.0, 1.5e308, 1.0]},
+    # a squared norm beyond 1e-12 of 1 is normalized
+    {"class_id": 0, "quaternion": [2.0, 0.0, 0.0, 0.0], "translation": [0.0, 0.0, 1.0]},
+    {"class_id": 0, "quaternion": [1e308, 1e308, 0.0, 0.0], "translation": [0.0, 0.0, 1.0]},
+], ids=["translation sum overflows", "box sum overflows", "non-unit", "norm overflows"])
+def test_items_only_the_constructors_accept_are_built_by_them(obj, monkeypatch):
+    constructed = []
+    construct = records._construct_item
+    monkeypatch.setattr(records, "_construct_item",
+                        lambda *args: constructed.append(args) or construct(*args))
+    item = records._build_item(Annotation, obj)
+    assert len(constructed) == 1
+    assert (repr(item), item) == built(reference_build_item, Annotation, obj)
 
 
 # boxes on a half-unit grid, so identical boxes, shared edges and IoUs of

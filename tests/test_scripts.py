@@ -120,3 +120,19 @@ def test_perf_ab_refuses_a_run_that_is_not_correct(tmp_path, capsys):
 def test_perf_ab_verdicts(parent, change, verdict):
     spec = {"name": "latency_p50_s", "better": "lower", "bound": 0.2}
     assert load_script("perf_ab").compare(spec, parent, change)["verdict"] == verdict
+
+
+def test_perf_ab_gives_no_verdict_to_a_shift_far_inside_the_bound():
+    # peak_rss_mb 45.3555 -> 45.5312 MiB (+0.4 %, bound 10 %), lost 9 of 10 pairs
+    # with a gap of 1.25 parent IQRs (0.14 MiB): it read "worse" before the floor
+    parent = [45.22, 45.25, 45.27, 45.33, 45.35, 45.361, 45.37, 45.40, 45.42, 45.45]
+    change = [45.21] + [p + 0.1757 for p in parent[1:]]
+    spec = {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}
+    row = load_script("perf_ab").compare(spec, parent, change)
+    assert row["parent"][0] == pytest.approx(45.3555) and row["change"][0] == pytest.approx(45.5312)
+    assert row["parent"][2] - row["parent"][1] == pytest.approx(0.14)
+    assert (row["won"], row["gap_iqr"] > 1.0, row["verdict"]) == (1, True, "-")
+    # every change run 1 % higher: the median moved by more than a tenth of
+    # the bound, so the verdict stands
+    row = load_script("perf_ab").compare(spec, parent, [c * 1.01 for c in change])
+    assert row["verdict"] == "worse"
