@@ -16,20 +16,11 @@ Conventions used across the toolkit:
   ``v = fy * y / z + cy``.
 - 2D boxes are pixel-space ``(x1, y1, x2, y2)``, finite, with ``x1 < x2, y1 < y2``,
   a finite width, height and area, and an area above 0.
-
-The value types here and the record types in ``records`` are slotted frozen
-dataclasses whose ``__init__`` comes from ``_slot_init``: it stores each field
-through its slot's descriptor and then runs ``__post_init__``. The signature is
-the dataclass's, ``dataclasses.replace`` still re-runs the checks, and no other
-behaviour changes.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import inspect
 import math
-import types
 import warnings
 from dataclasses import dataclass
 
@@ -62,36 +53,6 @@ class GimbalLockWarning(UserWarning):
     """Pitch is within GIMBAL_LOCK_MARGIN of +/-pi/2; roll/yaw are coupled."""
 
 
-def _slot_init(cls: type) -> type:
-    """Replace a slotted dataclass's ``__init__`` by one that calls each slot's
-    bound ``__set__`` (see the module docstring). A field without a slot, or a
-    signature that would differ from the dataclass's, raises TypeError at import."""
-    fields = dataclasses.fields(cls)
-    namespace: dict = {"__name__": cls.__module__}
-    params, body = [], []
-    for f in fields:
-        slot = vars(cls).get(f.name)
-        if not isinstance(slot, types.MemberDescriptorType):
-            raise TypeError(f"{cls.__name__}.{f.name} is not stored in a slot")
-        namespace[f"_set_{f.name}"] = slot.__set__
-        namespace[f"_default_{f.name}"] = f.default
-        params.append(f.name if f.default is dataclasses.MISSING else f"{f.name}=_default_{f.name}")
-        body.append(f"    _set_{f.name}(self, {f.name})\n")
-    if hasattr(cls, "__post_init__"):
-        body.append("    self.__post_init__()\n")
-    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__annotations__ = {**{f.name: f.type for f in fields}, "return": None}
-    # an InitVar, init=False, kw_only or default_factory field changes the signature
-    if inspect.signature(init) != inspect.signature(cls.__init__):
-        raise TypeError(f"{cls.__name__}: a stored-per-slot __init__ cannot take the "
-                        f"dataclass's parameters {inspect.signature(cls.__init__)}")
-    cls.__init__ = init
-    return cls
-
-
-@_slot_init
 @dataclass(frozen=True, slots=True)
 class Quaternion:
     w: float
@@ -106,7 +67,6 @@ class Quaternion:
         return math.sqrt(self.dot(self))
 
 
-@_slot_init
 @dataclass(frozen=True, slots=True)
 class EulerAngles:
     """Intrinsic yaw-pitch-roll angles in radians (see module docstring)."""
@@ -116,7 +76,6 @@ class EulerAngles:
     yaw: float
 
 
-@_slot_init
 @dataclass(frozen=True, slots=True)
 class Translation:
     """Camera-frame position in meters; z > 0 is in front of the camera."""
@@ -126,7 +85,6 @@ class Translation:
     z: float
 
 
-@_slot_init
 @dataclass(frozen=True, slots=True)
 class Pose:
     rotation: Quaternion
@@ -141,7 +99,6 @@ def _finite(value: float) -> bool:
         return False
 
 
-@_slot_init
 @dataclass(frozen=True, slots=True)
 class CameraIntrinsics:
     fx: float
@@ -157,7 +114,6 @@ class CameraIntrinsics:
                              f"cx={self.cx}, cy={self.cy}")
 
 
-@_slot_init
 @dataclass(frozen=True, slots=True)
 class BBox2D:
     x1: float

@@ -52,6 +52,8 @@ class ThresholdLadder:
     pairs: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.pairs, tuple):  # a list would not hash or equal the tuple ladder
+            raise ValueError(f"ladder pairs must be a tuple, got {type(self.pairs).__name__}")
         if not self.pairs:
             raise ValueError("ladder must contain at least one threshold pair")
         for pair in self.pairs:

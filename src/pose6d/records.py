@@ -55,7 +55,6 @@ from .geometry import (
     Quaternion,
     Translation,
     _UNIT_NORM_SQ_TOL,
-    _slot_init,
     quat_from_euler,
     quat_normalize,
 )
@@ -87,25 +86,32 @@ def _non_finite_pose(kind: str, pose: Pose) -> str:
 
 
 def _check_item(item: Detection | Annotation, kind: str) -> None:
-    """The reader's item invariants: z > 0 (so not NaN), a finite pose of
-    numbers that are not bools, an int class_id >= 0."""
-    t, q = item.pose.translation, item.pose.rotation
+    """The reader's item invariants: a Pose of a Quaternion and a Translation
+    with z > 0 (so not NaN), a finite pose of numbers that are not bools, a
+    BBox2D or no box, an int class_id >= 0."""
+    pose, bbox = item.pose, item.bbox
+    if not (isinstance(pose, Pose) and isinstance(pose.rotation, Quaternion)
+            and isinstance(pose.translation, Translation)):
+        raise ValueError(f"{kind} pose must be a Pose of a Quaternion and a Translation, "
+                         f"got {pose!r}")
+    if bbox is not None and not isinstance(bbox, BBox2D):
+        raise ValueError(f"{kind} bbox must be a BBox2D or None, got {bbox!r}")
+    t, q = pose.translation, pose.rotation
     if not t.z > 0.0:
         raise ValueError(f"{kind} depth must be positive, got z={t.z}")
     try:
         if not (math.isfinite(t.x) and math.isfinite(t.y) and math.isfinite(t.z) and math.isfinite(q.w)
                 and math.isfinite(q.x) and math.isfinite(q.y) and math.isfinite(q.z)):
-            raise NonFiniteError(_non_finite_pose(kind, item.pose))
+            raise NonFiniteError(_non_finite_pose(kind, pose))
     except OverflowError:  # an int beyond the float range
-        raise NonFiniteError(_non_finite_pose(kind, item.pose)) from None
+        raise NonFiniteError(_non_finite_pose(kind, pose)) from None
     if (type(t.x) is bool or type(t.y) is bool or type(t.z) is bool or type(q.w) is bool
             or type(q.x) is bool or type(q.y) is bool or type(q.z) is bool):
-        raise ValueError(f"{kind} has a bool in its pose: {item.pose}")
+        raise ValueError(f"{kind} has a bool in its pose: {pose}")
     if isinstance(item.class_id, bool) or not isinstance(item.class_id, int) or item.class_id < 0:
         raise ValueError(f"{kind} class_id must be an integer >= 0, got {item.class_id!r}")
 
 
-@_slot_init
 @dataclass(frozen=True, slots=True)
 class Detection:
     class_id: int
@@ -121,7 +127,6 @@ class Detection:
         _check_item(self, "detection")
 
 
-@_slot_init
 @dataclass(frozen=True, slots=True)
 class Annotation:
     class_id: int
@@ -141,7 +146,6 @@ def _check_record(image_id: object, items: object, field: str) -> None:
         raise ValueError(f"{field} must be a tuple, got {type(items).__name__}")
 
 
-@_slot_init
 @dataclass(frozen=True, slots=True)
 class ImageRecord:
     image_id: str
@@ -161,7 +165,6 @@ def _index_by_image(records: Sequence[ImageRecord], what: str) -> dict[str, Imag
     return out
 
 
-@_slot_init
 @dataclass(frozen=True, slots=True)
 class IgnoreRegions:
     image_id: str
@@ -169,6 +172,9 @@ class IgnoreRegions:
 
     def __post_init__(self) -> None:
         _check_record(self.image_id, self.rects, "rects")
+        for rect in self.rects:
+            if not isinstance(rect, BBox2D):
+                raise ValueError(f"rects must hold BBox2D boxes, got {rect!r}")
 
 
 def _slot_setters(cls: type) -> tuple:

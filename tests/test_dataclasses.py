@@ -1,11 +1,13 @@
-"""Layout and copy semantics of the package's dataclasses.
+"""Construction, layout and copy semantics of the package's dataclasses.
 
 Every dataclass in ``pose6d`` is declared with ``slots=True``: an instance
 is one allocation, with no ``__dict__`` and no weak references. The value
-and record types are also frozen, and ``dataclasses.replace`` builds
-through ``__init__``, so it re-runs their checks. What the reader and
-lateral recovery store through the slots, with no ``__init__``, behaves
-exactly as what the constructors build.
+and record types are also frozen and keep the dataclass's own ``__init__``:
+its parameters and defaults, its ``TypeError`` for a bad call, and their
+checks on every construction. ``dataclasses.replace`` builds through
+``__init__``, so it re-runs those checks. What the reader and lateral
+recovery store through the slots, with no ``__init__``, behaves exactly as
+what the constructors build.
 """
 
 import copy
@@ -190,3 +192,94 @@ def test_a_read_euler_item_is_laid_out_and_copied_like_a_constructed_one():
                         (item.pose, constructed.pose),
                         (item.pose.translation, constructed.pose.translation)]:
         assert_like_constructed(value, like)
+
+
+# each value and record type's constructor arguments, in field order
+ARGS = {
+    Quaternion: (0.5, -0.5, 0.5, -0.5),
+    EulerAngles: (0.1, 0.2, 0.3),
+    Translation: (1.0, -2.0, 10.0),
+    Pose: (POSE.rotation, POSE.translation),
+    CameraIntrinsics: (1000.0, 1000.0, 960.0, 540.0),
+    BBox2D: (10.0, 20.0, 110.0, 80.0),
+    Detection: (3, 0.75, BOX, POSE),
+    Annotation: (3, POSE, BOX),
+    ImageRecord: ("img_0", (VALUES[6],)),
+    IgnoreRegions: ("img_0", (BOX,)),
+}
+TYPES = list(ARGS)
+CHECKED = [cls for cls in TYPES if hasattr(cls, "__post_init__")]
+
+
+def _kwargs(cls) -> dict:
+    return {f.name: value for f, value in zip(dataclasses.fields(cls), ARGS[cls])}
+
+
+def test_the_value_and_record_types_are_the_sampled_ones_and_six_have_checks():
+    assert TYPES == [type(value) for value in VALUES]
+    assert CHECKED == list(REFUSED) == [CameraIntrinsics, BBox2D, Detection, Annotation,
+                                         ImageRecord, IgnoreRegions]
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda cls: cls.__name__)
+def test_signature_lists_the_fields_in_order_with_their_defaults(cls):
+    params = list(inspect.signature(cls).parameters.values())
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+         inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+        for f in dataclasses.fields(cls)]
+    assert [p.annotation for p in params] == [f.type for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda cls: cls.__name__)
+def test_positional_and_keyword_construction_store_the_objects_passed(cls):
+    positional, keyword = cls(*ARGS[cls]), cls(**_kwargs(cls))
+    assert positional == keyword
+    assert hash(positional) == hash(keyword)
+    for built in (positional, keyword):
+        for name, value in _kwargs(cls).items():
+            assert getattr(built, name) is value, name
+
+
+def test_a_default_is_the_dataclass_default():
+    assert Annotation(3, POSE).bbox is None
+    assert Annotation(3, POSE) == Annotation(class_id=3, pose=POSE, bbox=None)
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda cls: cls.__name__)
+def test_a_missing_extra_or_repeated_argument_is_a_type_error(cls):
+    args, kwargs = ARGS[cls], _kwargs(cls)
+    first = dataclasses.fields(cls)[0].name
+    with pytest.raises(TypeError, match="missing 1 required positional argument"):
+        cls(**{k: v for k, v in kwargs.items() if k != first})
+    with pytest.raises(TypeError, match="positional arguments but"):
+        cls(*args, None, None)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+        cls(**kwargs, extra=None)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
+        cls(*args, **{first: args[0]})
+
+
+@pytest.mark.parametrize("cls", CHECKED, ids=lambda cls: cls.__name__)
+def test_post_init_runs_on_every_construction(cls, monkeypatch):
+    seen = []
+    check = cls.__post_init__
+
+    def counting(self):
+        seen.append(self)
+        check(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counting)
+    built = [cls(*ARGS[cls]), cls(**_kwargs(cls))]
+    built.append(dataclasses.replace(built[0]))
+    assert len(seen) == 3
+    assert all(a is b for a, b in zip(seen, built))
+
+
+@pytest.mark.parametrize("cls", CHECKED, ids=lambda cls: cls.__name__)
+def test_a_refused_value_is_refused_by_every_way_of_building(cls):
+    kwargs = {**_kwargs(cls), **REFUSED[cls]}
+    for build in (lambda: cls(*kwargs.values()), lambda: cls(**kwargs),
+                  lambda: dataclasses.replace(cls(*ARGS[cls]), **REFUSED[cls])):
+        with pytest.raises(ValueError):
+            build()

@@ -74,6 +74,13 @@ class TestLadder:
                                              r" got .*)$"):
             ThresholdLadder(pairs=pairs)
 
+    @pytest.mark.parametrize("pairs", [[(1.0, 0.1)], [], None], ids=["list", "empty list", "None"])
+    def test_pairs_must_be_a_tuple(self, pairs):
+        # a list ladder constructed, failed to hash and was unequal to the tuple ladder
+        with pytest.raises(ValueError) as err:
+            ThresholdLadder(pairs)
+        assert str(err.value) == f"ladder pairs must be a tuple, got {type(pairs).__name__}"
+
     def test_a_rejected_pair_is_named(self):
         with pytest.raises(ValueError) as err:
             ThresholdLadder(pairs=((1.0, 0.1), (math.inf, 0.1)))

@@ -461,6 +461,14 @@ class TestEveryConstructibleRecordRoundTrips:
         assert parse_ignore(io.StringIO(buffer.getvalue())) == regions
 
 
+def slot_stored(cls, *values):
+    """A ``cls`` stored field by field through its slots, without ``__init__``'s checks."""
+    built = object.__new__(cls)
+    for set_field, value in zip(records_module._slot_setters(cls), values):
+        set_field(built, value)
+    return built
+
+
 class TestWriterRefusesWhatItsReaderRefuses:
     """Each record invariant the reader checks holds where the record is built
     or is checked by the writer before it writes anything."""
@@ -482,6 +490,14 @@ class TestWriterRefusesWhatItsReaderRefuses:
         with pytest.raises(ValueError) as err:
             make(value)
         assert str(err.value) == f"{field} must be a tuple, got {type(value).__name__}"
+
+    @pytest.mark.parametrize("rect", [(0, 0, 1, 1), [0.0, 0.0, 1.0, 1.0], None],
+                             ids=["tuple", "list", "None"])
+    def test_a_rect_must_be_a_box(self, rect):
+        # a tuple rect constructed, and filter_ignore then raised AttributeError
+        with pytest.raises(ValueError) as err:
+            IgnoreRegions("a", (BBox2D(0.0, 0.0, 1.0, 1.0), rect))
+        assert str(err.value) == f"rects must hold BBox2D boxes, got {rect!r}"
 
     WRITERS = [
         (serialize_predictions, save_predictions, lambda i: image(i), "predictions"),
@@ -512,7 +528,10 @@ class TestWriterRefusesWhatItsReaderRefuses:
          "image_id 'a': detections[1]: expected Detection, got Annotation"),
         (serialize_ground_truth, [image("z"), image("b", det(0.0, 0.0, 10.0))],
          "image_id 'b': annotations[0]: expected Annotation, got Detection"),
-        (serialize_ignore, [IgnoreRegions("z", ()), IgnoreRegions("c", (ann(0.0, 0.0, 10.0),))],
+        # the constructor refuses a rect that is not a box, so this region is
+        # stored through its slots, as a build with no __init__ could store it
+        (serialize_ignore, [IgnoreRegions("z", ()), slot_stored(IgnoreRegions, "c",
+                                                                (ann(0.0, 0.0, 10.0),))],
          "image_id 'c': rects[0]: expected BBox2D, got Annotation"),
     ], ids=["annotation in predictions", "detection in ground truth", "annotation in ignore"])
     def test_an_item_of_the_wrong_kind_is_refused_before_writing(self, serialize, records,
@@ -691,6 +710,28 @@ class TestConstructorValidation:
          f"{Pose(Quaternion(True, 0, 0, 0), Translation(0.0, 0.0, 10.0))}"),
     ], ids=["confidence", "z", "box", "quaternion"])
     def test_a_bool_in_a_float_field_cannot_be_built(self, make, message):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
+
+    # each built, and serialize_predictions, ensemble_max, filter_ignore and
+    # recover_xy_records then raised AttributeError on a box; a pose that is
+    # not a Pose of a Quaternion and a Translation raised it at construction
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Detection(0, 0.5, (0.0, 0.0, 1.0, 1.0), FINITE_POSE),
+         "detection bbox must be a BBox2D or None, got (0.0, 0.0, 1.0, 1.0)"),
+        (lambda: Annotation(0, FINITE_POSE, [0.0, 0.0, 1.0, 1.0]),
+         "annotation bbox must be a BBox2D or None, got [0.0, 0.0, 1.0, 1.0]"),
+        (lambda: Detection(0, 0.5, None, "x"),
+         "detection pose must be a Pose of a Quaternion and a Translation, got 'x'"),
+        (lambda: Annotation(0, Pose((1.0, 0.0, 0.0, 0.0), FINITE_POSE.translation)),
+         "annotation pose must be a Pose of a Quaternion and a Translation, got "
+         f"{Pose((1.0, 0.0, 0.0, 0.0), FINITE_POSE.translation)!r}"),
+        (lambda: replace(det(0.0, 0.0, 10.0), pose=Pose(IDENTITY, (1.0, 2.0, 10.0))),
+         "detection pose must be a Pose of a Quaternion and a Translation, got "
+         f"{Pose(IDENTITY, (1.0, 2.0, 10.0))!r}"),
+    ], ids=["detection box", "annotation box", "detection pose", "rotation", "replace"])
+    def test_a_box_or_pose_of_another_type_cannot_be_built(self, make, message):
         with pytest.raises(ValueError) as err:
             make()
         assert str(err.value) == message
