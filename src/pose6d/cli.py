@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from typing import Callable
 
 from .geometry import extent_bbox
@@ -40,6 +39,8 @@ from .postprocess import (
     sweep_threshold,
 )
 from .records import (
+    Annotation,
+    ImageRecord,
     ParseError,
     ValidationError,
     load_camera,
@@ -98,9 +99,9 @@ def _ensure_gt_bboxes(gt_records, camera):
                     raise MissingBoxError(f"eval --ignore needs a box for {_item_at(record, a)}, and "
                                           f"the car's footprint at z={a.pose.translation.z} is none: "
                                           f"{exc}") from None
-                a = replace(a, bbox=bbox)
+                a = Annotation(a.class_id, a.pose, bbox)
             items.append(a)
-        out.append(replace(record, items=tuple(items)))
+        out.append(ImageRecord(record.image_id, tuple(items)))
     return out
 
 

@@ -107,11 +107,15 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self) -> None:
-        if not (self.fx > 0.0 and self.fy > 0.0):
-            raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
-        if not all(map(_finite, (self.fx, self.fy, self.cx, self.cy))):
-            raise ValueError(f"camera intrinsics must be finite, got fx={self.fx}, fy={self.fy}, "
-                             f"cx={self.cx}, cy={self.cy}")
+        try:
+            if not (self.fx > 0.0 and self.fy > 0.0):
+                raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
+            if not all(map(_finite, (self.fx, self.fy, self.cx, self.cy))):
+                raise ValueError(f"camera intrinsics must be finite, got fx={self.fx}, "
+                                 f"fy={self.fy}, cx={self.cx}, cy={self.cy}")
+        except TypeError:  # a value that does not compare or convert as a number
+            raise ValueError(f"camera intrinsics must be numbers, got fx={self.fx!r}, "
+                             f"fy={self.fy!r}, cx={self.cx!r}, cy={self.cy!r}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,7 +140,12 @@ class BBox2D:
         if bool in (type(x1), type(y1), type(x2), type(y2)):  # it would compare as 0 or 1
             raise ValueError(f"box coordinates must be numbers, not bools, got "
                              f"({x1}, {y1}, {x2}, {y2})")
-        if not all(map(_finite, (x1, y1, x2, y2))):
+        try:
+            finite = all(map(_finite, (x1, y1, x2, y2)))
+        except TypeError:  # a value that does not convert as a number
+            raise ValueError(f"box coordinates must be numbers, got "
+                             f"({x1!r}, {y1!r}, {x2!r}, {y2!r})") from None
+        if not finite:
             raise ValueError(f"box coordinates must be finite, got ({x1}, {y1}, {x2}, {y2})")
         if not (x1 < x2 and y1 < y2):
             raise ValueError(f"degenerate box ({x1}, {y1}, {x2}, {y2}): requires x1 < x2 and y1 < y2")

@@ -25,9 +25,10 @@ from typing import Iterable, Sequence
 
 from .geometry import BBox2D, CameraIntrinsics, Pose, Translation, _halved_iou
 from .metrics import DEFAULT_LADDER, Evaluation, NoClassesError, ThresholdLadder, _check_threshold, _class_mean
-from .records import (Detection, IgnoreRegions, ImageRecord, NonFiniteError, _index_by_image,
-                      _new, _non_finite_pose, _set_bbox, _set_class_id, _set_confidence, _set_pose,
-                      _set_rotation, _set_translation, _set_tx, _set_ty, _set_tz)
+from .records import (Annotation, Detection, IgnoreRegions, ImageRecord, NonFiniteError,
+                      _index_by_image, _new, _non_finite_pose, _set_bbox, _set_class_id,
+                      _set_confidence, _set_pose, _set_rotation, _set_translation, _set_tx, _set_ty,
+                      _set_tz)
 
 _MAX_GRID_POINTS = 100_001  # a 1e-5 step over [0, 1]
 
@@ -53,6 +54,17 @@ def _item_at(record: ImageRecord, item) -> str:
 def _missing_box(stage: str, record: ImageRecord, item, where: str = "") -> MissingBoxError:
     return MissingBoxError(f"{stage} requires items with a bbox; {where}{_item_at(record, item)} "
                            "has none")
+
+
+def _refuse_kind(stage: str, record: ImageRecord, kinds: tuple[type, ...],
+                 where: str = "") -> None:
+    """Raise ValueError at ``record``'s first item that is none of ``kinds``. The
+    stages call it only after an AttributeError, so accepted items go unchecked."""
+    for item in record.items:
+        if not isinstance(item, kinds):
+            expected = " or ".join(k.__name__ for k in kinds)
+            raise ValueError(f"{stage}: {where}{_item_at(record, item)}: expected {expected}, "
+                             f"got {type(item).__name__}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,42 +107,55 @@ def recover_xy_records(records: Sequence[ImageRecord], k: CameraIntrinsics) -> l
     """The records with each detection's (x, y) back-projected from its box
     center at its z (``backproject``'s arithmetic) and checked finite; the rest
     is the detection's own, stored through the slots of a new ``Translation``,
-    ``Pose`` and ``Detection`` with no ``__init__``. MissingBoxError and
-    RecoveryOverflowError name the image and item."""
+    ``Pose`` and ``Detection`` with no ``__init__``. MissingBoxError,
+    RecoveryOverflowError and the ValueError for an item that is not a
+    Detection name the image and item."""
     fx, fy, cx, cy = k.fx, k.fy, k.cx, k.cy
     out = []
     for record in records:
         items = []
-        for det in record.items:
-            if (box := det.bbox) is None:
-                raise _missing_box("recover_xy", record, det)
-            pose = det.pose
-            z = pose.translation.z
-            x = ((box.x1 + box.x2) * 0.5 - cx) * z / fx
-            y = ((box.y1 + box.y2) * 0.5 - cy) * z / fy
-            if not (math.isfinite(x) and math.isfinite(y)):
-                pose = Pose(pose.rotation, Translation(x, y, z))
-                raise RecoveryOverflowError(f"recover_xy overflows at {_item_at(record, det)}: "
-                                            + _non_finite_pose("detection", pose))
-            _set_tx(t := _new(Translation), x)
-            _set_ty(t, y)
-            _set_tz(t, z)
-            _set_rotation(new_pose := _new(Pose), pose.rotation)
-            _set_translation(new_pose, t)
-            _set_class_id(moved := _new(Detection), det.class_id)
-            _set_confidence(moved, det.confidence)
-            _set_bbox(moved, box)
-            _set_pose(moved, new_pose)
-            items.append(moved)
+        try:
+            for det in record.items:
+                if (box := det.bbox) is None:
+                    raise _missing_box("recover_xy", record, det)
+                pose = det.pose
+                z = pose.translation.z
+                x = ((box.x1 + box.x2) * 0.5 - cx) * z / fx
+                y = ((box.y1 + box.y2) * 0.5 - cy) * z / fy
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    pose = Pose(pose.rotation, Translation(x, y, z))
+                    raise RecoveryOverflowError(f"recover_xy overflows at {_item_at(record, det)}: "
+                                                + _non_finite_pose("detection", pose))
+                _set_tx(t := _new(Translation), x)
+                _set_ty(t, y)
+                _set_tz(t, z)
+                _set_rotation(new_pose := _new(Pose), pose.rotation)
+                _set_translation(new_pose, t)
+                _set_class_id(moved := _new(Detection), det.class_id)
+                _set_confidence(moved, det.confidence)
+                _set_bbox(moved, box)
+                _set_pose(moved, new_pose)
+                items.append(moved)
+        except AttributeError:
+            _refuse_kind("recover_xy", record, (Detection,))
+            raise
         out.append(ImageRecord(record.image_id, tuple(items)))
     return out
 
 
 def apply_confidence_threshold(records: Sequence[ImageRecord], threshold: float) -> list[ImageRecord]:
-    """Keep detections with confidence >= threshold; images always survive."""
+    """Keep detections with confidence >= threshold; images always survive.
+    An item that is not a Detection raises ValueError at its image and item."""
     _check_threshold(threshold)
-    return [ImageRecord(r.image_id, tuple(d for d in r.items if d.confidence >= threshold))
-            for r in records]
+    out = []
+    for r in records:
+        try:
+            kept = tuple(d for d in r.items if d.confidence >= threshold)
+        except AttributeError:
+            _refuse_kind("apply_confidence_threshold", r, (Detection,))
+            raise
+        out.append(ImageRecord(r.image_id, kept))
+    return out
 
 
 def _covered_fraction(box: BBox2D, rects: Sequence[tuple[float, float, float, float]]) -> float:
@@ -163,7 +188,8 @@ def filter_ignore(records: Sequence[ImageRecord], regions: Iterable[IgnoreRegion
     An item is dropped iff area(bbox intersect union(rects)) / area(bbox)
     is strictly greater than ``overlap_frac``; the boundary case is kept.
     Works on detection and annotation records alike, but every item in a
-    touched image must carry a bbox (MissingBoxError otherwise).
+    touched image must be one of them (ValueError otherwise) and carry a
+    bbox (MissingBoxError otherwise).
     """
     _check_threshold(overlap_frac, "overlap_frac")
     rects_by_id: dict[str, list[tuple[float, float, float, float]]] = {}
@@ -176,11 +202,15 @@ def filter_ignore(records: Sequence[ImageRecord], regions: Iterable[IgnoreRegion
             out.append(record)
             continue
         kept = []
-        for item in record.items:
-            if item.bbox is None:
-                raise _missing_box("filter_ignore", record, item)
-            if _covered_fraction(item.bbox, rects) <= overlap_frac:
-                kept.append(item)
+        try:
+            for item in record.items:
+                if item.bbox is None:
+                    raise _missing_box("filter_ignore", record, item)
+                if _covered_fraction(item.bbox, rects) <= overlap_frac:
+                    kept.append(item)
+        except AttributeError:
+            _refuse_kind("filter_ignore", record, (Detection, Annotation))
+            raise
         out.append(ImageRecord(record.image_id, tuple(kept)))
     return out
 
@@ -196,22 +226,31 @@ def ensemble_max(model_outputs: Sequence[Sequence[ImageRecord]],
     clustering, whose seeds absorb later detections at IoU >= threshold,
     keeps the same ones. Image order follows first appearance across
     models; the image set is the union. An image_id repeated within one
-    model's output raises ValueError, and a detection without a box
-    MissingBoxError.
+    model's output raises ValueError, as does an item that is not a
+    Detection, and a detection without a box MissingBoxError.
     """
     model_outputs = list(model_outputs)
     if not model_outputs:
         raise EmptyEnsembleError("ensemble needs at least one model output")
     pools: dict[str, list[Detection]] = {}
-    for m, records in enumerate(model_outputs):
-        for record in _index_by_image(records, "predictions").values():
-            for det in record.items:
-                if det.bbox is None:
-                    raise _missing_box("ensemble_max", record, det, f"input {m}, ")
-            pools.setdefault(record.image_id, []).extend(record.items)
+    inputs = []  # each model's records by image_id, to locate an item of the wrong kind
+    try:
+        for m, records in enumerate(model_outputs):
+            inputs.append(by_id := _index_by_image(records, "predictions"))
+            for record in by_id.values():
+                for det in record.items:
+                    if det.bbox is None:
+                        raise _missing_box("ensemble_max", record, det, f"input {m}, ")
+                pools.setdefault(record.image_id, []).extend(record.items)
+        for pool in pools.values():
+            pool.sort(key=attrgetter("confidence"), reverse=True)  # stable: model, then input order
+    except AttributeError:
+        for m, by_id in enumerate(inputs):
+            for record in by_id.values():
+                _refuse_kind("ensemble_max", record, (Detection,), f"input {m}, ")
+        raise
     threshold, merged = config.iou_threshold, []
     for image_id, pool in pools.items():
-        pool.sort(key=attrgetter("confidence"), reverse=True)  # stable: model, then input order
         kept_boxes: dict[int, list[tuple[float, float, float, float, float]]] = {}
         kept = []
         for det in pool:

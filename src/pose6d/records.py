@@ -97,14 +97,16 @@ def _check_item(item: Detection | Annotation, kind: str) -> None:
     if bbox is not None and not isinstance(bbox, BBox2D):
         raise ValueError(f"{kind} bbox must be a BBox2D or None, got {bbox!r}")
     t, q = pose.translation, pose.rotation
-    if not t.z > 0.0:
-        raise ValueError(f"{kind} depth must be positive, got z={t.z}")
     try:
+        if not t.z > 0.0:
+            raise ValueError(f"{kind} depth must be positive, got z={t.z}")
         if not (math.isfinite(t.x) and math.isfinite(t.y) and math.isfinite(t.z) and math.isfinite(q.w)
                 and math.isfinite(q.x) and math.isfinite(q.y) and math.isfinite(q.z)):
             raise NonFiniteError(_non_finite_pose(kind, pose))
     except OverflowError:  # an int beyond the float range
         raise NonFiniteError(_non_finite_pose(kind, pose)) from None
+    except TypeError:  # a value that does not compare or convert as a number
+        raise ValueError(f"{kind} pose must hold numbers, got {pose!r}") from None
     if (type(t.x) is bool or type(t.y) is bool or type(t.z) is bool or type(q.w) is bool
             or type(q.x) is bool or type(q.y) is bool or type(q.z) is bool):
         raise ValueError(f"{kind} has a bool in its pose: {pose}")
@@ -120,8 +122,11 @@ class Detection:
     pose: Pose
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.confidence <= 1.0):
-            raise ValueError(f"confidence must be within [0, 1], got {self.confidence}")
+        try:
+            if not (0.0 <= self.confidence <= 1.0):
+                raise ValueError(f"confidence must be within [0, 1], got {self.confidence}")
+        except TypeError:  # a value that does not compare as a number
+            raise ValueError(f"confidence must be a number, got {self.confidence!r}") from None
         if type(self.confidence) is bool:
             raise ValueError(f"confidence must be a number, got {self.confidence}")
         _check_item(self, "detection")

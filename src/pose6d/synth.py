@@ -28,7 +28,7 @@ beyond that it refuses rather than crawl).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -69,8 +69,9 @@ _LATERAL_RANGE = (0.6, 1.5)  # meters
 _MAX_DRAW = 2**63 - 1  # numpy draws integers as int64: the largest count it can draw
 
 # Objects a scene may hold, counting an empty image as one. A generation
-# takes about 27 us per object (2 vCPUs, Python 3.11), so under a minute at
-# the cap; perturbing and writing the files take about three times that.
+# takes about 35 us per object in a 100,000-object scene (2 vCPUs, Python
+# 3.11; about 20 us in a small one), so under a minute at the cap; perturbing
+# and writing the files take about 2.5 times that.
 _MAX_OBJECTS = 1_000_000
 
 
@@ -145,17 +146,19 @@ def _stream(seed: int, purpose: int, image_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _unit_vector(rng: np.random.Generator, size: int) -> np.ndarray:
+def _unit_vector(rng: np.random.Generator, size: int) -> list[float]:
+    """A normal draw scaled to unit length, as Python floats. Its norm is
+    ``np.linalg.norm``'s arithmetic on a 1-D float vector (``sqrt(v.dot(v))``)
+    without that function's dispatch, so the bits are the same."""
     while True:
         v = rng.normal(size=size)
-        n = float(np.linalg.norm(v))
+        n = math.sqrt(v.dot(v))
         if n > 1e-12:
-            return v / n
+            return [c / n for c in v.tolist()]
 
 
 def _random_quat(rng: np.random.Generator) -> Quaternion:
-    w, x, y, z = _unit_vector(rng, 4)
-    return Quaternion(float(w), float(x), float(y), float(z))
+    return Quaternion(*_unit_vector(rng, 4))
 
 
 def _sample_object(rng: np.random.Generator, spec_camera: CameraIntrinsics,
@@ -190,10 +193,10 @@ def _jitter_translation(rng: np.random.Generator, t: Translation, sigma: float) 
         return t
     while True:
         magnitude = abs(float(rng.normal(0.0, sigma)))
-        d = _unit_vector(rng, 3)
-        z = t.z + magnitude * float(d[2])
+        dx, dy, dz = _unit_vector(rng, 3)
+        z = t.z + magnitude * dz
         if z > 0.0 and magnitude < math.inf:
-            return Translation(t.x + magnitude * float(d[0]), t.y + magnitude * float(d[1]), z)
+            return Translation(t.x + magnitude * dx, t.y + magnitude * dy, z)
 
 
 def _jitter_rotation(rng: np.random.Generator, q: Quaternion, sigma: float) -> Quaternion:
@@ -201,10 +204,10 @@ def _jitter_rotation(rng: np.random.Generator, q: Quaternion, sigma: float) -> Q
         return q
     while (angle := abs(float(rng.normal(0.0, sigma)))) == math.inf:  # sin(inf) raises
         pass
-    axis = _unit_vector(rng, 3)
+    ax, ay, az = _unit_vector(rng, 3)
     half = 0.5 * angle
     s = math.sin(half)
-    dq = Quaternion(math.cos(half), s * float(axis[0]), s * float(axis[1]), s * float(axis[2]))
+    dq = Quaternion(math.cos(half), s * ax, s * ay, s * az)
     return quat_normalize(quat_multiply(dq, q))
 
 
@@ -268,7 +271,8 @@ def corrupt_xy(pred_records: Sequence[ImageRecord], seed: int) -> list[ImageReco
             t = det.pose.translation
             moved = Translation(t.x + magnitude * math.cos(theta),
                                 t.y + magnitude * math.sin(theta), t.z)
-            dets.append(replace(det, pose=Pose(det.pose.rotation, moved)))
+            dets.append(Detection(det.class_id, det.confidence, det.bbox,
+                                  Pose(det.pose.rotation, moved)))
         out.append(ImageRecord(image_id=record.image_id, items=tuple(dets)))
     return out
 

@@ -257,6 +257,16 @@ class TestPinholeCamera:
             CameraIntrinsics(*values)
         assert str(err.value) == f"camera intrinsics must be finite, got {shown}"
 
+    # each raised TypeError from a comparison or math.isfinite
+    @pytest.mark.parametrize("values, shown", [
+        (("a", 1.0, 1.0, 1.0), "fx='a', fy=1.0, cx=1.0, cy=1.0"),
+        ((1.0, 1.0, "a", 1.0), "fx=1.0, fy=1.0, cx='a', cy=1.0"),
+    ], ids=["fx", "cx"])
+    def test_intrinsics_must_be_numbers(self, values, shown):
+        with pytest.raises(ValueError) as err:
+            CameraIntrinsics(*values)
+        assert str(err.value) == f"camera intrinsics must be numbers, got {shown}"
+
 
 class TestBoxes:
     def test_iou_partial_overlap(self):
@@ -300,6 +310,12 @@ class TestBoxes:
         with pytest.raises(ValueError) as err:
             BBox2D(*coords)
         assert str(err.value) == f"box coordinates must be finite, got {shown}"
+
+    def test_a_box_of_a_non_number_is_rejected(self):
+        # math.isfinite raised TypeError
+        with pytest.raises(ValueError) as err:
+            BBox2D("a", 0, 1, 1)
+        assert str(err.value) == "box coordinates must be numbers, got ('a', 0, 1, 1)"
 
     @pytest.mark.parametrize("coords, shown", [
         # finite coordinates whose area overflowed: area() inf, iou_2d(b, b) NaN

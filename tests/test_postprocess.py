@@ -347,6 +347,37 @@ class TestEnsembleMax:
             EnsembleConfig(**kwargs)
 
 
+BOXED = det(0.0, 0.0, 10.0, bbox=BBox2D(950.0, 530.0, 970.0, 550.0))
+BOXED_ANN = ann(0.0, 0.0, 10.0, bbox=BBox2D(950.0, 530.0, 970.0, 550.0))
+
+
+class TestItemsOfTheWrongKind:
+    # each raised AttributeError from the first field the stage read
+    @pytest.mark.parametrize("run, message", [
+        (lambda: recover_xy_records([image("a", BOXED), image("b", BOXED, BOXED_ANN)], K),
+         "recover_xy: image 'b', item 1: expected Detection, got Annotation"),
+        (lambda: recover_xy_records(iter([image("a", BOXED, "x")]), K),
+         "recover_xy: image 'a', item 1: expected Detection, got str"),
+        (lambda: apply_confidence_threshold([image("a", BOXED), image("b", "x")], 0.3),
+         "apply_confidence_threshold: image 'b', item 0: expected Detection, got str"),
+        (lambda: apply_confidence_threshold([image("a", BOXED, BOXED_ANN)], 0.3),
+         "apply_confidence_threshold: image 'a', item 1: expected Detection, got Annotation"),
+        (lambda: ensemble_max([[image("a", BOXED)],
+                               [image("b", BOXED), image("a", BOXED, BOXED_ANN)]]),
+         "ensemble_max: input 1, image 'a', item 1: expected Detection, got Annotation"),
+        (lambda: ensemble_max([[image("a", BOXED)], [image("a", BOXED, "x")]]),
+         "ensemble_max: input 1, image 'a', item 1: expected Detection, got str"),
+        (lambda: filter_ignore([image("a", BOXED, BOXED_ANN, "x")],
+                               [IgnoreRegions("a", (BBox2D(0.0, 0.0, 1.0, 1.0),))]),
+         "filter_ignore: image 'a', item 2: expected Detection or Annotation, got str"),
+    ], ids=["recover annotation", "recover str", "threshold str", "threshold annotation",
+            "ensemble annotation", "ensemble str", "filter str"])
+    def test_is_refused_where_it_is_found(self, run, message):
+        with pytest.raises(ValueError) as err:
+            run()
+        assert str(err.value) == message
+
+
 class TestThresholdSweepGrid:
     def test_default_grid(self):
         grid = ThresholdSweep().thresholds()

@@ -736,6 +736,22 @@ class TestConstructorValidation:
             make()
         assert str(err.value) == message
 
+    # each raised TypeError from a comparison or math.isfinite
+    def test_a_non_number_confidence_cannot_be_built(self):
+        with pytest.raises(ValueError) as err:
+            Detection(0, "0.5", None, FINITE_POSE)
+        assert str(err.value) == "confidence must be a number, got '0.5'"
+
+    @pytest.mark.parametrize("component", [
+        "translation.x", "translation.z", "rotation.w", "rotation.x", "rotation.y", "rotation.z",
+    ])
+    @pytest.mark.parametrize("kind, make", ITEM_KINDS, ids=["detection", "annotation"])
+    def test_a_non_number_in_a_pose_cannot_be_built(self, kind, make, component):
+        pose = pose_with(component, "1")
+        with pytest.raises(ValueError) as err:
+            make(pose)
+        assert str(err.value) == f"{kind} pose must hold numbers, got {pose!r}"
+
     @pytest.mark.parametrize("z", [0.0, -1e-300, math.nan])
     @pytest.mark.parametrize("make, kind", [(det, "detection"), (ann, "annotation")])
     def test_depth_message_is_shared(self, make, kind, z):

@@ -1,9 +1,11 @@
 """Synthetic scene generation, perturbation, and oracle tests."""
 
+import hashlib
 import io
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,8 @@ from pose6d import (
     serialize_ground_truth,
     serialize_predictions,
 )
+
+from pose6d.synth import _unit_vector
 
 from helpers import ann, as_detection, det, image
 
@@ -336,6 +340,47 @@ class TestCorruptXy:
         preds = self.setup_preds()
         assert corrupt_xy(preds, seed=3) == corrupt_xy(preds, seed=3)
         assert corrupt_xy(preds, seed=3) != corrupt_xy(preds, seed=4)
+
+
+PINNED_NOISE = NoiseSpec(translation_sigma=0.5, rotation_sigma=0.2, miss_rate=0.2,
+                         false_positive_rate=0.5, tp_confidence=(0.3, 1.0))
+PINNED_SCENES = {
+    "crowded": {"n_images": 6, "objects_per_image": (20, 40), "n_classes": 3},
+    "sparse": {"n_images": 125, "objects_per_image": (1, 4), "n_classes": 20},
+}
+
+
+class TestDrawsArePinned:
+    """Every draw of generation, perturbation and lateral corruption, to the
+    bit: a change to how synth computes its values must keep these hashes."""
+
+    @pytest.mark.parametrize("scene, seed, digest", [
+        pytest.param(scene, seed, digest, id=f"{scene}-{seed}") for scene, seed, digest in [
+            ("crowded", 0, "490df1573f46848c0c13b33a6b6881ba545916cf574feb8348cb172078c03f5c"),
+            ("crowded", 7, "4d8d683553d1c32a451e48e5c2f5703e794e4d64126dac17e15b6be0a5ab4d8e"),
+            ("crowded", 2201, "2a320a019e364785ac7bb86ce30c9480eb847dabfed1f078d594a41cf48f6249"),
+            ("sparse", 0, "da626f39960d283c0757c58d1a712b514b335b901020bf6477f7b6b5f1bb3532"),
+            ("sparse", 7, "75dc52343d54cb8f826820724fa05bfa5450684dd1b1886163b2876bdf7727ae"),
+            ("sparse", 2201, "cc6f95f8c861cbae4f00a01db5b3adb736d2f513c007bce0dae56c3e687c2c9a"),
+        ]])
+    def test_scene_perturbation_and_corruption_keep_their_bits(self, scene, seed, digest):
+        gts, camera = generate_scene(SceneSpec(seed=seed, noise=PINNED_NOISE,
+                                               **PINNED_SCENES[scene]))
+        preds = perturb(gts, PINNED_NOISE, seed + 1, camera)
+        moved = corrupt_xy(preds, seed + 2)
+        text = repr((gts, preds, moved))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_unit_vectors_are_numpys_normalised_draws(self, size):
+        # the same stream twice: one through _unit_vector, one normalised by
+        # np.linalg.norm, every component equal to the bit
+        ours, reference = np.random.default_rng(size), np.random.default_rng(size)
+        for _ in range(10_000):
+            v = reference.normal(size=size)
+            expected = v / np.linalg.norm(v)
+            assert [float(c).hex() for c in _unit_vector(ours, size)] == [
+                float(c).hex() for c in expected]
 
 
 class TestOracle:
