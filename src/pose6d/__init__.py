@@ -45,14 +45,34 @@ from .losses import (
     trans_mse,
     trans_mse_grad,
 )
+from .formats import (
+    ParseError,
+    ValidationError,
+    load_camera,
+    load_csv_compat,
+    load_ground_truth,
+    load_ignore,
+    load_ladder,
+    load_predictions,
+    parse_csv_compat,
+    parse_ground_truth,
+    parse_ignore,
+    parse_ladder,
+    parse_predictions,
+    save_camera,
+    save_ground_truth,
+    save_ignore,
+    save_predictions,
+    serialize_ground_truth,
+    serialize_ignore,
+    serialize_predictions,
+)
 from .metrics import (
     DEFAULT_LADDER,
     EvaluationReport,
     NoClassesError,
     ThresholdLadder,
     average_precision,
-    load_ladder,
-    parse_ladder,
     mean_average_precision,
 )
 from .postprocess import (
@@ -73,24 +93,6 @@ from .records import (
     IgnoreRegions,
     ImageRecord,
     NonFiniteError,
-    ParseError,
-    ValidationError,
-    load_camera,
-    load_csv_compat,
-    load_ground_truth,
-    load_ignore,
-    load_predictions,
-    parse_csv_compat,
-    parse_ground_truth,
-    parse_ignore,
-    parse_predictions,
-    save_camera,
-    save_ground_truth,
-    save_ignore,
-    save_predictions,
-    serialize_ground_truth,
-    serialize_ignore,
-    serialize_predictions,
 )
 from .synth import (
     CAR_EXTENT,

@@ -23,9 +23,21 @@ import json
 import sys
 from typing import Callable
 
+from .formats import (
+    ParseError,
+    ValidationError,
+    load_camera,
+    load_csv_compat,
+    load_ground_truth,
+    load_ignore,
+    load_ladder,
+    load_predictions,
+    save_camera,
+    save_ground_truth,
+    save_predictions,
+)
 from .geometry import extent_bbox
-from .metrics import (DEFAULT_LADDER, ThresholdLadder, _check_threshold, load_ladder,
-                      mean_average_precision)
+from .metrics import DEFAULT_LADDER, ThresholdLadder, _check_threshold, mean_average_precision
 from .postprocess import (
     EnsembleConfig,
     MissingBoxError,
@@ -38,20 +50,7 @@ from .postprocess import (
     recover_xy_records,
     sweep_threshold,
 )
-from .records import (
-    Annotation,
-    ImageRecord,
-    ParseError,
-    ValidationError,
-    load_camera,
-    load_csv_compat,
-    load_ground_truth,
-    load_ignore,
-    load_predictions,
-    save_camera,
-    save_ground_truth,
-    save_predictions,
-)
+from .records import Annotation, ImageRecord
 from .synth import CAR_EXTENT, NoiseSpec, SceneSpec, generate_scene, perturb
 
 EXIT_OK = 0

@@ -107,6 +107,9 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self) -> None:
+        if bool in (type(self.fx), type(self.fy), type(self.cx), type(self.cy)):  # 0 or 1 as a number
+            raise ValueError(f"camera intrinsics must be numbers, not bools, got fx={self.fx}, "
+                             f"fy={self.fy}, cx={self.cx}, cy={self.cy}")
         try:
             if not (self.fx > 0.0 and self.fy > 0.0):
                 raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")

@@ -18,9 +18,6 @@ mean/median, precision/recall, TP/FP/FN counts) are computed by
 ``mean_average_precision`` from the hits of the matching at the last
 ladder pair, which for the default strict-to-loose ladder maximizes match
 coverage.
-
-Ladder files are JSON arrays of ``{"trans_m": .., "rot_deg": ..}``;
-degrees are converted to radians at load time.
 """
 
 from __future__ import annotations
@@ -37,8 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import angular_error
-from .records import (Annotation, Detection, ImageRecord, ParseError, ValidationError,
-                      _index_by_image, _named_numbers, _read_json)
+from .records import Annotation, Detection, ImageRecord, _index_by_image
 
 
 class NoClassesError(ValueError):
@@ -69,25 +65,6 @@ DEFAULT_LADDER = ThresholdLadder(pairs=(
     (2.0, math.radians(20.0)),
     (4.0, math.radians(40.0)),
 ))
-
-
-def parse_ladder(data: object) -> ThresholdLadder:
-    if not isinstance(data, list) or not data:
-        raise ParseError(1, "", "ladder must be a non-empty JSON array")
-    pairs = []
-    for i, entry in enumerate(data):
-        trans_m, rot_deg = _named_numbers(1, entry, ("trans_m", "rot_deg"), f"[{i}]")
-        try:
-            pairs += ThresholdLadder(pairs=((trans_m, math.radians(rot_deg)),)).pairs
-        except ValueError as exc:  # worded in the file's units
-            raise ValidationError(1, f"[{i}]", "a ladder pair must be two finite positive "
-                                  f"numbers, got trans_m={trans_m}, rot_deg={rot_deg} "
-                                  f"({math.radians(rot_deg)} rad)") from exc
-    return ThresholdLadder(pairs=tuple(pairs))
-
-
-def load_ladder(path: str) -> ThresholdLadder:
-    return parse_ladder(_read_json(path))
 
 
 def _match_image(dets: Sequence[Detection], anns: Sequence[Annotation],
@@ -157,11 +134,16 @@ def average_precision(flags: Sequence[bool], num_gt: int) -> float:
     ``flags[k]`` is True when the detection at rank k is a true positive.
     With no ground truth the AP is 0.0 as soon as any prediction exists;
     the fully degenerate case (no flags, no ground truth) is defined as
-    1.0 for callers that force such a class in.
+    1.0 for callers that force such a class in. ``num_gt`` must be an int
+    no smaller than the number of true positives.
     """
+    if type(num_gt) is bool or not isinstance(num_gt, int):
+        raise ValueError(f"num_gt must be an int, got {num_gt!r}")
     if num_gt < 0:
         raise ValueError(f"num_gt must be >= 0, got {num_gt}")
     tp = np.fromiter(flags, dtype=bool).reshape(1, -1)  # an iterator too, which asarray wraps whole
+    if (hits := int(np.count_nonzero(tp))) > num_gt:
+        raise ValueError(f"{hits} true positives exceed num_gt={num_gt}")
     return _prefix_aps(tp, _precision(tp), tp.shape[1], num_gt)[0]
 
 

@@ -268,7 +268,7 @@ def reference_box_check(x1, y1, x2, y2) -> None:
 
 def reference_build_item(kind: type, obj: dict) -> Detection | Annotation:
     """A decoded, well-shaped item built through the constructors alone, as
-    ``records._build_item`` built it before it stored items through their
+    ``formats._build_item`` built it before it stored items through their
     slots; its referee. Each list is taken as floats when it holds only ints
     and floats (a bool is neither), else TypeError; an int beyond the float
     range raises OverflowError."""

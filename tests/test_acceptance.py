@@ -60,7 +60,7 @@ from pose6d import (
     euler_from_quat,
 )
 from pose6d.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, main
-from pose6d.records import save_camera
+from pose6d.formats import save_camera
 
 from helpers import ann, as_detection, complementary_models, det, image
 

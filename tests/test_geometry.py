@@ -267,6 +267,17 @@ class TestPinholeCamera:
             CameraIntrinsics(*values)
         assert str(err.value) == f"camera intrinsics must be numbers, got {shown}"
 
+    # each built, and save_camera then wrote a file that load_camera refused
+    @pytest.mark.parametrize("values, shown", [
+        ((True, 1.0, 1.0, False), "fx=True, fy=1.0, cx=1.0, cy=False"),
+        ((1.0, True, 1.0, 1.0), "fx=1.0, fy=True, cx=1.0, cy=1.0"),
+        ((1.0, 1.0, False, 1.0), "fx=1.0, fy=1.0, cx=False, cy=1.0"),
+    ], ids=["fx and cy", "fy", "cx"])
+    def test_intrinsics_must_not_be_bools(self, values, shown):
+        with pytest.raises(ValueError) as err:
+            CameraIntrinsics(*values)
+        assert str(err.value) == f"camera intrinsics must be numbers, not bools, got {shown}"
+
 
 class TestBoxes:
     def test_iou_partial_overlap(self):

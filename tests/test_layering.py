@@ -1,9 +1,10 @@
 """The package's modules import only from the layers below them.
 
-geometry -> losses and records -> metrics -> postprocess and synth -> cli,
-with ``__init__`` exempt: it re-exports them all. Every import counts, a
-lazy one inside a function too, so no cycle can hide behind one, and stage
-code cannot move back down into ``records``.
+geometry -> losses and records -> metrics -> formats, postprocess and
+synth -> cli, with ``__init__`` exempt: it re-exports them all. Every
+import counts, a lazy one inside a function too, so no cycle can hide
+behind one, and stage code cannot move back down into ``records``. Files
+are read and written only in ``formats`` and ``cli``.
 """
 
 import ast
@@ -14,8 +15,8 @@ import pytest
 import pose6d
 
 SRC = Path(pose6d.__file__).parent
-LAYERS = {"geometry": 0, "losses": 1, "records": 1, "metrics": 2, "postprocess": 3, "synth": 3,
-          "cli": 4}
+LAYERS = {"geometry": 0, "losses": 1, "records": 1, "metrics": 2, "formats": 3, "postprocess": 3,
+          "synth": 3, "cli": 4}
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 
 
@@ -47,4 +48,30 @@ def test_a_module_imports_only_from_lower_layers(module):
 
 def test_the_imports_are_seen():
     assert imported_modules("postprocess") == {"geometry", "metrics", "records"}
-    assert imported_modules("cli") == {"geometry", "metrics", "postprocess", "records", "synth"}
+    assert imported_modules("metrics") == {"geometry", "records"}
+    assert imported_modules("cli") == {"formats", "geometry", "metrics", "postprocess", "records",
+                                       "synth"}
+
+
+def file_access(module: str) -> set[str]:
+    """``json`` and ``io`` where ``module``'s source imports them, and ``open``
+    where it calls it."""
+    out = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out |= {a.name.split(".")[0] for a in node.names} & {"json", "io"}
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
+            out |= {node.module.split(".")[0]} & {"json", "io"}
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            out.add("open")
+    return out
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES + ["__init__"] if m not in ("formats", "cli")])
+def test_only_formats_and_cli_touch_files(module):
+    assert file_access(module) == set(), f"{module} reads or writes files"
+
+
+def test_file_access_is_seen():
+    assert file_access("formats") == {"io", "json", "open"}
+    assert file_access("cli") == {"json", "open"}

@@ -221,6 +221,17 @@ class TestAveragePrecision:
         with pytest.raises(ValueError):
             average_precision([True], -1)
 
+    # each returned an AP no ranking can have: 2.0, 2.0 and 1.0
+    @pytest.mark.parametrize("flags, num_gt, message", [
+        ([True, True], 1, "2 true positives exceed num_gt=1"),
+        ([True], 0.5, "num_gt must be an int, got 0.5"),
+        ([True], True, "num_gt must be an int, got True"),
+    ], ids=["more hits than targets", "float count", "bool count"])
+    def test_an_impossible_gt_count_is_rejected(self, flags, num_gt, message):
+        with pytest.raises(ValueError) as err:
+            average_precision(flags, num_gt)
+        assert str(err.value) == message
+
     @given(st.lists(st.booleans(), max_size=30), st.integers(0, 10))
     def test_bounded_when_targets_cover_the_hits(self, flags, extra_gt):
         num_gt = sum(flags) + extra_gt

@@ -47,7 +47,7 @@ from pose6d import (
     serialize_predictions,
 )
 
-from pose6d import records as records_module
+from pose6d import formats, records as records_module
 
 from helpers import CROWDED_NOISE, IDENTITY, ann, det, image
 
@@ -603,7 +603,7 @@ class TestFastPathChangesNoResult:
     def test_reader_agrees_with_the_located_path(self, kind, key, parse, obj):
         line = json.dumps({"image_id": "a", key: [obj]})
         read = outcome(lambda: parse([line])[0].items[0])
-        located = outcome(lambda: records_module._parse_item(kind, 1, json.loads(line)[key][0],
+        located = outcome(lambda: formats._parse_item(kind, 1, json.loads(line)[key][0],
                                                              f"{key}[0]"))
         assert read == located
 
@@ -611,10 +611,10 @@ class TestFastPathChangesNoResult:
         # a fast path that always fell back would still give every right
         # answer, and so would an item builder that always took its constructors
         calls, constructed = [], []
-        located, construct = records_module._parse_item, records_module._construct_item
-        monkeypatch.setattr(records_module, "_parse_item",
+        located, construct = formats._parse_item, formats._construct_item
+        monkeypatch.setattr(formats, "_parse_item",
                             lambda *args: calls.append(args) or located(*args))
-        monkeypatch.setattr(records_module, "_construct_item",
+        monkeypatch.setattr(formats, "_construct_item",
                             lambda *args: constructed.append(args) or construct(*args))
         gts, camera = generate_scene(SceneSpec(seed=0, n_images=40, objects_per_image=(1, 6),
                                                n_classes=5, noise=CROWDED_NOISE))

@@ -50,7 +50,7 @@ from pose6d import (
     sweep_threshold,
 )
 
-from pose6d import records
+from pose6d import formats
 from pose6d.metrics import Evaluation, _match_image
 from pose6d.postprocess import _covered_fraction
 
@@ -492,7 +492,7 @@ def decoded_items(draw, kind):
 @given(data=st.data())
 def test_item_builder_builds_or_refuses_as_the_constructors_do(kind, data):
     obj = data.draw(decoded_items(kind))
-    assert built(records._build_item, kind, obj) == built(reference_build_item, kind, obj)
+    assert built(formats._build_item, kind, obj) == built(reference_build_item, kind, obj)
 
 
 @pytest.mark.parametrize("obj", [
@@ -506,10 +506,10 @@ def test_item_builder_builds_or_refuses_as_the_constructors_do(kind, data):
 ], ids=["translation sum overflows", "box sum overflows", "non-unit", "norm overflows"])
 def test_items_only_the_constructors_accept_are_built_by_them(obj, monkeypatch):
     constructed = []
-    construct = records._construct_item
-    monkeypatch.setattr(records, "_construct_item",
+    construct = formats._construct_item
+    monkeypatch.setattr(formats, "_construct_item",
                         lambda *args: constructed.append(args) or construct(*args))
-    item = records._build_item(Annotation, obj)
+    item = formats._build_item(Annotation, obj)
     assert len(constructed) == 1
     assert (repr(item), item) == built(reference_build_item, Annotation, obj)
 
