@@ -328,6 +328,22 @@ class TestBoxes:
             BBox2D("a", 0, 1, 1)
         assert str(err.value) == "box coordinates must be numbers, got ('a', 0, 1, 1)"
 
+    @pytest.mark.parametrize("coords, message", [
+        # the checks run field by field, in this order: a bool, a non-number,
+        # a non-finite coordinate, a degenerate box; the first one met is named
+        ((True, math.nan, 1.0, 1.0), "must be numbers, not bools, got (True, nan, 1.0, 1.0)"),
+        ((math.nan, "a", 1.0, 1.0), "must be finite, got (nan, a, 1.0, 1.0)"),
+        (("a", math.nan, 1.0, 1.0), "must be numbers, got ('a', nan, 1.0, 1.0)"),
+        ((10 ** 400, "a", 1.0, 2.0), f"must be finite, got ({10 ** 400}, a, 1.0, 2.0)"),
+        ((2.0, 0.0, 1.0, math.nan), "must be finite, got (2.0, 0.0, 1.0, nan)"),
+        ((None, 0.0, 1.0, 1.0), "must be numbers, got (None, 0.0, 1.0, 1.0)"),
+    ], ids=["bool before nan", "nan before str", "str before nan", "huge int before str",
+            "nan before degenerate", "None"])
+    def test_the_first_refusal_met_wins(self, coords, message):
+        with pytest.raises(ValueError) as err:
+            BBox2D(*coords)
+        assert str(err.value) == f"box coordinates {message}"
+
     @pytest.mark.parametrize("coords, shown", [
         # finite coordinates whose area overflowed: area() inf, iou_2d(b, b) NaN
         ((-1e308, 0.0, 1e308, 1.0), "(-1e+308, 0.0, 1e+308, 1.0)"),
