@@ -91,14 +91,6 @@ class Pose:
     translation: Translation
 
 
-def _finite(value: float) -> bool:
-    """``math.isfinite``, false for an int beyond the float range."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 @dataclass(frozen=True, slots=True)
 class CameraIntrinsics:
     fx: float
@@ -113,12 +105,16 @@ class CameraIntrinsics:
         try:
             if not (self.fx > 0.0 and self.fy > 0.0):
                 raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
-            if not all(map(_finite, (self.fx, self.fy, self.cx, self.cy))):
-                raise ValueError(f"camera intrinsics must be finite, got fx={self.fx}, "
-                                 f"fy={self.fy}, cx={self.cx}, cy={self.cy}")
+            finite = (math.isfinite(self.fx) and math.isfinite(self.fy) and math.isfinite(self.cx)
+                      and math.isfinite(self.cy))
+        except OverflowError:  # an int beyond the float range
+            finite = False
         except TypeError:  # a value that does not compare or convert as a number
             raise ValueError(f"camera intrinsics must be numbers, got fx={self.fx!r}, "
                              f"fy={self.fy!r}, cx={self.cx!r}, cy={self.cy!r}") from None
+        if not finite:
+            raise ValueError(f"camera intrinsics must be finite, got fx={self.fx}, "
+                             f"fy={self.fy}, cx={self.cx}, cy={self.cy}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,22 +125,15 @@ class BBox2D:
     y2: float
 
     def __post_init__(self) -> None:
-        # the common case in one test: a sum is finite only if every term is,
-        # and adding to 0.0 converts each int on its own, so an int beyond
-        # the float range fails here too; any other case takes the field checks
         x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
-        try:
-            if (x1 < x2 and y1 < y2 and (area := self.area()) > 0.0
-                    and math.isfinite(0.0 + x1 + y1 + x2 + y2 + area) and type(x1) is not bool
-                    and type(y1) is not bool and type(x2) is not bool and type(y2) is not bool):
-                return
-        except (OverflowError, TypeError):
-            pass
-        if bool in (type(x1), type(y1), type(x2), type(y2)):  # it would compare as 0 or 1
+        if type(x1) is bool or type(y1) is bool or type(x2) is bool or type(y2) is bool:
+            # it would compare as 0 or 1
             raise ValueError(f"box coordinates must be numbers, not bools, got "
                              f"({x1}, {y1}, {x2}, {y2})")
         try:
-            finite = all(map(_finite, (x1, y1, x2, y2)))
+            finite = math.isfinite(x1) and math.isfinite(y1) and math.isfinite(x2) and math.isfinite(y2)
+        except OverflowError:  # an int beyond the float range
+            finite = False
         except TypeError:  # a value that does not convert as a number
             raise ValueError(f"box coordinates must be numbers, got "
                              f"({x1!r}, {y1!r}, {x2!r}, {y2!r})") from None
@@ -152,8 +141,12 @@ class BBox2D:
             raise ValueError(f"box coordinates must be finite, got ({x1}, {y1}, {x2}, {y2})")
         if not (x1 < x2 and y1 < y2):
             raise ValueError(f"degenerate box ({x1}, {y1}, {x2}, {y2}): requires x1 < x2 and y1 < y2")
-        area = self.area()
-        if not _finite(area):  # w, h > 0 here, so an inf w or h makes it inf
+        area = (x2 - x1) * (y2 - y1)
+        try:
+            finite = math.isfinite(area)  # w, h > 0 here, so an inf w or h makes it inf
+        except OverflowError:  # the area of ints, beyond the float range
+            finite = False
+        if not finite:
             raise ValueError(f"box width, height and area must be finite, got "
                              f"({x1}, {y1}, {x2}, {y2})")
         if not area > 0.0:  # w, h > 0 here, but their product can underflow to 0

@@ -209,6 +209,8 @@ def _fmt(value: float | None, suffix: str = "") -> str:
 
 
 def _check_threshold(threshold: float, name: str = "threshold") -> None:
+    if type(threshold) is bool:  # it would compare as 0 or 1
+        raise ValueError(f"{name} must be a number, not a bool, got {threshold}")
     if not (0.0 <= threshold <= 1.0):
         raise ValueError(f"{name} must be within [0, 1], got {threshold}")
 

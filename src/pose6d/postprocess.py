@@ -72,6 +72,8 @@ class EnsembleConfig:
     iou_threshold: float = 0.5
 
     def __post_init__(self) -> None:
+        if type(self.iou_threshold) is bool:  # it would compare as 0 or 1
+            raise ValueError(f"iou_threshold must be a number, not a bool, got {self.iou_threshold}")
         if not (0.0 < self.iou_threshold <= 1.0):
             raise ValueError(f"iou_threshold must be in (0, 1], got {self.iou_threshold}")
 
@@ -83,6 +85,9 @@ class ThresholdSweep:
     step: float = 0.05
 
     def __post_init__(self) -> None:
+        if bool in (type(self.lo), type(self.hi), type(self.step)):  # 0 or 1 as a number
+            raise ValueError(f"sweep bounds and step must be numbers, not bools, got lo={self.lo}, "
+                             f"hi={self.hi}, step={self.step}")
         if not (0.0 <= self.lo <= self.hi <= 1.0):
             raise ValueError(f"sweep bounds must satisfy 0 <= lo <= hi <= 1, got [{self.lo}, {self.hi}]")
         if not self.step >= 1e-9:  # well above the 1e-12 rounding of grid points

@@ -30,9 +30,10 @@ def _non_finite_pose(kind: str, pose: Pose) -> str:
 
 
 def _check_item(item: Detection | Annotation, kind: str) -> None:
-    """The reader's item invariants: a Pose of a Quaternion and a Translation
-    with z > 0 (so not NaN), a finite pose of numbers that are not bools, a
-    BBox2D or no box, an int class_id >= 0."""
+    """The item invariants that ``Detection`` and ``Annotation`` check when
+    built: a Pose of a Quaternion and a Translation with z > 0 (so not NaN),
+    a finite pose of numbers that are not bools, a BBox2D or no box, an int
+    class_id >= 0. The reader checks the same in its own one test."""
     pose, bbox = item.pose, item.bbox
     if not (isinstance(pose, Pose) and isinstance(pose.rotation, Quaternion)
             and isinstance(pose.translation, Translation)):

@@ -28,6 +28,8 @@ beyond that it refuses rather than crawl).
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -79,6 +81,24 @@ class TooLargeError(ValueError):
     """Input exceeds the oracle's exhaustive-regime size cap."""
 
 
+def _integers(*values: object) -> bool:
+    """Whether numpy can draw a count or seed from each value: ``operator.index``
+    takes it, as it takes ``numpy.int64``, and it is not a bool, which it takes
+    as 0 or 1."""
+    try:
+        for value in values:
+            operator.index(value)
+    except TypeError:
+        return False
+    return bool not in map(type, values)
+
+
+def _reals(*values: object) -> bool:
+    """Whether each value is a real number and not a bool, which would compare
+    and draw as 0 or 1."""
+    return all(isinstance(v, numbers.Real) and type(v) is not bool for v in values)
+
+
 @dataclass(frozen=True, slots=True)
 class NoiseSpec:
     """Perturbation model applied to ground truth to fake detector output."""
@@ -93,14 +113,20 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         for name, sigma in (("translation_sigma", self.translation_sigma),
                             ("rotation_sigma", self.rotation_sigma)):
+            if not _reals(sigma):
+                raise ValueError(f"{name} must be a number, got {sigma!r}")
             if not (0.0 <= sigma < math.inf):
                 raise ValueError(f"{name} must be finite and >= 0, got {sigma}")
         for name, rate in (("miss_rate", self.miss_rate),
                            ("false_positive_rate", self.false_positive_rate)):
+            if not _reals(rate):
+                raise ValueError(f"{name} must be a number, got {rate!r}")
             if not (0.0 <= rate <= 1.0):
                 raise ValueError(f"{name} must be within [0, 1], got {rate}")
         for name, (lo, hi) in (("tp_confidence", self.tp_confidence),
                                ("fp_confidence", self.fp_confidence)):
+            if not _reals(lo, hi):
+                raise ValueError(f"{name} must hold numbers, got ({lo!r}, {hi!r})")
             if not (0.0 <= lo <= hi <= 1.0):
                 raise ValueError(f"{name} must satisfy 0 <= lo <= hi <= 1, got ({lo}, {hi})")
 
@@ -117,20 +143,27 @@ class SceneSpec:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.n_images < 0:
-            raise ValueError(f"n_images must be >= 0, got {self.n_images}")
+        for name, value in (("seed", self.seed), ("n_images", self.n_images)):
+            if not _integers(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         lo, hi = self.objects_per_image
+        if not _integers(lo, hi):
+            raise ValueError(f"objects_per_image must hold integers, got ({lo!r}, {hi!r})")
         if not (0 <= lo <= hi):
             raise ValueError(f"objects_per_image must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
         zlo, zhi = self.depth_range
+        if not _reals(zlo, zhi):
+            raise ValueError(f"depth_range must hold numbers, got ({zlo!r}, {zhi!r})")
         if not (0.0 < zlo <= zhi < math.inf):
             raise ValueError(f"depth_range must satisfy 0 < lo <= hi < inf, got ({zlo}, {zhi})")
         if not (_DEPTH_BOUND[0] <= zlo and zhi <= _DEPTH_BOUND[1]):
             raise ValueError(f"depth_range must lie within [{_DEPTH_BOUND[0]:g}, "
                              f"{_DEPTH_BOUND[1]:g}] m, where a car's box is finite and "
                              f"non-degenerate, got ({zlo}, {zhi})")
+        if not _integers(self.n_classes):
+            raise ValueError(f"n_classes must be an integer, got {self.n_classes!r}")
         if self.n_classes < 1:
             raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
         if max(hi, self.n_classes) > _MAX_DRAW:
@@ -139,6 +172,11 @@ class SceneSpec:
         if self.n_images * max(hi, 1) > _MAX_OBJECTS:
             raise ValueError(f"a scene holds at most {_MAX_OBJECTS} objects, counting an empty "
                              f"image as one, got n_images={self.n_images} with up to {hi} each")
+
+
+def _check_seed(seed: int) -> None:
+    if not _integers(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
 
 
 def _stream(seed: int, purpose: int, image_index: int) -> np.random.Generator:
@@ -222,6 +260,7 @@ def perturb(gt_records: Sequence[ImageRecord], noise: NoiseSpec, seed: int,
     classes present). With all-zero noise the output equals the ground
     truth with confidence 1.
     """
+    _check_seed(seed)
     gt_records = list(gt_records)  # read twice below
     all_items = [a for r in gt_records for a in r.items]
     classes = sorted({a.class_id for a in all_items})
@@ -261,6 +300,7 @@ def corrupt_xy(pred_records: Sequence[ImageRecord], seed: int) -> list[ImageReco
     position off by a distance drawn from ``_LATERAL_RANGE``, depth and 2D
     box intact.
     """
+    _check_seed(seed)
     out = []
     for i, record in enumerate(pred_records):
         rng = _stream(seed, 2, i)

@@ -244,9 +244,9 @@ def report_statistics(last) -> dict:
 
 
 def reference_box_check(x1, y1, x2, y2) -> None:
-    """The box rule checked field by field, as ``BBox2D`` first checked it;
-    the referee of its one-sum fast test. A bool is no number, and an int
-    beyond the float range counts as not finite."""
+    """The box rule checked field by field, written apart from ``BBox2D``;
+    the referee of its checks. A bool is no number, and an int beyond the
+    float range counts as not finite."""
     def finite(value) -> bool:
         try:
             return math.isfinite(value)

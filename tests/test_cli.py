@@ -1,22 +1,35 @@
 """End-to-end command-line interface tests."""
 
 import contextlib
+import copy
 import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pose6d import (
     BBox2D,
     CameraIntrinsics,
     IgnoreRegions,
+    NoiseSpec,
+    SceneSpec,
     Translation,
     extent_bbox,
+    generate_scene,
     load_predictions,
+    perturb,
     save_camera,
     save_ground_truth,
     save_ignore,
     save_predictions,
+    serialize_ground_truth,
+    serialize_ignore,
+    serialize_predictions,
 )
 from pose6d.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, main
 
@@ -564,3 +577,114 @@ class TestExitCodes:
         code, _, _ = run(["eval", "--pred", pred, "--gt", gt, "--camera", camera,
                           "--ignore-overlap", "1.5"])
         assert code == EXIT_INPUT
+
+
+# Values at the edges of what the readers and stages take: signed zeros,
+# subnormals, the float range and beyond it, ints beyond int64 and the float
+# range, quaternion norms near 1, and each JSON kind in a number's place.
+EDGE_VALUES = [0, 0.0, -0.0, 1, -1, 5e-324, -5e-324, 1e-300, 1e308, -1e308, 1.7e308,
+               -1.7e308, 10 ** 400, -10 ** 400, 2 ** 63, -2 ** 63, math.nan, math.inf, -math.inf,
+               True, False, None, "", "x", "1.0", [], [0.0], [1.0, 0.0, 0.0, 0.0],
+               [1.0000001, 0.0, 0.0, 0.0], [0.9999999, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+               [1e308, 1e308, 1e308, 1e308], [0.0, 0.0, 1e308, 1e308], {}, {"x": 1}]
+NO_CLASSES = "error: no class appears in ground truth or predictions\n"
+
+
+def _scene_files() -> dict[str, list]:
+    """A small scene's files, each as the list of its lines' JSON values."""
+    spec = SceneSpec(seed=11, n_images=3, objects_per_image=(1, 3), n_classes=2,
+                     noise=NoiseSpec(translation_sigma=0.3, rotation_sigma=0.05,
+                                     false_positive_rate=0.5, tp_confidence=(0.3, 1.0)))
+    gts, camera = generate_scene(spec)
+    preds = perturb(gts, spec.noise, spec.seed, camera)
+    other = perturb(gts, spec.noise, spec.seed + 1, camera)
+    regions = [IgnoreRegions(gts[0].image_id, (gts[0].items[0].bbox,)),
+               IgnoreRegions(gts[1].image_id, (BBox2D(0.0, 0.0, 100.0, 100.0),))]
+
+    def text(serialize, records):
+        stream = io.StringIO()
+        serialize(records, stream)
+        return stream.getvalue()
+
+    texts = {"gt.jsonl": text(serialize_ground_truth, gts),
+             "pred.jsonl": text(serialize_predictions, preds),
+             "pred2.jsonl": text(serialize_predictions, other),
+             "ignore.jsonl": text(serialize_ignore, regions),
+             "camera.json": json.dumps({"fx": camera.fx, "fy": camera.fy, "cx": camera.cx,
+                                        "cy": camera.cy}),
+             "ladder.json": json.dumps([{"trans_m": 1.0, "rot_deg": 10.0},
+                                        {"trans_m": 2.0, "rot_deg": 20.0}])}
+    return {name: [json.loads(line) for line in text.splitlines()] for name, text in texts.items()}
+
+
+SCENE = _scene_files()
+
+
+def _paths(value, path=()):
+    """The path of every value inside ``value``, containers included."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_scenes(draw):
+    """The scene's files with one to three values of one file replaced by edge values."""
+    name = draw(st.sampled_from(sorted(SCENE)))
+    lines = copy.deepcopy(SCENE[name])
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(lines))
+        *parents, key = draw(st.sampled_from(paths))
+        holder = lines
+        for step in parents:
+            holder = holder[step]
+        holder[key] = copy.deepcopy(draw(st.sampled_from(EDGE_VALUES)))
+    return {**SCENE, name: lines}
+
+
+COMMANDS = {
+    "eval": ["eval", "--pred", "pred.jsonl", "--gt", "gt.jsonl", "--camera", "camera.json",
+             "--ignore", "ignore.jsonl", "--ladder", "ladder.json", "--out", "report.json"],
+    "post": ["post", "--pred", "pred.jsonl", "--camera", "camera.json", "--recover-xy",
+             "--threshold", "0.4", "--ignore", "ignore.jsonl", "--out", "post.jsonl"],
+    "ensemble": ["ensemble", "pred.jsonl", "pred2.jsonl", "--out", "ensemble.jsonl"],
+    "sweep": ["sweep", "--pred", "pred.jsonl", "--gt", "gt.jsonl", "--ladder", "ladder.json",
+              "--out", "curve.csv"],
+}
+
+
+def _read_back(command: str, out: Path) -> None:
+    """Read a written file back with the package's reader, or, for the report
+    and the curve, as JSON and CSV of finite numbers."""
+    if command == "eval":
+        assert json.loads(out.read_text(encoding="utf-8"))["mAP"] >= 0.0
+    elif command == "sweep":
+        header, *rows = out.read_text(encoding="utf-8").splitlines()
+        assert header == "threshold,map" and rows
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+    else:
+        load_predictions(str(out))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_scenes())
+def test_every_command_exits_cleanly_on_mutated_files(files):
+    """Each command exits 0 or 2, or 1 with NoClassesError's message, and lets
+    no exception escape; what it writes on exit 0 reads back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, lines in files.items():
+            (root / name).write_text("".join(json.dumps(v) + "\n" for v in lines), encoding="utf-8")
+        for command, argv in COMMANDS.items():
+            code, _, err = run([str(root / a) if a.endswith((".json", ".jsonl", ".csv")) else a
+                                for a in argv])
+            assert code in (EXIT_OK, EXIT_INPUT) or (code, err) == (EXIT_COMPUTE, NO_CLASSES), \
+                (command, code, err)
+            if code == EXIT_OK:
+                _read_back(command, root / argv[-1])

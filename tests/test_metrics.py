@@ -415,6 +415,13 @@ class TestMeanAveragePrecision:
         with pytest.raises(ValueError, match="threshold"):
             Evaluation(preds, gts).per_class_ap(threshold)
 
+    def test_a_bool_scoring_threshold_is_rejected(self):
+        # True scored as the threshold 1
+        preds, gts = perfect_setup()
+        with pytest.raises(ValueError) as err:
+            Evaluation(preds, gts).per_class_ap(True)
+        assert str(err.value) == "threshold must be a number, not a bool, got True"
+
     @pytest.mark.parametrize("seed", [5, 19])
     def test_record_order_changes_nothing(self, seed):
         preds, gts = noisy_scene(seed)

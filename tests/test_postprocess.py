@@ -173,6 +173,30 @@ class TestConfidenceThreshold:
             apply_confidence_threshold([], threshold)
 
 
+class TestABoolIsNoThreshold:
+    # each took True as 1 and False as 0: the threshold kept only confidence
+    # 1.0, the filter dropped nothing, and the sweep built
+    RECORDS = [image("a", det(0.0, 0.0, 10.0, confidence=1.0, bbox=BBox2D(0.0, 0.0, 4.0, 4.0)))]
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: apply_confidence_threshold(TestABoolIsNoThreshold.RECORDS, True),
+         "threshold must be a number, not a bool, got True"),
+        (lambda: filter_ignore(TestABoolIsNoThreshold.RECORDS,
+                               [IgnoreRegions("a", (BBox2D(0.0, 0.0, 4.0, 4.0),))], True),
+         "overlap_frac must be a number, not a bool, got True"),
+        (lambda: EnsembleConfig(iou_threshold=True),
+         "iou_threshold must be a number, not a bool, got True"),
+        (lambda: ThresholdSweep(lo=False, hi=True, step=0.5),
+         "sweep bounds and step must be numbers, not bools, got lo=False, hi=True, step=0.5"),
+        (lambda: ThresholdSweep(lo=0.0, hi=1.0, step=True),
+         "sweep bounds and step must be numbers, not bools, got lo=0.0, hi=1.0, step=True"),
+    ], ids=["threshold", "overlap_frac", "iou_threshold", "sweep bounds", "sweep step"])
+    def test_is_refused(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+
 class TestIgnoreFilter:
     BOX = BBox2D(0.0, 0.0, 10.0, 10.0)
 

@@ -12,8 +12,9 @@ kept in ``tests/helpers.py``: ``_match_image`` must give the same hits, and
 per-image last-pair hits and counts that the report is built from, bit for
 bit. The report's last-pair statistics must equal those the referee
 computes from the reference hits with its own arithmetic, and
-``BBox2D``'s one-sum fast test must accept and refuse exactly what its
-field-by-field checks do, with the same exception. The reader's item
+``BBox2D``'s checks must accept and refuse exactly what the box rule
+written out in ``helpers.reference_box_check`` does, with the same
+exception. The reader's item
 builder, which checks an item's values in one test and stores it through
 its slots, must build what the constructors build, or refuse it with their
 exception.

@@ -212,6 +212,63 @@ class TestGenerateScene:
                 with pytest.raises(ValueError):
                     NoiseSpec(**{name: sigma})
 
+    @pytest.mark.parametrize("kwargs, message", [
+        # the first two built, then generate_scene raised TypeError
+        ({"n_images": 2.5}, "n_images must be an integer, got 2.5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        # these drew 1-2 objects, classes {0, 1}, and seed 1's scene
+        ({"objects_per_image": (1.5, 2.5)}, "objects_per_image must hold integers, got (1.5, 2.5)"),
+        ({"n_classes": 2.5}, "n_classes must be an integer, got 2.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"objects_per_image": (1, np.True_)}, "objects_per_image must hold integers, got (1, np.True_)"),
+        # a TypeError at construction
+        ({"depth_range": ("1", "2")}, "depth_range must hold numbers, got ('1', '2')"),
+        ({"depth_range": (True, 2.0)}, "depth_range must hold numbers, got (True, 2.0)"),
+    ], ids=["float n_images", "float seed", "float counts", "float n_classes", "bool seed",
+            "numpy bool count", "str depths", "bool depth"])
+    def test_a_spec_numpy_cannot_draw_is_refused(self, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            SceneSpec(**kwargs)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"translation_sigma": True}, "translation_sigma must be a number, got True"),
+        ({"rotation_sigma": "0.1"}, "rotation_sigma must be a number, got '0.1'"),
+        ({"miss_rate": None}, "miss_rate must be a number, got None"),
+        ({"false_positive_rate": False}, "false_positive_rate must be a number, got False"),
+        ({"tp_confidence": (0.5, True)}, "tp_confidence must hold numbers, got (0.5, True)"),
+        ({"fp_confidence": ("0.1", 0.5)}, "fp_confidence must hold numbers, got ('0.1', 0.5)"),
+    ], ids=["bool sigma", "str sigma", "None rate", "bool rate", "bool confidence",
+            "str confidence"])
+    def test_a_noise_spec_of_non_numbers_is_refused(self, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            NoiseSpec(**kwargs)
+        assert str(err.value) == message
+
+    def test_numpy_integers_draw_as_ints_do(self):
+        ints = SceneSpec(seed=7, n_images=3, objects_per_image=(1, 5), n_classes=4)
+        numpy_ints = SceneSpec(seed=np.int64(7), n_images=np.int64(3),
+                               objects_per_image=(np.int64(1), np.uint8(5)), n_classes=np.int64(4))
+        assert generate_scene(numpy_ints) == generate_scene(ints)
+        records, camera = generate_scene(ints)
+        noise = NoiseSpec(translation_sigma=0.5, false_positive_rate=0.5)
+        preds = perturb(records, noise, 7, camera)
+        assert perturb(records, noise, np.int64(7), camera) == preds
+        assert corrupt_xy(preds, np.int64(7)) == corrupt_xy(preds, 7)
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    @pytest.mark.parametrize("draw", [
+        lambda records, camera, seed: perturb(records, NoiseSpec(), seed, camera),
+        lambda records, camera, seed: corrupt_xy(records, seed),
+    ], ids=["perturb", "corrupt_xy"])
+    def test_a_seed_that_is_no_integer_is_refused_on_entry(self, draw, seed):
+        # 1.5 raised numpy's TypeError, and True drew seed 1's noise
+        records, camera = generate_scene(SceneSpec(seed=2, n_images=2))
+        preds = perturb(records, NoiseSpec(), 2, camera)
+        with pytest.raises(ValueError) as err:
+            draw(preds, camera, seed)
+        assert str(err.value) == f"seed must be an integer, got {seed!r}"
+
 
 class TestPerturb:
     def test_an_iterator_is_perturbed_as_a_list_is(self):
