@@ -26,6 +26,7 @@ from typing import Callable
 from .formats import (
     ParseError,
     ValidationError,
+    _write,
     load_camera,
     load_csv_compat,
     load_ground_truth,
@@ -117,9 +118,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _, report = mean_average_precision(preds, gts, ladder)
     sys.stdout.write(report.to_text())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json_dict(), handle, indent=2)
-            handle.write("\n")
+        _write(args.out, json.dumps(report.to_json_dict(), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -151,10 +150,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     preds = _load_preds(args.pred, args.format)
     gts = load_ground_truth(args.gt)
     curve, best = sweep_threshold(preds, gts, sweep, ladder)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write("threshold,map\n")
-        for t, value in curve:
-            handle.write(f"{t},{value}\n")
+    _write(args.out, "threshold,map\n" + "".join(f"{t},{value}\n" for t, value in curve))
     best_map = dict(curve)[best]
     print(f"best threshold: {best} (mAP {best_map:.6f})")
     return EXIT_OK

@@ -1,6 +1,8 @@
 """The file formats: prediction, ground-truth and ignore JSON Lines, the
 single-class CSV, camera JSON and ladder JSON. The package reads every
-file here, and writes every one but ``cli``'s report and sweep files.
+file here, and ``_write`` is its one function that opens a file for
+writing: each writer, ``cli``'s report and sweep curve too, makes its whole
+text first, so a refusal writes nothing.
 
 Canonical interchange is JSON Lines, one image per line:
 
@@ -301,13 +303,12 @@ def _parse_jsonl(stream: Lines, key: str) -> list:
     return records
 
 
-def _serialize_jsonl(records: Iterable, stream: IO[str], key: str) -> None:
-    """Write records as canonical JSONL (inverse of ``_parse_jsonl``).
+def _jsonl(records: Iterable, key: str) -> str:
+    """Records as canonical JSONL text (inverse of ``_parse_jsonl``).
 
-    The invariants the reader checks across records are checked first, so
-    a refusal (ValueError) writes nothing: each image_id once, and every
-    item of the file's kind. Each record and item checks its own values
-    when it is built."""
+    The invariants the reader checks across records are checked first, each
+    a ValueError, in this order: each image_id once, then every item of the
+    file's kind. Each record and item checks its own values when it is built."""
     _, field, kind, write_item, what = _KINDS[key]
     records = list(records)
     for record in _index_by_image(records, what).values():
@@ -315,9 +316,8 @@ def _serialize_jsonl(records: Iterable, stream: IO[str], key: str) -> None:
             if not isinstance(item, kind):
                 raise ValueError(f"image_id {record.image_id!r}: {key}[{i}]: expected "
                                  f"{kind.__name__}, got {type(item).__name__}")
-    for record in records:
-        obj = {"image_id": record.image_id, key: [write_item(i) for i in getattr(record, field)]}
-        stream.write(json.dumps(obj) + "\n")
+    objs = ({"image_id": r.image_id, key: [write_item(i) for i in getattr(r, field)]} for r in records)
+    return "".join(json.dumps(obj) + "\n" for obj in objs)
 
 
 def parse_predictions(stream: Lines) -> list[ImageRecord]:
@@ -337,6 +337,7 @@ def parse_ignore(stream: Lines) -> list[IgnoreRegions]:
 
 def parse_csv_compat(stream: Lines) -> list[ImageRecord]:
     """Read single-class CSV rows ``image_id, pitch yaw roll x y z confidence ...``."""
+    set_image_id, set_items = _slot_setters(ImageRecord)
     records: list[ImageRecord] = []
     seen: set[str] = set()
     for number, line in _iter_lines(stream):
@@ -362,22 +363,25 @@ def parse_csv_compat(stream: Lines) -> list[ImageRecord]:
             dets.append(_located(number, path, _build_item, Detection, {
                 "class_id": 0, "confidence": confidence, "euler": [roll, pitch, yaw],
                 "translation": [x, y, z]}))
-        records.append(ImageRecord(image_id=image_id, items=tuple(dets)))
+        # _get_image_id has checked the id and the items are a tuple
+        set_image_id(record := _new(ImageRecord), image_id)
+        set_items(record, tuple(dets))
+        records.append(record)
     return records
 
 
 def serialize_predictions(records: Iterable[ImageRecord], stream: IO[str]) -> None:
     """Write prediction records as canonical JSONL (inverse of parse_predictions)."""
-    _serialize_jsonl(records, stream, "detections")
+    stream.write(_jsonl(records, "detections"))
 
 
 def serialize_ground_truth(records: Iterable[ImageRecord], stream: IO[str]) -> None:
     """Write ground-truth records as canonical JSONL (inverse of parse_ground_truth)."""
-    _serialize_jsonl(records, stream, "annotations")
+    stream.write(_jsonl(records, "annotations"))
 
 
 def serialize_ignore(regions: Iterable[IgnoreRegions], stream: IO[str]) -> None:
-    _serialize_jsonl(regions, stream, "rects")
+    stream.write(_jsonl(regions, "rects"))
 
 
 def _load(path: str, parse: Callable[[IO[str]], object]):
@@ -396,13 +400,11 @@ def _load(path: str, parse: Callable[[IO[str]], object]):
         raise
 
 
-def _save(records: Iterable, path: str, serialize: Callable[[Iterable, IO[str]], None]) -> None:
-    """Serialize ``records`` before ``path`` is opened, so a refusal neither
-    creates nor truncates the file."""
-    text = io.StringIO()
-    serialize(records, text)
+def _write(path: str, text: str) -> None:
+    """The one place a file is opened for writing. Callers make the whole
+    text first, so a refusal neither creates nor truncates the file."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text.getvalue())
+        handle.write(text)
 
 
 def load_predictions(path: str) -> list[ImageRecord]:
@@ -422,15 +424,15 @@ def load_csv_compat(path: str) -> list[ImageRecord]:
 
 
 def save_predictions(records: Iterable[ImageRecord], path: str) -> None:
-    _save(records, path, serialize_predictions)
+    _write(path, _jsonl(records, "detections"))
 
 
 def save_ground_truth(records: Iterable[ImageRecord], path: str) -> None:
-    _save(records, path, serialize_ground_truth)
+    _write(path, _jsonl(records, "annotations"))
 
 
 def save_ignore(regions: Iterable[IgnoreRegions], path: str) -> None:
-    _save(regions, path, serialize_ignore)
+    _write(path, _jsonl(regions, "rects"))
 
 
 def _read_json(path: str) -> object:
@@ -448,8 +450,7 @@ def load_camera(path: str) -> CameraIntrinsics:
 
 
 def save_camera(k: CameraIntrinsics, path: str) -> None:
-    _save({"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy}, path,
-          lambda obj, stream: stream.write(json.dumps(obj) + "\n"))
+    _write(path, json.dumps({"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy}) + "\n")
 
 
 def parse_ladder(data: object) -> ThresholdLadder:

@@ -21,6 +21,7 @@ Conventions used across the toolkit:
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -35,6 +36,12 @@ _ZERO_NORM_TOL = 1e-12
 # At gimbal lock one half-angle magnitude of the pitch is 0; below this it
 # is treated as 0 (roll set to 0), which moves the rotation by < 3e-12 rad.
 _LOCK_TOL = 1e-12
+
+
+def _reals(*values: object) -> bool:
+    """Whether each value is a real number and not a bool, which would compare
+    and draw as 0 or 1."""
+    return all(isinstance(v, numbers.Real) and type(v) is not bool for v in values)
 
 
 class ZeroNormError(ValueError):

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Quaternion, Translation
+from .geometry import Quaternion, Translation, _reals
 
 LOG_CLAMP = 1e-12
 PROB_SUM_TOL = 1e-6
@@ -42,6 +42,9 @@ class LossWeights:
     lambda2: float = 1.0
 
     def __post_init__(self) -> None:
+        for name, weight in (("lambda1", self.lambda1), ("lambda2", self.lambda2)):
+            if not _reals(weight):  # a bool would weigh as 0 or 1
+                raise ValueError(f"{name} must be a number, got {weight!r}")
         if not (self.lambda1 >= 0.0 and self.lambda2 >= 0.0):
             raise ValueError(f"loss weights must be >= 0, got ({self.lambda1}, {self.lambda2})")
 

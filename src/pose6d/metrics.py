@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import angular_error
+from .geometry import _reals, angular_error
 from .records import Annotation, Detection, ImageRecord, _index_by_image
 
 
@@ -211,6 +211,9 @@ def _fmt(value: float | None, suffix: str = "") -> str:
 def _check_threshold(threshold: float, name: str = "threshold") -> None:
     if type(threshold) is bool:  # it would compare as 0 or 1
         raise ValueError(f"{name} must be a number, not a bool, got {threshold}")
+    # a float skips _reals' ABC test: the sweep checks each of its points
+    if type(threshold) is not float and not _reals(threshold):
+        raise ValueError(f"{name} must be a number, got {threshold!r}")
     if not (0.0 <= threshold <= 1.0):
         raise ValueError(f"{name} must be within [0, 1], got {threshold}")
 

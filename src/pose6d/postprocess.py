@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .geometry import BBox2D, CameraIntrinsics, Pose, Translation, _halved_iou
+from .geometry import BBox2D, CameraIntrinsics, Pose, Translation, _halved_iou, _reals
 from .metrics import DEFAULT_LADDER, Evaluation, NoClassesError, ThresholdLadder, _check_threshold, _class_mean
 from .records import (Annotation, Detection, IgnoreRegions, ImageRecord, NonFiniteError,
                       _index_by_image, _new, _non_finite_pose, _set_bbox, _set_class_id,
@@ -74,6 +74,8 @@ class EnsembleConfig:
     def __post_init__(self) -> None:
         if type(self.iou_threshold) is bool:  # it would compare as 0 or 1
             raise ValueError(f"iou_threshold must be a number, not a bool, got {self.iou_threshold}")
+        if not _reals(self.iou_threshold):
+            raise ValueError(f"iou_threshold must be a number, got {self.iou_threshold!r}")
         if not (0.0 < self.iou_threshold <= 1.0):
             raise ValueError(f"iou_threshold must be in (0, 1], got {self.iou_threshold}")
 
@@ -88,6 +90,9 @@ class ThresholdSweep:
         if bool in (type(self.lo), type(self.hi), type(self.step)):  # 0 or 1 as a number
             raise ValueError(f"sweep bounds and step must be numbers, not bools, got lo={self.lo}, "
                              f"hi={self.hi}, step={self.step}")
+        for name, value in (("lo", self.lo), ("hi", self.hi), ("step", self.step)):
+            if not _reals(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not (0.0 <= self.lo <= self.hi <= 1.0):
             raise ValueError(f"sweep bounds must satisfy 0 <= lo <= hi <= 1, got [{self.lo}, {self.hi}]")
         if not self.step >= 1e-9:  # well above the 1e-12 rounding of grid points

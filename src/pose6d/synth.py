@@ -28,7 +28,6 @@ beyond that it refuses rather than crawl).
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -40,6 +39,7 @@ from .geometry import (
     Pose,
     Quaternion,
     Translation,
+    _reals,
     angular_error,
     backproject,
     extent_bbox,
@@ -93,10 +93,14 @@ def _integers(*values: object) -> bool:
     return bool not in map(type, values)
 
 
-def _reals(*values: object) -> bool:
-    """Whether each value is a real number and not a bool, which would compare
-    and draw as 0 or 1."""
-    return all(isinstance(v, numbers.Real) and type(v) is not bool for v in values)
+def _pair(name: str, value: object, of: str = "numbers") -> tuple:
+    """The two values ``value`` unpacks into; anything else is a ValueError
+    that names the field."""
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a pair of {of}, got {value!r}") from None
+    return lo, hi
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,8 +127,9 @@ class NoiseSpec:
                 raise ValueError(f"{name} must be a number, got {rate!r}")
             if not (0.0 <= rate <= 1.0):
                 raise ValueError(f"{name} must be within [0, 1], got {rate}")
-        for name, (lo, hi) in (("tp_confidence", self.tp_confidence),
-                               ("fp_confidence", self.fp_confidence)):
+        for name, pair in (("tp_confidence", self.tp_confidence),
+                           ("fp_confidence", self.fp_confidence)):
+            lo, hi = _pair(name, pair)
             if not _reals(lo, hi):
                 raise ValueError(f"{name} must hold numbers, got ({lo!r}, {hi!r})")
             if not (0.0 <= lo <= hi <= 1.0):
@@ -148,12 +153,12 @@ class SceneSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
-        lo, hi = self.objects_per_image
+        lo, hi = _pair("objects_per_image", self.objects_per_image, "integers")
         if not _integers(lo, hi):
             raise ValueError(f"objects_per_image must hold integers, got ({lo!r}, {hi!r})")
         if not (0 <= lo <= hi):
             raise ValueError(f"objects_per_image must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
-        zlo, zhi = self.depth_range
+        zlo, zhi = _pair("depth_range", self.depth_range)
         if not _reals(zlo, zhi):
             raise ValueError(f"depth_range must hold numbers, got ({zlo!r}, {zhi!r})")
         if not (0.0 < zlo <= zhi < math.inf):

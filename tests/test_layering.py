@@ -3,8 +3,10 @@
 geometry -> losses and records -> metrics -> formats, postprocess and
 synth -> cli, with ``__init__`` exempt: it re-exports them all. Every
 import counts, a lazy one inside a function too, so no cycle can hide
-behind one, and stage code cannot move back down into ``records``. Files
-are read and written only in ``formats`` and ``cli``.
+behind one, and stage code cannot move back down into ``records``. Only
+``formats`` opens a file, and only its ``_write`` opens one for writing;
+``cli`` may import ``json`` to encode its report, which it hands to
+``_write``.
 """
 
 import ast
@@ -72,6 +74,24 @@ def test_only_formats_and_cli_touch_files(module):
     assert file_access(module) == set(), f"{module} reads or writes files"
 
 
+@pytest.mark.parametrize("module", [m for m in MODULES + ["__init__"] if m != "formats"])
+def test_only_formats_opens_files(module):
+    assert "open" not in file_access(module), f"{module} opens a file"
+
+
+def test_only_formats_write_opens_a_file_for_writing():
+    """In ``formats``, ``_load`` opens files to read and ``_write`` to write,
+    and no other function opens one (each call names its mode second)."""
+    tree = ast.parse((SRC / "formats.py").read_text(encoding="utf-8"))
+    modes: dict[str, set] = {}
+    for function in ast.walk(tree):
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                    modes.setdefault(function.name, set()).add(ast.literal_eval(node.args[1]))
+    assert modes == {"_load": {"r", "rb"}, "_write": {"w"}}
+
+
 def test_file_access_is_seen():
     assert file_access("formats") == {"io", "json", "open"}
-    assert file_access("cli") == {"json", "open"}
+    assert file_access("cli") == {"json"}

@@ -115,6 +115,22 @@ class TestTotalLoss:
         with pytest.raises(ValueError):
             LossWeights(lambda1=-0.1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        # a TypeError from comparing 'a' with 0.0
+        ({"lambda1": "a"}, "lambda1 must be a number, got 'a'"),
+        # it built and weighed the quaternion term by 1
+        ({"lambda1": True, "lambda2": 1.0}, "lambda1 must be a number, got True"),
+        ({"lambda2": None}, "lambda2 must be a number, got None"),
+    ], ids=["str", "bool", "None"])
+    def test_a_weight_that_is_no_number_is_rejected(self, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            LossWeights(**kwargs)
+        assert str(err.value) == message
+
+    def test_numpy_weights_still_weigh(self):
+        weights = LossWeights(lambda1=np.float32(0.5), lambda2=np.float64(2.0))
+        assert total_loss(1.0, 2.0, 3.0, weights) == 8.0
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_components_are_rejected(self, bad):
         with pytest.raises(ValueError):

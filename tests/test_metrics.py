@@ -422,6 +422,13 @@ class TestMeanAveragePrecision:
             Evaluation(preds, gts).per_class_ap(True)
         assert str(err.value) == "threshold must be a number, not a bool, got True"
 
+    def test_a_scoring_threshold_that_is_no_number_is_rejected(self):
+        # '0.5' raised TypeError from its comparison with 0.0
+        preds, gts = perfect_setup()
+        with pytest.raises(ValueError) as err:
+            Evaluation(preds, gts).per_class_ap("0.5")
+        assert str(err.value) == "threshold must be a number, got '0.5'"
+
     @pytest.mark.parametrize("seed", [5, 19])
     def test_record_order_changes_nothing(self, seed):
         preds, gts = noisy_scene(seed)

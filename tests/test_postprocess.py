@@ -1,5 +1,8 @@
 """Recovery, thresholding, ignore filtering, ensembling, and sweep tests."""
 
+from decimal import Decimal
+
+import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
@@ -195,6 +198,34 @@ class TestABoolIsNoThreshold:
         with pytest.raises(ValueError) as err:
             build()
         assert str(err.value) == message
+
+
+class TestANonNumberIsNoThreshold:
+    # each raised TypeError from a comparison or a subtraction
+    RECORDS = TestABoolIsNoThreshold.RECORDS
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: apply_confidence_threshold([], "0.5"), "threshold must be a number, got '0.5'"),
+        (lambda: filter_ignore([], [], None), "overlap_frac must be a number, got None"),
+        (lambda: EnsembleConfig("a"), "iou_threshold must be a number, got 'a'"),
+        (lambda: ThresholdSweep(lo=None), "lo must be a number, got None"),
+        # Decimal is no numbers.Real: it compared with floats, then hi - lo raised
+        (lambda: ThresholdSweep(lo=Decimal("0.1")), "lo must be a number, got Decimal('0.1')"),
+        (lambda: ThresholdSweep(hi="0.8"), "hi must be a number, got '0.8'"),
+        (lambda: ThresholdSweep(step=[0.05]), "step must be a number, got [0.05]"),
+    ], ids=["threshold", "overlap_frac", "iou_threshold", "sweep lo", "decimal lo", "sweep hi",
+            "sweep step"])
+    def test_is_refused(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_numpy_floats_still_work(self):
+        f32 = np.float32
+        assert apply_confidence_threshold(self.RECORDS, f32(0.5)) == self.RECORDS
+        assert filter_ignore(self.RECORDS, [], f32(0.5)) == self.RECORDS
+        assert EnsembleConfig(f32(0.5)).iou_threshold == 0.5
+        assert ThresholdSweep(lo=f32(0.25), hi=f32(0.75), step=f32(0.25))._size() == 3
 
 
 class TestIgnoreFilter:

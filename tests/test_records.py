@@ -542,6 +542,46 @@ class TestWriterRefusesWhatItsReaderRefuses:
         assert str(err.value) == message
         assert buffer.getvalue() == ""
 
+    # a later record holds a value json cannot encode; numpy.float32 is no float
+    F32 = np.float32(0.5)
+    JSON_REFUSED = [
+        (serialize_predictions, save_predictions, image("a", det(0.0, 0.0, 10.0)),
+         image("b", det(0.0, 0.0, 10.0, confidence=F32))),
+        (serialize_predictions, save_predictions, image("a", det(0.0, 0.0, 10.0)),
+         image("b", det(F32, 0.0, 10.0))),
+        (serialize_predictions, save_predictions, image("a", det(0.0, 0.0, 10.0)),
+         image("b", det(0.0, 0.0, 10.0, bbox=BBox2D(F32, 0.0, 1.0, 1.0)))),
+        (serialize_ground_truth, save_ground_truth, image("a", ann(0.0, 0.0, 10.0)),
+         image("b", ann(0.0, 0.0, 10.0, quat=Quaternion(np.float32(1.0), 0.0, 0.0, 0.0)))),
+        (serialize_ground_truth, save_ground_truth, image("a", ann(0.0, 0.0, 10.0)),
+         image("b", ann(0.0, 0.0, 10.0, bbox=BBox2D(0.0, 0.0, 1.0, np.float32(1.0))))),
+        (serialize_ignore, save_ignore, IgnoreRegions("a", (BBox2D(0.0, 0.0, 1.0, 1.0),)),
+         IgnoreRegions("b", (BBox2D(0.0, F32, 1.0, 1.0),))),
+    ]
+    JSON_REFUSED_IDS = ["prediction confidence", "prediction translation", "prediction box",
+                        "ground-truth quaternion", "ground-truth box", "ignore rect"]
+
+    @pytest.mark.parametrize("serialize, save, first, second", JSON_REFUSED, ids=JSON_REFUSED_IDS)
+    def test_a_value_json_refuses_leaves_the_stream_empty(self, serialize, save, first, second):
+        # the first record's line was written before json refused the second
+        buffer = io.StringIO()
+        with pytest.raises(TypeError, match="^Object of type float32 is not JSON serializable$"):
+            serialize([first, second], buffer)
+        assert buffer.getvalue() == ""
+
+    @pytest.mark.parametrize("serialize, save, first, second", JSON_REFUSED, ids=JSON_REFUSED_IDS)
+    def test_a_value_json_refuses_leaves_the_old_file(self, tmp_path, serialize, save, first,
+                                                       second):
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(TypeError, match="^Object of type float32 is not JSON serializable$"):
+            save([first, second], str(path))
+        assert not path.exists()
+        save([first], str(path))
+        before = path.read_bytes()
+        with pytest.raises(TypeError, match="^Object of type float32 is not JSON serializable$"):
+            save([first, second], str(path))
+        assert path.read_bytes() == before
+
 
 WILD = [None, True, False, "1", [], {}, 0, -1, 2, 10 ** 400, -10 ** 400, 1e308, -1e308,
         0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf]

@@ -224,8 +224,11 @@ class TestGenerateScene:
         # a TypeError at construction
         ({"depth_range": ("1", "2")}, "depth_range must hold numbers, got ('1', '2')"),
         ({"depth_range": (True, 2.0)}, "depth_range must hold numbers, got (True, 2.0)"),
+        # a bare unpacking TypeError
+        ({"objects_per_image": 3}, "objects_per_image must be a pair of integers, got 3"),
+        ({"depth_range": None}, "depth_range must be a pair of numbers, got None"),
     ], ids=["float n_images", "float seed", "float counts", "float n_classes", "bool seed",
-            "numpy bool count", "str depths", "bool depth"])
+            "numpy bool count", "str depths", "bool depth", "int counts", "None depths"])
     def test_a_spec_numpy_cannot_draw_is_refused(self, kwargs, message):
         with pytest.raises(ValueError) as err:
             SceneSpec(**kwargs)
@@ -238,8 +241,12 @@ class TestGenerateScene:
         ({"false_positive_rate": False}, "false_positive_rate must be a number, got False"),
         ({"tp_confidence": (0.5, True)}, "tp_confidence must hold numbers, got (0.5, True)"),
         ({"fp_confidence": ("0.1", 0.5)}, "fp_confidence must hold numbers, got ('0.1', 0.5)"),
+        # a bare unpacking TypeError, then a ValueError that named no field
+        ({"tp_confidence": 1.0}, "tp_confidence must be a pair of numbers, got 1.0"),
+        ({"fp_confidence": (0.1, 0.2, 0.3)},
+         "fp_confidence must be a pair of numbers, got (0.1, 0.2, 0.3)"),
     ], ids=["bool sigma", "str sigma", "None rate", "bool rate", "bool confidence",
-            "str confidence"])
+            "str confidence", "number confidence", "three confidences"])
     def test_a_noise_spec_of_non_numbers_is_refused(self, kwargs, message):
         with pytest.raises(ValueError) as err:
             NoiseSpec(**kwargs)
