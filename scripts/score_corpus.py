@@ -5,8 +5,10 @@ seeded scenes, a sparse 20-class scene, a scene whose confidences sit
 exactly on grid points (so ties, and ``confidence == t`` kept), a scene
 with coincident ground-truth objects (distance ties) and confidences
 repeated across images, a scene with a class on each side only and images
-on one side only, and a scene with predictions and no ground truth (whose
-sweep leaves out the points past its highest confidence). Each scene is
+on one side only, a scene with predictions and no ground truth (whose
+sweep leaves out the points past its highest confidence), and a scene whose
+prediction file holds quaternions that are not unit (doubled, scaled by
+1e308, rounded to float32), which the reader normalizes. Each scene is
 written to files and run through the command line as a user would:
 ``pose6d sweep`` on the default grid and on ``--lo 0 --hi 1 --step
 0.001``, and ``pose6d eval --out`` for the text and the JSON report; then
@@ -32,6 +34,8 @@ import tempfile
 from dataclasses import replace
 from typing import Iterator
 
+import numpy as np
+
 from pose6d import (
     NoiseSpec,
     SceneSpec,
@@ -41,6 +45,7 @@ from pose6d import (
     save_camera,
     save_ground_truth,
     save_predictions,
+    serialize_predictions,
 )
 from pose6d.cli import main as cli_main
 
@@ -118,8 +123,32 @@ def _predictions_only():
     return preds, [], camera
 
 
+# how a detector's file may hold a unit quaternion [w, x, y, z]: doubled,
+# scaled so that its squared norm overflows, or rounded to float32
+NON_UNIT = [lambda q: [2.0 * c for c in q], lambda q: [1e308 * c for c in q],
+            lambda q: [float(np.float32(c)) for c in q]]
+
+
+def _non_unit():
+    """A sparse scene whose prediction file is text, not records: the k-th
+    quaternion of the file is written the ``NON_UNIT[k % 3]`` way."""
+    preds, gts, camera = _scene(SceneSpec(seed=7, n_images=4, objects_per_image=(4, 8),
+                                          n_classes=2))
+    buffer = io.StringIO()
+    serialize_predictions(preds, buffer)
+    lines, k = [], 0
+    for line in buffer.getvalue().splitlines():
+        obj = json.loads(line)
+        for item in obj["detections"]:
+            item["quaternion"] = NON_UNIT[k % 3](item["quaternion"])
+            k += 1
+        lines.append(json.dumps(obj) + "\n")
+    return "".join(lines), gts, camera
+
+
 def scenes() -> Iterator[tuple[str, tuple]]:
-    """(name, (predictions, ground truth, camera)) for every scene of the corpus."""
+    """(name, (predictions, ground truth, camera)) for every scene of the
+    corpus; predictions are records, or the text of their file."""
     for seed in (0, 1):
         yield f"crowded seed {seed}", _crowded(seed)
     yield "sparse 20 classes", _scene(
@@ -129,6 +158,7 @@ def scenes() -> Iterator[tuple[str, tuple]]:
     yield "coincident objects, confidences tied across images", _coincident()
     yield "classes and images on one side only", _one_sided()
     yield "predictions without ground truth", _predictions_only()
+    yield "non-unit quaternions in the prediction file", _non_unit()
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
@@ -148,7 +178,11 @@ def transcript() -> list[str]:
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as handle:
                 json.dump(ladder, handle)
         for name, (preds, gts, k) in scenes():
-            save_predictions(preds, pred)
+            if isinstance(preds, str):
+                with open(pred, "w", encoding="utf-8") as handle:
+                    handle.write(preds)
+            else:
+                save_predictions(preds, pred)
             save_ground_truth(gts, gt)
             save_camera(k, camera)
             for label, command in COMMANDS:

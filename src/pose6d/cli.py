@@ -26,6 +26,7 @@ from typing import Callable
 from .formats import (
     ParseError,
     ValidationError,
+    _plain,
     _write,
     load_camera,
     load_csv_compat,
@@ -118,7 +119,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _, report = mean_average_precision(preds, gts, ladder)
     sys.stdout.write(report.to_text())
     if args.out:
-        _write(args.out, json.dumps(report.to_json_dict(), indent=2) + "\n")
+        _write(args.out, json.dumps(report.to_json_dict(), indent=2, default=_plain) + "\n")
     return EXIT_OK
 
 

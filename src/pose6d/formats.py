@@ -14,9 +14,11 @@ Each item carries ``class_id`` (int), ``translation`` ``[x, y, z]`` in
 meters, a rotation as exactly one of ``quaternion`` ``[w, x, y, z]`` or
 ``euler`` ``[roll, pitch, yaw]`` (radians), an optional ``bbox``
 ``[x1, y1, x2, y2]`` in pixels, and for detections a ``confidence`` in
-[0, 1]. Quaternions are normalized at load time and written at full
-round-trip precision, so ``parse(serialize(records))`` reproduces
-field-exactly any records built with unit quaternions. The three kinds
+[0, 1]. An item holds a unit quaternion, but a file's need not be unit (a
+detector may write it rounded to float32): the reader normalizes it.
+Numbers are written at full round-trip precision, a numpy float as the
+float it equals, so ``parse(serialize(records))`` reproduces any record
+field-exactly; a value no float holds exactly is refused. The three kinds
 share one reader and one writer, driven by one table. Every file is read
 as UTF-8; a byte that is not is a ParseError at its line. A line is read
 through ``_build_item``; only a line with an item that it refuses is read
@@ -41,7 +43,7 @@ from functools import partial
 from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
 from .geometry import (BBox2D, CameraIntrinsics, EulerAngles, Pose, Quaternion, Translation,
-                       _UNIT_NORM_SQ_TOL, quat_from_euler, quat_normalize)
+                       _UNIT_NORM_SQ_TOL, _reals, quat_from_euler, quat_normalize)
 from .metrics import ThresholdLadder
 from .records import (Annotation, Detection, IgnoreRegions, ImageRecord, _index_by_image, _new,
                       _set_ann_bbox, _set_ann_class_id, _set_ann_pose, _set_bbox, _set_class_id,
@@ -190,7 +192,8 @@ def _build_item(kind: type, obj: object):
         confidence, = _floats([confidence], 1)
     # Every number is a float now. A sum of floats is finite only if every
     # term is, and a squared norm (in Quaternion.dot's order) within 1e-12 of
-    # 1 is one that quat_normalize returns unchanged.
+    # 1 is one that quat_normalize returns unchanged and the constructors
+    # accept; any other is normalized by _construct_item.
     tx, ty, tz = translation
     total = tx + ty + tz
     if euler:
@@ -237,7 +240,8 @@ def _build_item(kind: type, obj: object):
 
 def _construct_item(kind: type, class_id: int, confidence: float, euler: bool,
                     rotation: list[float], translation: list[float], bbox: list[float] | None):
-    """The item built through its constructors: the refusal path, with their messages."""
+    """The item built through its constructors: the refusal path, with their
+    messages. A quaternion is normalized first, so a file's need not be unit."""
     rotation = (quat_from_euler(EulerAngles(*rotation)) if euler
                 else quat_normalize(Quaternion(*rotation)))
     pose = Pose(rotation, Translation(*translation))
@@ -245,6 +249,25 @@ def _construct_item(kind: type, class_id: int, confidence: float, euler: bool,
     if kind is Annotation:
         return Annotation(class_id, pose, bbox)
     return Detection(class_id, confidence, bbox, pose)
+
+
+def _plain(value: object) -> float:
+    """json's hook for a value it cannot encode itself: a real number that is
+    not a bool and that a float holds exactly (a numpy float32, say) is
+    written as that float, so it reads back equal; anything else raises
+    ValueError, before the writer has written anything."""
+    try:
+        if _reals(value) and (out := float(value)) == value:
+            return out
+    except OverflowError:  # beyond the float range
+        pass
+    raise ValueError(f"cannot write a {type(value).__name__} ({value!r}): only a real "
+                     f"number that a float holds exactly is written")
+
+
+# json.dumps's own encoder but for the hook, which json calls only for a
+# value it cannot encode, so the text of every other value is unchanged
+_encode = json.JSONEncoder(default=_plain).encode
 
 
 def _box_values(box: BBox2D) -> list[float]:
@@ -317,7 +340,7 @@ def _jsonl(records: Iterable, key: str) -> str:
                 raise ValueError(f"image_id {record.image_id!r}: {key}[{i}]: expected "
                                  f"{kind.__name__}, got {type(item).__name__}")
     objs = ({"image_id": r.image_id, key: [write_item(i) for i in getattr(r, field)]} for r in records)
-    return "".join(json.dumps(obj) + "\n" for obj in objs)
+    return "".join(_encode(obj) + "\n" for obj in objs)
 
 
 def parse_predictions(stream: Lines) -> list[ImageRecord]:
@@ -450,7 +473,7 @@ def load_camera(path: str) -> CameraIntrinsics:
 
 
 def save_camera(k: CameraIntrinsics, path: str) -> None:
-    _write(path, json.dumps({"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy}) + "\n")
+    _write(path, _encode({"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy}) + "\n")
 
 
 def parse_ladder(data: object) -> ThresholdLadder:

@@ -169,22 +169,30 @@ def quat_normalize(q: Quaternion) -> Quaternion:
 
     Raises ZeroNormError when the norm is below 1e-12. An input that is
     already unit to within floating-point noise is returned unchanged so that
-    normalization is idempotent at the bit level. When the squared norm
-    overflows, ``q`` is first divided by its largest absolute component, so
-    ``(1e308, 0, 0, 0)`` becomes ``(1, 0, 0, 0)``; an input whose squared
-    norm is finite skips that step, so its result keeps the same bits.
+    normalization is idempotent at the bit level. The test is made on the
+    components as floats (a numpy float32 too), as the item constructors and
+    the reader make it, so what it returns is a quaternion they accept. When
+    the squared norm overflows, ``q`` is first divided by its largest
+    absolute component, so ``(1e308, 0, 0, 0)`` becomes ``(1, 0, 0, 0)``; an
+    input whose squared norm is finite skips that step, so its result keeps
+    the same bits.
     """
-    norm_sq = q.dot(q)
+    w, x, y, z = q.w, q.x, q.y, q.z
+    norm_sq = w * w + x * x + y * y + z * z  # in Quaternion.dot's order
+    if type(norm_sq) is not float:  # an int's, or a numpy float32's: take them as floats
+        w, x, y, z = float(w), float(x), float(y), float(z)
+        norm_sq = w * w + x * x + y * y + z * z
     if math.isinf(norm_sq):
-        scale = max(abs(q.w), abs(q.x), abs(q.y), abs(q.z))
-        q = Quaternion(q.w / scale, q.x / scale, q.y / scale, q.z / scale)
-        norm_sq = q.dot(q)
+        scale = max(abs(w), abs(x), abs(y), abs(z))
+        w, x, y, z = w / scale, x / scale, y / scale, z / scale
+        q = Quaternion(w, x, y, z)
+        norm_sq = w * w + x * x + y * y + z * z
     if norm_sq < _ZERO_NORM_TOL * _ZERO_NORM_TOL:
         raise ZeroNormError(f"cannot normalize quaternion with norm {math.sqrt(norm_sq)!r}")
     if abs(norm_sq - 1.0) <= _UNIT_NORM_SQ_TOL:
         return q
     n = math.sqrt(norm_sq)
-    return Quaternion(q.w / n, q.x / n, q.y / n, q.z / n)
+    return Quaternion(w / n, x / n, y / n, z / n)
 
 
 def quat_conjugate(q: Quaternion) -> Quaternion:
@@ -262,8 +270,13 @@ def angular_error(q_gt: Quaternion, q_pred: Quaternion) -> float:
     are normalized defensively; the sign ambiguity of the double cover is
     absorbed by the absolute value.
     """
-    a = quat_normalize(q_gt)
-    b = quat_normalize(q_pred)
+    return _unit_angle(quat_normalize(q_gt), quat_normalize(q_pred))
+
+
+def _unit_angle(a: Quaternion, b: Quaternion) -> float:
+    """``angular_error`` of two quaternions that ``quat_normalize`` returns
+    unchanged, without normalizing them: every item holds such a quaternion,
+    so matching calls this directly."""
     # vector and scalar parts of conjugate(a) * b; the pairwise grouping
     # cancels exactly when a and b carry identical bits
     rx = (a.w * b.x - a.x * b.w) - (a.y * b.z - a.z * b.y)

@@ -4,11 +4,13 @@ Matching is greedy per image and per threshold pair: predictions are
 visited in descending confidence (ties: input order) and each takes the
 nearest-by-translation unmatched ground-truth object of the same class
 that satisfies both ``||T - T_hat|| <= t_m`` and
-``angular_error <= r_rad`` (ties: lowest ground-truth index). A threshold
-ladder is an ordered list of such ``(t_m, r_rad)`` pairs; AP is computed
-per class and per pair over the dataset-wide confidence ranking with the
-all-points precision envelope, and mAP is the mean over classes of the
-mean over pairs.
+``angular_error <= r_rad`` (ties: lowest ground-truth index). Every item
+holds a unit quaternion, so matching takes each angle from the unit kernel
+``geometry._unit_angle``, which gives ``angular_error``'s bits without its
+two normalizing calls. A threshold ladder is an ordered list of such
+``(t_m, r_rad)`` pairs; AP is computed per class and per pair over the
+dataset-wide confidence ranking with the all-points precision envelope,
+and mAP is the mean over classes of the mean over pairs.
 
 ``mean_average_precision`` and ``sweep_threshold`` share one matching
 core, ``Evaluation``: match once, score many (see its docstring).
@@ -33,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import _reals, angular_error
+from .geometry import _reals, _unit_angle
 from .records import Annotation, Detection, ImageRecord, _index_by_image
 
 
@@ -101,7 +103,7 @@ def _match_image(dets: Sequence[Detection], anns: Sequence[Annotation],
                 if j in taken:
                     continue
                 if rot is None:
-                    rot = entry[2] = angular_error(anns[j].pose.rotation, rotation)
+                    rot = entry[2] = _unit_angle(anns[j].pose.rotation, rotation)
                 if rot <= r_rad:
                     taken.add(j)
                     hits.append((i, j, dist, rot))

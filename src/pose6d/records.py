@@ -3,7 +3,9 @@
 A ``Detection`` or ``Annotation`` holds an int ``class_id`` >= 0, a
 ``Pose`` of a ``Quaternion`` and a ``Translation`` with z > 0, all finite,
 an optional ``BBox2D``, and for a detection a ``confidence`` in [0, 1];
-no number may be a bool. An ``ImageRecord`` holds a non-empty
+no number may be a bool. The quaternion is unit, one that
+``quat_normalize`` returns unchanged; any other is refused, so matching
+takes its angles without normalizing. An ``ImageRecord`` holds a non-empty
 ``image_id`` and a tuple of items, an ``IgnoreRegions`` one of boxes.
 Each type checks its invariants when it is constructed.
 
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
-from .geometry import BBox2D, Pose, Quaternion, Translation
+from .geometry import _UNIT_NORM_SQ_TOL, BBox2D, Pose, Quaternion, Translation
 
 
 class NonFiniteError(ValueError):
@@ -32,8 +34,9 @@ def _non_finite_pose(kind: str, pose: Pose) -> str:
 def _check_item(item: Detection | Annotation, kind: str) -> None:
     """The item invariants that ``Detection`` and ``Annotation`` check when
     built: a Pose of a Quaternion and a Translation with z > 0 (so not NaN),
-    a finite pose of numbers that are not bools, a BBox2D or no box, an int
-    class_id >= 0. The reader checks the same in its own one test."""
+    a finite pose of numbers that are not bools, a unit quaternion, a BBox2D
+    or no box, an int class_id >= 0. The reader checks the same in its own
+    one test."""
     pose, bbox = item.pose, item.bbox
     if not (isinstance(pose, Pose) and isinstance(pose.rotation, Quaternion)
             and isinstance(pose.translation, Translation)):
@@ -55,6 +58,16 @@ def _check_item(item: Detection | Annotation, kind: str) -> None:
     if (type(t.x) is bool or type(t.y) is bool or type(t.z) is bool or type(q.w) is bool
             or type(q.x) is bool or type(q.y) is bool or type(q.z) is bool):
         raise ValueError(f"{kind} has a bool in its pose: {pose}")
+    try:  # a float quaternion's squared norm, in Quaternion.dot's order
+        norm_sq = q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z
+    except (OverflowError, TypeError):  # an int's square or a Decimal added to a float
+        norm_sq = None
+    if type(norm_sq) is not float:  # an int's, or a numpy float32's: test the floats written
+        w, x, y, z = float(q.w), float(q.x), float(q.y), float(q.z)
+        norm_sq = w * w + x * x + y * y + z * z
+    if abs(norm_sq - 1.0) > _UNIT_NORM_SQ_TOL:  # the reader's test, and quat_normalize's
+        raise ValueError(f"{kind} rotation must be a unit quaternion (normalize it with "
+                         f"quat_normalize first), got {q} with squared norm {norm_sq!r}")
     if isinstance(item.class_id, bool) or not isinstance(item.class_id, int) or item.class_id < 0:
         raise ValueError(f"{kind} class_id must be an integer >= 0, got {item.class_id!r}")
 

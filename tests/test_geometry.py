@@ -29,6 +29,7 @@ from pose6d import (
     quat_multiply,
     quat_normalize,
 )
+from pose6d.geometry import _UNIT_NORM_SQ_TOL, _unit_angle
 
 K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0)
 
@@ -211,6 +212,43 @@ class TestAngularError:
     def test_normalizes_inputs_before_comparing(self):
         doubled = Quaternion(2.0, 0.0, 0.0, 0.0)
         assert angular_error(doubled, IDENTITY) == 0.0
+
+
+@st.composite
+def near_unit_quats(draw):
+    """A unit quaternion, now and then scaled by up to 4e-13 off unit: one
+    that quat_normalize returns unchanged, as every item holds."""
+    q = draw(unit_quats())
+    s = 1.0 + draw(st.sampled_from([0.0, 4e-13, -4e-13, 1e-16]))
+    q = Quaternion(q.w * s, q.x * s, q.y * s, q.z * s)
+    assume(abs(q.dot(q) - 1.0) <= _UNIT_NORM_SQ_TOL)
+    return q
+
+
+class TestUnitKernel:
+    """Matching takes its angles from ``_unit_angle``, which skips
+    ``angular_error``'s normalizing: the two must agree to the bit on
+    every quaternion an item can hold."""
+
+    @given(near_unit_quats(), near_unit_quats())
+    @example(IDENTITY, IDENTITY)
+    @example(IDENTITY, Quaternion(-1.0, 0.0, 0.0, 0.0))
+    @example(Quaternion(0.5, 0.5, 0.5, 0.5), Quaternion(0.5, -0.5, 0.5, -0.5))
+    def test_unit_angle_is_angular_error_to_the_bit(self, a, b):
+        assert quat_normalize(a) is a and quat_normalize(b) is b
+        assert _unit_angle(a, b).hex() == angular_error(a, b).hex()
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    @example(1e308, -1e308, 1e308)
+    @example(-1e308, 1e308, -1e308)
+    @example(5e-324, 0.0, -5e-324)
+    def test_an_euler_quaternion_is_unit_within_the_tolerance(self, roll, pitch, yaw):
+        # the reader's Euler fast path stores this quaternion with no unit test
+        q = quat_from_euler(EulerAngles(roll=roll, pitch=pitch, yaw=yaw))
+        assert abs(q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z - 1.0) <= _UNIT_NORM_SQ_TOL
+        assert quat_normalize(q) is q
 
 
 class TestPinholeCamera:

@@ -314,13 +314,13 @@ class TestMatchingWork:
         import pose6d.metrics
 
         calls = Counter()
-        real = pose6d.metrics.angular_error
+        real = pose6d.metrics._unit_angle
 
         def counting(q_gt, q_pred):
             calls[id(q_gt), id(q_pred)] += 1
             return real(q_gt, q_pred)
 
-        monkeypatch.setattr(pose6d.metrics, "angular_error", counting)
+        monkeypatch.setattr(pose6d.metrics, "_unit_angle", counting)
         preds, gts = crowded_scene(700)
         rotations = [i.pose.rotation for r in preds + gts for i in r.items]
         assert len({id(q) for q in rotations}) == len(rotations)  # ids name the pair

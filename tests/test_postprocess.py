@@ -568,14 +568,14 @@ class TestSweepThreshold:
         import pose6d.metrics
 
         calls = 0
-        real = pose6d.metrics.angular_error
+        real = pose6d.metrics._unit_angle
 
         def counting(q_gt, q_pred):
             nonlocal calls
             calls += 1
             return real(q_gt, q_pred)
 
-        monkeypatch.setattr(pose6d.metrics, "angular_error", counting)
+        monkeypatch.setattr(pose6d.metrics, "_unit_angle", counting)
         preds, gts = crowded_scene(700)
         mean_average_precision(preds, gts)
         per_evaluation, calls = calls, 0

@@ -5,6 +5,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,6 +51,8 @@ from pose6d import (
 from pose6d import formats, records as records_module
 
 from helpers import CROWDED_NOISE, IDENTITY, ann, det, image
+
+HALF_SQRT2 = math.sqrt(0.5)
 
 
 def roundtrip(records, serialize=serialize_predictions, parse=parse_predictions):
@@ -142,28 +145,40 @@ NON_FINITE = (math.nan, math.inf, -math.inf)
 def loose_items(draw, kind):
     """A Detection or Annotation whose fields now and then break an item
     invariant: NaN or inf, a bool for a number, a depth <= 0, a negative or
-    bool class_id, a confidence outside [0, 1], a degenerate box.
-    Quaternions are unit.
+    bool class_id, a confidence outside [0, 1], a degenerate box, a
+    quaternion scaled off unit (by 2, by 1e-13 or by 1e308). A float field
+    is now and then a numpy float32 or float64 of its value.
     Building a bad item raises ValueError out of the draw."""
+    def rare():  # one draw in twenty
+        return draw(st.integers(0, 19)) == 0
+
     def field(valid, *bad):  # one draw in twenty takes a bad value
-        return draw(st.sampled_from(bad) if draw(st.integers(0, 19)) == 0 else valid)
+        return draw(st.sampled_from(bad) if rare() else valid)
+
+    def numpy(*values):  # now and then the values as numpy floats of one type
+        if not rare():
+            return values
+        with np.errstate(over="ignore"):  # a float32 beyond its range is inf
+            return tuple(map(draw(st.sampled_from([np.float32, np.float64])), values))
 
     finite = st.floats(allow_nan=False, allow_infinity=False)
     bbox = None
     if draw(st.booleans()):
         x1, y1 = field(coords, *NON_FINITE, False), field(coords, *NON_FINITE)
-        bbox = BBox2D(x1, y1, x1 + field(st.floats(0.1, 100.0), 0.0, math.inf),
-                      y1 + field(st.floats(0.1, 100.0), -1.0, math.nan))
+        bbox = BBox2D(*numpy(x1, y1, x1 + field(st.floats(0.1, 100.0), 0.0, math.inf),
+                             y1 + field(st.floats(0.1, 100.0), -1.0, math.nan)))
+    q = draw(unit_quaternions())
+    scale = field(st.just(1.0), 2.0, 1e-13, 1e308)
     fields = {
         "class_id": field(st.integers(0, 50), -1, True, False),
         "bbox": bbox,
-        "pose": Pose(draw(unit_quaternions()),
-                     Translation(field(finite, *NON_FINITE, True), field(finite, *NON_FINITE),
-                                 field(st.floats(0.0, exclude_min=True, allow_infinity=False),
-                                       0.0, -1.0, True, *NON_FINITE))),
+        "pose": Pose(Quaternion(*numpy(*(scale * c for c in (q.w, q.x, q.y, q.z)))),
+                     Translation(*numpy(field(finite, *NON_FINITE, True), field(finite, *NON_FINITE),
+                                        field(st.floats(0.0, exclude_min=True, allow_infinity=False),
+                                              0.0, -1.0, True, *NON_FINITE)))),
     }
     if kind is Detection:
-        fields["confidence"] = field(unit_interval, -0.1, 1.5, math.nan, True, False)
+        fields["confidence"], = numpy(field(unit_interval, -0.1, 1.5, math.nan, True, False))
     return kind(**fields)
 
 
@@ -426,13 +441,17 @@ class TestEveryConstructibleRecordRoundTrips:
         (Detection, serialize_predictions, parse_predictions),
         (Annotation, serialize_ground_truth, parse_ground_truth),
     ], ids=["predictions", "ground truth"])
+    # most drawn records hold an item that is refused, and a numpy float is
+    # one draw in twenty: enough examples that some are built and written
+    @settings(max_examples=400)
     @given(data=st.data())
     def test_built_records_read_back_or_cannot_be_built(self, kind, serialize, parse, data):
         # a record that constructs and writes must be one the reader accepts:
         # inf, a negative or bool class_id, an infinite box, an empty or int
         # image_id, a repeated image_id or an item of the other kind used to
         # construct, save, and then fail to load; a list of items read back
-        # as an unequal tuple
+        # as an unequal tuple; a quaternion of norm 2 read back normalized,
+        # and json refused a numpy float32 field with a TypeError
         try:
             records = data.draw(image_records(items=lambda: mixed_items(kind), ids=LOOSE_IDS,
                                               containers=LOOSE_CONTAINERS))
@@ -542,30 +561,34 @@ class TestWriterRefusesWhatItsReaderRefuses:
         assert str(err.value) == message
         assert buffer.getvalue() == ""
 
-    # a later record holds a value json cannot encode; numpy.float32 is no float
-    F32 = np.float32(0.5)
+    # a later record holds a value the writer refuses: a Fraction that no
+    # float holds exactly, which the constructors accept
+    THIRD = Fraction(1, 3)
     JSON_REFUSED = [
         (serialize_predictions, save_predictions, image("a", det(0.0, 0.0, 10.0)),
-         image("b", det(0.0, 0.0, 10.0, confidence=F32))),
+         image("b", det(0.0, 0.0, 10.0, confidence=THIRD))),
         (serialize_predictions, save_predictions, image("a", det(0.0, 0.0, 10.0)),
-         image("b", det(F32, 0.0, 10.0))),
+         image("b", det(THIRD, 0.0, 10.0))),
         (serialize_predictions, save_predictions, image("a", det(0.0, 0.0, 10.0)),
-         image("b", det(0.0, 0.0, 10.0, bbox=BBox2D(F32, 0.0, 1.0, 1.0)))),
+         image("b", det(0.0, 0.0, 10.0, bbox=BBox2D(THIRD, 0.0, 1.0, 1.0)))),
         (serialize_ground_truth, save_ground_truth, image("a", ann(0.0, 0.0, 10.0)),
-         image("b", ann(0.0, 0.0, 10.0, quat=Quaternion(np.float32(1.0), 0.0, 0.0, 0.0)))),
+         image("b", ann(0.0, 0.0, 10.0, quat=Quaternion(Fraction(3, 5), Fraction(4, 5), 0.0,
+                                                        0.0)))),
         (serialize_ground_truth, save_ground_truth, image("a", ann(0.0, 0.0, 10.0)),
-         image("b", ann(0.0, 0.0, 10.0, bbox=BBox2D(0.0, 0.0, 1.0, np.float32(1.0))))),
+         image("b", ann(0.0, 0.0, 10.0, bbox=BBox2D(0.0, 0.0, 1.0, Fraction(4, 3))))),
         (serialize_ignore, save_ignore, IgnoreRegions("a", (BBox2D(0.0, 0.0, 1.0, 1.0),)),
-         IgnoreRegions("b", (BBox2D(0.0, F32, 1.0, 1.0),))),
+         IgnoreRegions("b", (BBox2D(0.0, THIRD, 1.0, 1.0),))),
     ]
     JSON_REFUSED_IDS = ["prediction confidence", "prediction translation", "prediction box",
                         "ground-truth quaternion", "ground-truth box", "ignore rect"]
+    REFUSED = r"^cannot write a Fraction \(Fraction\(\d, \d\)\): only a real number that a " \
+              r"float holds exactly is written$"
 
     @pytest.mark.parametrize("serialize, save, first, second", JSON_REFUSED, ids=JSON_REFUSED_IDS)
     def test_a_value_json_refuses_leaves_the_stream_empty(self, serialize, save, first, second):
         # the first record's line was written before json refused the second
         buffer = io.StringIO()
-        with pytest.raises(TypeError, match="^Object of type float32 is not JSON serializable$"):
+        with pytest.raises(ValueError, match=self.REFUSED):
             serialize([first, second], buffer)
         assert buffer.getvalue() == ""
 
@@ -573,14 +596,38 @@ class TestWriterRefusesWhatItsReaderRefuses:
     def test_a_value_json_refuses_leaves_the_old_file(self, tmp_path, serialize, save, first,
                                                        second):
         path = tmp_path / "out.jsonl"
-        with pytest.raises(TypeError, match="^Object of type float32 is not JSON serializable$"):
+        with pytest.raises(ValueError, match=self.REFUSED):
             save([first, second], str(path))
         assert not path.exists()
         save([first], str(path))
         before = path.read_bytes()
-        with pytest.raises(TypeError, match="^Object of type float32 is not JSON serializable$"):
+        with pytest.raises(ValueError, match=self.REFUSED):
             save([first, second], str(path))
         assert path.read_bytes() == before
+
+    # each raised json's TypeError ("Object of type float32 is not JSON
+    # serializable"); a numpy float32 is no float, but a float holds it exactly
+    F32 = np.float32(0.1)
+    NUMPY_WRITTEN = [
+        (serialize_predictions, parse_predictions, image("b", det(0.0, 0.0, 10.0, confidence=F32))),
+        (serialize_predictions, parse_predictions, image("b", det(F32, 0.0, np.float32(10.0)))),
+        (serialize_predictions, parse_predictions,
+         image("b", det(0.0, 0.0, 10.0, bbox=BBox2D(F32, 0.0, 1.0, 1.0)))),
+        (serialize_ground_truth, parse_ground_truth,
+         image("b", ann(0.0, 0.0, 10.0, quat=Quaternion(np.float32(1.0), 0.0, 0.0, 0.0)))),
+        (serialize_ignore, parse_ignore, IgnoreRegions("b", (BBox2D(0.0, F32, 1.0, 1.0),))),
+    ]
+
+    @pytest.mark.parametrize("serialize, parse, record", NUMPY_WRITTEN,
+                             ids=["prediction confidence", "prediction translation",
+                                  "prediction box", "ground-truth quaternion", "ignore rect"])
+    def test_a_numpy_float_is_written_as_the_float_it_equals(self, serialize, parse, record):
+        assert roundtrip([record], serialize, parse) == [record]
+
+    def test_a_numpy_float_writes_the_digits_of_its_float(self):
+        buffer = io.StringIO()
+        serialize_predictions([image("a", det(0.0, 0.0, 10.0, confidence=self.F32))], buffer)
+        assert '"confidence": 0.10000000149011612,' in buffer.getvalue()
 
 
 WILD = [None, True, False, "1", [], {}, 0, -1, 2, 10 ** 400, -10 ** 400, 1e308, -1e308,
@@ -689,6 +736,28 @@ def pose_with(component: str, value: float) -> Pose:
     return replace(FINITE_POSE, rotation=replace(FINITE_POSE.rotation, **{field: value}))
 
 
+class TestFileQuaternionsAreNormalized:
+    # an item holds a unit quaternion, but a file's is normalized when read:
+    # a detector writes its quaternions rounded, to float32 say
+    @pytest.mark.parametrize("quaternion, expected", [
+        ([2.0, 0.0, 0.0, 0.0], Quaternion(1.0, 0.0, 0.0, 0.0)),
+        ([2, 0, 0, 0], Quaternion(1.0, 0.0, 0.0, 0.0)),
+        ([1e308, 0.0, 0.0, 0.0], Quaternion(1.0, 0.0, 0.0, 0.0)),
+        ([0.70710677, 0.70710677, 0.0, 0.0], Quaternion(HALF_SQRT2, HALF_SQRT2, 0.0, 0.0)),
+    ], ids=["2", "int 2", "1e308", "float32-rounded"])
+    @pytest.mark.parametrize("parse, line", [(parse_predictions, pred_line),
+                                             (parse_ground_truth, gt_line)],
+                             ids=["predictions", "ground truth"])
+    def test_a_non_unit_quaternion_reads_as_unit(self, parse, line, quaternion, expected):
+        record, = parse([line(quaternion=quaternion)])
+        assert record.items[0].pose.rotation == expected
+
+    @pytest.mark.parametrize("quaternion", [[1e-13, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    def test_a_quaternion_too_short_to_normalize_is_refused(self, quaternion):
+        with pytest.raises(ValidationError, match=r"^line 1: detections\[0\]: cannot normalize "):
+            parse_predictions([pred_line(quaternion=quaternion)])
+
+
 class TestConstructorValidation:
     # NaN fails every "beyond the gate" comparison, so a NaN pose used to
     # match the ground truth at its place and score mAP 1.0; now no such
@@ -723,6 +792,40 @@ class TestConstructorValidation:
         message = f"{kind} class_id must be an integer >= 0, got {class_id!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make(FINITE_POSE, class_id)
+
+    # (2, 0, 0, 0) built, read back as (1, 0, 0, 0), so parse(serialize(r))
+    # != r, and matching normalized it silently: mAP 1.0 against an identity
+    # ground truth; (1e-13, 0, 0, 0) built, and the reader then refused it
+    @pytest.mark.parametrize("w", [2.0, 1e-13, 1e308, 2, pytest.param(10 ** 200, id="int 1e200")])
+    @pytest.mark.parametrize("kind, make", ITEM_KINDS, ids=["detection", "annotation"])
+    def test_a_non_unit_quaternion_cannot_be_built(self, kind, make, w):
+        quat = Quaternion(w, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError) as err:
+            make(Pose(quat, FINITE_POSE.translation))
+        assert str(err.value) == (f"{kind} rotation must be a unit quaternion (normalize it with "
+                                  f"quat_normalize first), got {quat} with squared norm "
+                                  f"{float(w) * float(w)!r}")
+
+    @pytest.mark.parametrize("kind, make", ITEM_KINDS, ids=["detection", "annotation"])
+    def test_a_float32_quaternion_is_tested_in_the_floats_written(self, kind, make):
+        # float32 arithmetic gives its squared norm as exactly 1, but the
+        # floats it is written as give 1 + 4.8e-8, which the reader normalizes
+        quat = Quaternion(np.float32(0.6), np.float32(0.8), 0.0, 0.0)
+        with pytest.raises(ValueError, match=f"^{kind} rotation must be a unit quaternion .* "
+                                             f"with squared norm 1.0000000476837165$"):
+            make(Pose(quat, FINITE_POSE.translation))
+
+    @pytest.mark.parametrize("quat", [
+        Quaternion(2.0, 0.0, 0.0, 0.0), Quaternion(1e308, 0.0, 0.0, 0.0),
+        Quaternion(np.float32(HALF_SQRT2), np.float32(HALF_SQRT2), 0.0, 0.0),
+        Quaternion(0.0, 0.0, 0.0, 3),
+    ], ids=["2", "1e308", "float32", "int"])
+    @pytest.mark.parametrize("kind, make", ITEM_KINDS, ids=["detection", "annotation"])
+    def test_what_quat_normalize_returns_can_be_built(self, kind, make, quat):
+        unit = quat_normalize(quat)
+        assert quat_normalize(unit) is unit
+        item = make(Pose(unit, FINITE_POSE.translation))
+        assert item.pose.rotation is unit
 
     def test_detection_confidence_range(self):
         with pytest.raises(ValueError):
@@ -891,9 +994,16 @@ class TestCameraFile:
         path = tmp_path / "camera.json"
         save_camera(CameraIntrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0), str(path))
         before = path.read_bytes()
-        with pytest.raises(TypeError):
-            save_camera(CameraIntrinsics(np.float32(1000.0), 1000.0, 960.0, 540.0), str(path))
+        with pytest.raises(ValueError, match=r"^cannot write a Fraction \(Fraction\(1, 3\)\)"):
+            save_camera(CameraIntrinsics(Fraction(1, 3), 1000.0, 960.0, 540.0), str(path))
         assert path.read_bytes() == before
+
+    def test_a_numpy_float_round_trips(self, tmp_path):
+        # json refused a numpy float32 with a TypeError
+        camera = CameraIntrinsics(np.float32(1234.5), 987.25, np.float32(960.1), 540.0)
+        path = str(tmp_path / "camera.json")
+        save_camera(camera, path)
+        assert load_camera(path) == camera
 
     @pytest.mark.parametrize("payload, exc_type, message", [
         ("{bad", ParseError, "invalid JSON (Expecting property name enclosed in double quotes)"),
