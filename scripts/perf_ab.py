@@ -25,7 +25,10 @@ no bound a change. It is ``unresolved``
 when a metric has a bound and the parent's interquartile range, relative
 to its median, is wider than that bound, unless every change run is better
 than every parent run: such runs spread too widely to tell. Under ten
-pairs it gives none. Its last line is one JSON object with every verdict.
+pairs it gives none. Under each workload's rows it lists, per metric and
+side, the runs more than 1.5 IQR outside that side's quartiles, by seed and
+value: one odd run can spend the one pair in ten that a ``gain`` may lose.
+Its last line is one JSON object with every verdict.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ WIN_SHARE = 0.9
 NOISE_FLOOR = 0.1
 # a gain needs nine in ten pairs won, so fewer than ten pairs get no verdict
 MIN_PAIRS = 10
+# a run this many of its side's IQRs below q1 or above q3 is listed as an outlier
+OUTLIER_IQR = 1.5
 
 
 class Refused(Exception):
@@ -113,6 +118,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, median, q3 = statistics.quantiles(values, n=4)
     return q1, median, q3
+
+
+def outliers(seeds: list[int], values: list[float]) -> list[tuple[int, float]]:
+    """The (seed, value) runs more than ``OUTLIER_IQR`` IQRs outside the quartiles."""
+    q1, _, q3 = quartiles(values)
+    reach = OUTLIER_IQR * (q3 - q1)
+    return [(seed, v) for seed, v in zip(seeds, values) if v < q1 - reach or v > q3 + reach]
 
 
 def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
@@ -197,16 +209,23 @@ def report(workloads: list[str], specs: list[dict], runs: dict, args) -> dict[st
     for workload in workloads:
         print(f"\n{workload}: {len(args.seeds)} pairs, {args.seconds:g} s runs, "
               f"trace {args.trace}; median [q1, q3], parent -> change")
+        odd = []
         for spec in specs:
             name = spec["name"]
-            row = compare(spec, [r[name] for r in runs[workload, "parent"]],
-                          [r[name] for r in runs[workload, "change"]])
+            values = {side: [r[name] for r in runs[workload, side]] for side in ("parent", "change")}
+            row = compare(spec, values["parent"], values["change"])
+            for side, found in ((side, outliers(args.seeds, values[side])) for side in values):
+                if found:
+                    odd.append(f"    {name} {side}: "
+                               + ", ".join(f"seed {seed} {v:.6g}" for seed, v in found))
             (p_med, p_q1, p_q3), (c_med, c_q1, c_q3) = row["parent"], row["change"]
             print(f"  {name:<40} {p_med:.6g} [{p_q1:.6g}, {p_q3:.6g}] -> "
                   f"{c_med:.6g} [{c_q1:.6g}, {c_q3:.6g}]  {100 * row['relative']:+.1f} %  "
                   f"won {row['won']}/{row['pairs']}  gap {row['gap_iqr']:+.2f} IQR  "
                   f"{row['verdict']}")
             verdicts[f"{workload} {name}"] = row["verdict"]
+        print(f"  runs beyond {OUTLIER_IQR:g} IQR of their side's quartiles:"
+              + ("\n" + "\n".join(odd) if odd else " none"))
     return verdicts
 
 

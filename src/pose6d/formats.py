@@ -152,29 +152,27 @@ def _parse_item(kind: type, number: int, obj: object, path: str) -> Detection | 
     return _located(number, path, _build_item, kind, obj)
 
 
-_FLOAT, _NUMBER = frozenset((float,)), frozenset((float, int))  # exact: a bool is no number
+_NUMBER = frozenset((float, int))  # exact: a bool is no number
 
 
 def _floats(value: object, count: int) -> list[float]:
     """``value`` as floats when it is a list of ``count`` ints or floats, else TypeError."""
-    if type(value) is list and len(value) == count:
-        if _FLOAT.issuperset(map(type, value)):
-            return value
-        if _NUMBER.issuperset(map(type, value)):
-            return list(map(float, value))
+    if type(value) is list and len(value) == count and _NUMBER.issuperset(map(type, value)):
+        return list(map(float, value))
     raise TypeError(value)
 
 
 def _build_item(kind: type, obj: object):
     """The one item builder: it checks the shape of ``obj``, so where
     ``_parse_item`` would fail on shape it raises KeyError, TypeError,
-    ValueError or OverflowError instead. An item's numbers are type-checked
-    once, as one list; only an item with a number to convert (an int) takes
-    ``_floats`` list by list. Its values are then checked in one test, no
+    ValueError or OverflowError instead. An item's lists are unpacked and
+    each number is tested in place to be a float (from JSON, only a list
+    unpacks into floats); an item holding any other number takes ``_floats``
+    list by list. A float item's values are then checked in one test, no
     looser than the constructors, and stored through the slots with no
-    ``__init__``; an item that fails the test (or whose finite terms sum
-    beyond the float range) is built by ``_construct_item``, whose
-    constructors refuse it or build the same record."""
+    ``__init__``. Any other item (or one whose finite terms sum beyond the
+    float range) is built by ``_construct_item``, whose constructors refuse
+    it or build the same record."""
     if kind is BBox2D:
         return BBox2D(*_floats(obj, 4))
     if type(obj) is not dict or type(class_id := obj["class_id"]) is not int or (
@@ -184,27 +182,35 @@ def _build_item(kind: type, obj: object):
     rotation = obj["euler"] if euler else obj["quaternion"]
     translation, bbox = obj["translation"], obj.get("bbox")
     confidence = obj["confidence"] if kind is Detection else 0.0
-    if not (type(rotation) is list and type(translation) is list
-            and (bbox is None or type(bbox) is list)
-            and _FLOAT.issuperset(map(type, [confidence, *rotation, *translation, *(bbox or ())]))):
+    tx, ty, tz = translation
+    if euler:
+        roll, pitch, yaw = rotation
+        plain = type(roll) is float and type(pitch) is float and type(yaw) is float
+    else:
+        w, x, y, z = rotation
+        plain = type(w) is float and type(x) is float and type(y) is float and type(z) is float
+    if bbox is not None:
+        x1, y1, x2, y2 = bbox
+        plain = plain and (type(x1) is float and type(y1) is float
+                           and type(x2) is float and type(y2) is float)
+    if not (plain and type(tx) is float and type(ty) is float and type(tz) is float
+            and type(confidence) is float):  # an int to convert, or a value _floats refuses
         rotation, translation = _floats(rotation, 3 if euler else 4), _floats(translation, 3)
         bbox = None if bbox is None else _floats(bbox, 4)
         confidence, = _floats([confidence], 1)
-    # Every number is a float now. A sum of floats is finite only if every
-    # term is, and a squared norm (in Quaternion.dot's order) within 1e-12 of
-    # 1 is one that quat_normalize returns unchanged and the constructors
-    # accept; any other is normalized by _construct_item.
-    tx, ty, tz = translation
+        return _construct_item(kind, class_id, confidence, euler, rotation, translation, bbox)
+    # A sum of floats is finite only if every term is, and a squared norm
+    # (in Quaternion.dot's order) within 1e-12 of 1 is one that
+    # quat_normalize returns unchanged and the constructors accept; any
+    # other is normalized by _construct_item.
     total = tx + ty + tz
     if euler:
-        q = quat_from_euler(EulerAngles(*rotation))
+        q = quat_from_euler(EulerAngles(roll, pitch, yaw))
         total += q.w + q.x + q.y + q.z
         valid = True
     else:
-        w, x, y, z = rotation
         valid = abs(w * w + x * x + y * y + z * z - 1.0) <= _UNIT_NORM_SQ_TOL
     if bbox is not None:
-        x1, y1, x2, y2 = bbox
         area = (x2 - x1) * (y2 - y1)
         valid = valid and x1 < x2 and y1 < y2 and area > 0.0
         total += x1 + y1 + x2 + y2 + area

@@ -68,7 +68,12 @@ class Quaternion:
     z: float
 
     def dot(self, other: Quaternion) -> float:
-        return self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
+        """The dot product of the components taken as floats, as
+        ``quat_normalize`` and the item check take them: a float
+        quaternion's keeps its bits, and a numpy float32 one's is the float
+        the constructors test."""
+        return (float(self.w) * float(other.w) + float(self.x) * float(other.x)
+                + float(self.y) * float(other.y) + float(self.z) * float(other.z))
 
     def norm(self) -> float:
         return math.sqrt(self.dot(self))

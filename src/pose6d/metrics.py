@@ -70,19 +70,21 @@ DEFAULT_LADDER = ThresholdLadder(pairs=(
 
 
 def _match_image(dets: Sequence[Detection], anns: Sequence[Annotation],
-                 pairs: Sequence[tuple[float, float]]) -> list[list[tuple]]:
-    """Per pair, the (det index, gt index, distance, angle) hits in visiting order.
+                 pairs: Sequence[tuple[float, float]], loosest: float,
+                 base: int) -> list[list[tuple]]:
+    """Per pair, the (det index, gt index, distance, angle) hits in visiting
+    order, each detection indexed from ``base``; ``loosest`` is the largest
+    t_m of ``pairs``.
 
     Candidates are ``[distance, index, angle]`` entries sorted by (distance,
     index), so the first free one within both gates is the nearest valid one.
     """
-    loosest = max(t_m for t_m, _ in pairs)
     targets: dict[int, list] = {}
     for j, a in enumerate(anns):
         t = a.pose.translation
         targets.setdefault(a.class_id, []).append((j, (t.x, t.y, t.z)))
     visits = []
-    for i, d in sorted(enumerate(dets), key=lambda e: -e[1].confidence):  # stable: ties keep i
+    for i, d in sorted(enumerate(dets, base), key=lambda e: -e[1].confidence):  # ties keep i
         if (cands := targets.get(d.class_id)) is None:
             continue
         t = d.pose.translation
@@ -238,8 +240,9 @@ class Evaluation:
     a sweep scores each class once per count, not once per grid point: past
     the last TP rank of a prefix only FP ranks follow, whose precision never
     exceeds the rank before, so they change neither the envelope at a TP
-    rank nor which ranks are summed. Per image, the last pair's hits are kept,
-    with the image's detection and ground-truth counts, for the report.
+    rank nor which ranks are summed. For the report, it keeps the last pair's
+    hits, dataset-wide in image order, with the detection and ground-truth
+    totals.
     """
 
     def __init__(self, pred_records: Sequence[ImageRecord], gt_records: Sequence[ImageRecord],
@@ -247,24 +250,24 @@ class Evaluation:
         pred_by_id = _index_by_image(pred_records, "predictions")
         gt_by_id = _index_by_image(gt_records, "ground truth")
         gt_count = Counter(a.class_id for r in gt_by_id.values() for a in r.items)
-        confidences: list[float] = []
-        members: dict[int, list[int]] = defaultdict(list)  # flat detection indices per class
-        matched: list[list[int]] = [[] for _ in ladder.pairs]  # flat matched indices per pair
-        self._last_hits = []
+        loosest = max(t_m for t_m, _ in ladder.pairs)
+        hits: list[list[tuple]] = [[] for _ in ladder.pairs]  # dataset-wide, per pair
+        dets: list[Detection] = []  # indexed by flat detection index
         for image_id in list(gt_by_id) + [i for i in pred_by_id if i not in gt_by_id]:
-            dets = pred_by_id[image_id].items if image_id in pred_by_id else ()
             anns = gt_by_id[image_id].items if image_id in gt_by_id else ()
-            per_pair = _match_image(dets, anns, ladder.pairs)
-            base = len(confidences)
-            for flat, hits in zip(matched, per_pair):
-                flat += [base + h[0] for h in hits]
-            for i, d in enumerate(dets, base):
-                members[d.class_id].append(i)
-            confidences += [d.confidence for d in dets]
-            self._last_hits.append((per_pair[-1], len(dets), len(anns)))
-        flags = np.zeros((len(matched), len(confidences)), dtype=bool)
-        for row, flat in zip(flags, matched):
-            row[flat] = True
+            items = pred_by_id[image_id].items if image_id in pred_by_id else ()
+            for flat, found in zip(hits, _match_image(items, anns, ladder.pairs, loosest, len(dets))):
+                flat += found
+            dets += items
+        members: dict[int, list[int]] = defaultdict(list)  # flat detection indices per class
+        confidences: list[float] = []
+        for i, d in enumerate(dets):
+            members[d.class_id].append(i)
+            confidences.append(d.confidence)
+        flags = np.zeros((len(hits), len(dets)), dtype=bool)
+        for row, flat in zip(flags, hits):
+            row[[h[0] for h in flat]] = True
+        self._last_pair = (hits[-1], len(dets), sum(gt_count.values()))
         neg_conf = -np.array(confidences, dtype=np.float64)
         hit = flags.any(axis=0)  # per detection: a TP at some pair
         self.buckets: dict[int, tuple[list[float], np.ndarray, np.ndarray, int, list[int]]] = {}
@@ -316,15 +319,11 @@ def mean_average_precision(
     per_class_ap = evaluation.per_class_ap()
     mean_ap = _class_mean(per_class_ap)
 
-    # the last pair's statistics straight from its hits: each image's
-    # unmatched counts are its items less its hits
-    trans_errors, rot_errors, fp, fn = [], [], 0, 0
-    for hits, num_dets, num_gts in evaluation._last_hits:
-        trans_errors += [h[2] for h in hits]
-        rot_errors += [h[3] for h in hits]
-        fp += num_dets - len(hits)
-        fn += num_gts - len(hits)
-    tp = len(trans_errors)
+    # the last pair's statistics straight from its hits: the unmatched counts
+    # are the items less the hits
+    hits, num_dets, num_gts = evaluation._last_pair
+    trans_errors, rot_errors = [h[2] for h in hits], [h[3] for h in hits]
+    tp, fp, fn = len(hits), num_dets - len(hits), num_gts - len(hits)
     return mean_ap, EvaluationReport(
         ladder=ladder, per_class_ap=per_class_ap, mean_ap=mean_ap,
         mae_trans=_mean(trans_errors) if tp else None,

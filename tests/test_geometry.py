@@ -3,17 +3,20 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pose6d import (
+    Annotation,
     BBox2D,
     BehindCameraError,
     CameraIntrinsics,
     EulerAngles,
     GimbalLockWarning,
     NonPositiveDepthError,
+    Pose,
     Quaternion,
     Translation,
     ZeroNormError,
@@ -109,6 +112,22 @@ class TestQuatAlgebra:
         q = Quaternion(1.0, 2.0, 3.0, 4.0)
         assert q.dot(q) == 30.0
         assert q.norm() == pytest.approx(math.sqrt(30.0))
+
+    @given(st.tuples(*[st.floats(-1e150, 1e150)] * 8))
+    def test_a_float_dot_keeps_its_bits(self, comps):
+        a, b = Quaternion(*comps[:4]), Quaternion(*comps[4:])
+        assert repr(a.dot(b)) == repr(a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z)
+
+    def test_dot_and_norm_take_the_components_as_floats(self):
+        # in float32 arithmetic this quaternion is exactly unit, but its
+        # components as floats, which the constructors test, are not
+        q = Quaternion(np.float32(0.6), np.float32(0.8), 0.0, 0.0)
+        assert (type(q.dot(q)), q.dot(q)) == (float, 1.0000000476837165)
+        assert q.norm() == math.sqrt(1.0000000476837165)
+        with pytest.raises(ValueError, match=r"with squared norm 1\.0000000476837165$"):
+            Annotation(0, Pose(q, Translation(0.0, 0.0, 1.0)))
+        n = Quaternion(1, 2, 3, 4)
+        assert (type(n.dot(n)), n.dot(n), n.norm()) == (float, 30.0, math.sqrt(30.0))
 
 
 class TestEulerConversion:

@@ -8,12 +8,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pose6d import (
     DEFAULT_LADDER,
+    Annotation,
+    Detection,
     EulerAngles,
+    ImageRecord,
     NoClassesError,
     NonFiniteError,
     NoiseSpec,
@@ -28,11 +31,13 @@ from pose6d import (
     parse_ladder,
     perturb,
     quat_from_euler,
+    sweep_threshold,
 )
 
 from pose6d.metrics import Evaluation, _match_image
 
 from helpers import ann, as_detection, crowded_scene, det, image
+from test_records import loose_items
 
 PAIR = (1.0, math.radians(10.0))
 
@@ -133,7 +138,7 @@ class TestLadder:
 
 def hits(preds, gts):
     """The (det, gt, distance, angle) hits of one image at PAIR, in visiting order."""
-    return _match_image(preds, gts, (PAIR,))[0]
+    return _match_image(preds, gts, (PAIR,), PAIR[0], 0)[0]
 
 
 class TestMatch:
@@ -483,6 +488,59 @@ class TestScalarStats:
         assert (report.precision, report.recall) == (precision, recall)
         assert (report.tp, report.fp, report.fn) == counts
         assert (report.mae_trans, report.rot_error_mean, report.rot_error_median) == (None,) * 3
+
+
+@st.composite
+def loose_scenes(draw):
+    """Prediction and ground-truth records on up to three shared image ids,
+    holding the ``loose_items`` that construct; each built annotation is now
+    and then also a detection of its class and pose, so some match."""
+    def built(kind):
+        try:
+            return [draw(loose_items(kind))]
+        except ValueError:  # a drawn item that its constructor refuses
+            return []
+
+    preds, gts = [], []
+    for image_id in draw(st.lists(st.sampled_from(["a", "b", "c"]), unique=True, max_size=3)):
+        anns = [a for _ in range(draw(st.integers(0, 4))) for a in built(Annotation)]
+        dets = [d for _ in range(draw(st.integers(0, 4))) for d in built(Detection)]
+        dets += [Detection(a.class_id, draw(st.sampled_from([0.0, 0.5, 1.0])), a.bbox, a.pose)
+                 for a in anns if draw(st.booleans())]
+        for side, items in ((preds, dets), (gts, anns)):
+            if items or draw(st.booleans()):
+                side.append(ImageRecord(image_id, tuple(items)))
+    return preds, gts
+
+
+class TestEveryConstructibleRecordScores:
+    # the library property for scoring: whatever the constructors build
+    # scores within [0, 1] with counts that add up, or is a named refusal
+    @settings(max_examples=300, deadline=None)
+    @given(loose_scenes())
+    def test_map_is_a_fraction_and_the_counts_add_up(self, scene):
+        preds, gts = scene
+        num_dets = sum(len(r.items) for r in preds)
+        num_gts = sum(len(r.items) for r in gts)
+        try:
+            value, report = mean_average_precision(preds, gts)
+        except NoClassesError:
+            assert num_dets == num_gts == 0
+            return
+        assert 0.0 <= value <= 1.0
+        assert all(0.0 <= ap <= 1.0 for aps in report.per_class_ap.values() for ap in aps)
+        assert (report.tp + report.fp, report.tp + report.fn) == (num_dets, num_gts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(loose_scenes())
+    def test_every_swept_map_is_a_fraction(self, scene):
+        try:
+            curve, best = sweep_threshold(*scene)
+        except NoClassesError:
+            assert not any(r.items for r in scene[1])  # a class in ground truth always scores
+            return
+        assert all(0.0 <= value <= 1.0 for _, value in curve)
+        assert best in [t for t, _ in curve]
 
 
 class TestReportOutput:

@@ -720,6 +720,45 @@ class TestFastPathChangesNoResult:
         assert len(calls) == 1
         assert len(constructed) == 2  # on the fast path, then on the located one
 
+    def test_an_item_holding_an_int_is_built_by_the_constructors(self, monkeypatch):
+        # the reader tests each number of an item in place: a float file
+        # never constructs (the test above), and an item holding an int is
+        # converted and built by the constructors, once, into its float twin
+        constructed = []
+        construct = formats._construct_item
+        monkeypatch.setattr(formats, "_construct_item",
+                            lambda *args: constructed.append(args) or construct(*args))
+        for parse, line in [(parse_predictions, pred_line), (parse_ground_truth, gt_line)]:
+            twin, = parse([line(quaternion=[1.0, 0.0, 0.0, 0.0], bbox=[10.0, 20.0, 30.0, 40.0])])
+            assert constructed == []
+            read, = parse([line(quaternion=[1, 0, 0, 0], bbox=[10, 20, 30, 40])])
+            assert len(constructed) == 1
+            assert (repr(read), read) == (repr(twin), twin)
+            constructed.clear()
+
+    @pytest.mark.parametrize("key, field, index", [
+        (key, field, index) for key in ("detections", "annotations")
+        for field, count in [("confidence", 1), ("quaternion", 4), ("euler", 3),
+                             ("translation", 3), ("bbox", 4)]
+        for index in ([None] if field == "confidence" else range(count))
+        if (key, field) != ("annotations", "confidence")])
+    def test_a_bool_is_refused_at_its_field(self, key, field, index):
+        item = {"class_id": 0, "confidence": 0.9, "bbox": [10.0, 20.0, 30.0, 40.0],
+                "translation": [1.0, 2.0, 10.0]}
+        item["euler" if field == "euler" else "quaternion"] = (
+            [0.1, 0.2, 0.3] if field == "euler" else [1.0, 0.0, 0.0, 0.0])
+        if key == "annotations":
+            del item["confidence"]
+        if index is None:
+            item[field] = True
+        else:
+            item[field][index] = True
+        path = f"{key}[0].{field}" + ("" if index is None else f"[{index}]")
+        parse = parse_predictions if key == "detections" else parse_ground_truth
+        with pytest.raises(ParseError) as err:
+            parse([json.dumps({"image_id": "a", key: [item]})])
+        assert str(err.value) == f"line 1: {path}: must be a number, got bool"
+
 
 FINITE_POSE = Pose(IDENTITY, Translation(1.0, 2.0, 10.0))
 ITEM_KINDS = [

@@ -9,8 +9,8 @@ with the package's scoring on crowded scenes shaped like the benchmark's
 The matching core and its ranking are refereed by the code they replaced,
 kept in ``tests/helpers.py``: ``_match_image`` must give the same hits, and
 ``Evaluation`` the same per-class AP at every threshold and the same
-per-image last-pair hits and counts that the report is built from, bit for
-bit. The report's last-pair statistics must equal those the referee
+last-pair hits (the per-image ones in image order, at flat detection
+indices) and totals that the report is built from, bit for bit. The report's last-pair statistics must equal those the referee
 computes from the reference hits with its own arithmetic, and
 ``BBox2D``'s checks must accept and refuse exactly what the box rule
 written out in ``helpers.reference_box_check`` does, with the same
@@ -307,17 +307,23 @@ def crowded_lattice(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(crowded_lattice(), st.sampled_from(MATCH_LADDERS))
-def test_matching_and_ranking_equal_the_reference_bit_for_bit(scene, ladder):
+@given(crowded_lattice(), st.sampled_from(MATCH_LADDERS), st.integers(0, 10 ** 6))
+def test_matching_and_ranking_equal_the_reference_bit_for_bit(scene, ladder, base):
     preds, gts = scene
     gt_by_id = {r.image_id: r.items for r in gts}
+    loosest = max(t_m for t_m, _ in ladder.pairs)
     for record in preds:
         anns = gt_by_id.get(record.image_id, ())
-        assert repr(_match_image(record.items, anns, ladder.pairs)) == repr(
-            reference_match_image(record.items, anns, ladder.pairs))
+        shifted = [[(i + base, *rest) for i, *rest in hits]
+                   for hits in reference_match_image(record.items, anns, ladder.pairs)]
+        assert repr(_match_image(record.items, anns, ladder.pairs, loosest, base)) == repr(shifted)
     evaluation = Evaluation(preds, gts, ladder)
     buckets, last = reference_evaluation(preds, gts, ladder)
-    assert repr(evaluation._last_hits) == repr(last)
+    flat, offset = [], 0  # the per-image hits in image order, at flat detection indices
+    for hits, num_dets, _ in last:
+        flat += [(i + offset, *rest) for i, *rest in hits]
+        offset += num_dets
+    assert repr(evaluation._last_pair) == repr((flat, offset, sum(n for _, _, n in last)))
     for t in MATCH_THRESHOLDS:
         expected = reference_per_class_ap(buckets, t)
         if expected:

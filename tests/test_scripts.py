@@ -1,5 +1,6 @@
 """Smoke tests for the scripts under ``scripts/``."""
 
+import argparse
 import importlib.util
 import json
 import shutil
@@ -136,3 +137,31 @@ def test_perf_ab_gives_no_verdict_to_a_shift_far_inside_the_bound():
     # the bound, so the verdict stands
     row = load_script("perf_ab").compare(spec, parent, [c * 1.01 for c in change])
     assert row["verdict"] == "worse"
+
+
+def test_perf_ab_lists_the_runs_outside_each_sides_quartiles(capsys):
+    # the parent's seed-531 run reads 12 % below its other nine, as one did in
+    # a sweep-dense A/B, and the change's seed-540 run reads high; the second
+    # metric has no outlier on either side
+    parent = [0.00162, 0.00182, 0.00183, 0.00184, 0.00185, 0.00186, 0.00187, 0.00188, 0.00185,
+              0.00184]
+    change = [0.00176, 0.00175, 0.00177, 0.00176, 0.00178, 0.00175, 0.00177, 0.00176, 0.00178,
+              0.00199]
+    runs = {("sweep-dense", side): [{"latency_p50_s": v, "setup_s": 0.3 + 0.01 * i}
+                                    for i, v in enumerate(values)]
+            for side, values in (("parent", parent), ("change", change))}
+    specs = [{"name": "latency_p50_s", "better": "lower", "bound": 0.2},
+             {"name": "setup_s", "better": "lower", "bound": 0.25}]
+    args = argparse.Namespace(seeds=list(range(531, 541)), seconds=30.0, trace=0)
+    perf_ab = load_script("perf_ab")
+    perf_ab.report(["sweep-dense"], specs, runs, args)
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "  runs beyond 1.5 IQR of their side's quartiles:",
+        "    latency_p50_s parent: seed 531 0.00162",
+        "    latency_p50_s change: seed 540 0.00199",
+    ]
+    assert perf_ab.outliers(args.seeds, [0.3 + 0.01 * i for i in range(10)]) == []
+    runs = {key: [{"latency_p50_s": 0.00185, "setup_s": 0.3}] * 10 for key in runs}
+    perf_ab.report(["sweep-dense"], specs, runs, args)
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "  runs beyond 1.5 IQR of their side's quartiles: none")
