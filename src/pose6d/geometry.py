@@ -111,19 +111,15 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self) -> None:
-        if bool in (type(self.fx), type(self.fy), type(self.cx), type(self.cy)):  # 0 or 1 as a number
-            raise ValueError(f"camera intrinsics must be numbers, not bools, got fx={self.fx}, "
-                             f"fy={self.fy}, cx={self.cx}, cy={self.cy}")
+        if not _reals(self.fx, self.fy, self.cx, self.cy):
+            raise ValueError(f"camera intrinsics must be numbers, got fx={self.fx!r}, "
+                             f"fy={self.fy!r}, cx={self.cx!r}, cy={self.cy!r}")
         try:
             if not (self.fx > 0.0 and self.fy > 0.0):
                 raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
-            finite = (math.isfinite(self.fx) and math.isfinite(self.fy) and math.isfinite(self.cx)
-                      and math.isfinite(self.cy))
+            finite = all(map(math.isfinite, (self.fx, self.fy, self.cx, self.cy)))
         except OverflowError:  # an int beyond the float range
             finite = False
-        except TypeError:  # a value that does not compare or convert as a number
-            raise ValueError(f"camera intrinsics must be numbers, got fx={self.fx!r}, "
-                             f"fy={self.fy!r}, cx={self.cx!r}, cy={self.cy!r}") from None
         if not finite:
             raise ValueError(f"camera intrinsics must be finite, got fx={self.fx}, "
                              f"fy={self.fy}, cx={self.cx}, cy={self.cy}")
@@ -183,10 +179,9 @@ def quat_normalize(q: Quaternion) -> Quaternion:
     the same bits.
     """
     w, x, y, z = q.w, q.x, q.y, q.z
+    if not (type(w) is float and type(x) is float and type(y) is float and type(z) is float):
+        w, x, y, z = float(w), float(x), float(y), float(z)  # a numpy float32's square can overflow
     norm_sq = w * w + x * x + y * y + z * z  # in Quaternion.dot's order
-    if type(norm_sq) is not float:  # an int's, or a numpy float32's: take them as floats
-        w, x, y, z = float(w), float(x), float(y), float(z)
-        norm_sq = w * w + x * x + y * y + z * z
     if math.isinf(norm_sq):
         scale = max(abs(w), abs(x), abs(y), abs(z))
         w, x, y, z = w / scale, x / scale, y / scale, z / scale

@@ -111,6 +111,8 @@ def total_loss(cls_loss: float, quat_loss: float, trans_loss: float,
                weights: LossWeights = LossWeights()) -> float:
     """Weighted sum cls + lambda1 * quat + lambda2 * trans."""
     for name, value in (("cls", cls_loss), ("quat", quat_loss), ("trans", trans_loss)):
+        if not _reals(value):  # a bool would add as 0 or 1
+            raise ValueError(f"{name} loss must be a number, got {value!r}")
         if not math.isfinite(value):
             raise ValueError(f"{name} loss must be finite, got {value}")
     return cls_loss + weights.lambda1 * quat_loss + weights.lambda2 * trans_loss
@@ -126,6 +128,8 @@ def finite_diff_check(loss_fn: Callable[[np.ndarray], float],
     so the result reads as a relative error for O(1)-or-larger gradients
     and an absolute error near zero.
     """
+    if not _reals(epsilon):
+        raise ValueError(f"epsilon must be a number, got {epsilon!r}")
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     point = np.asarray(point, dtype=np.float64)

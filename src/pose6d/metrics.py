@@ -27,7 +27,6 @@ from __future__ import annotations
 import bisect
 import math
 import statistics
-import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
@@ -36,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import _reals, _unit_angle
-from .records import Annotation, Detection, ImageRecord, _index_by_image
+from .records import Annotation, Detection, ImageRecord, _index_by_image, _refuse_kind
 
 
 class NoClassesError(ValueError):
@@ -55,9 +54,12 @@ class ThresholdLadder:
         if not self.pairs:
             raise ValueError("ladder must contain at least one threshold pair")
         for pair in self.pairs:
-            if not (isinstance(pair, tuple) and len(pair) == 2 and all(
-                    type(v) is not bool and isinstance(v, (int, float))
-                    and 0.0 < v <= sys.float_info.max for v in pair)):
+            try:  # math.isfinite, as a numpy float32 takes sys.float_info.max as inf
+                valid = (isinstance(pair, tuple) and len(pair) == 2 and _reals(*pair)
+                         and all(v > 0.0 and math.isfinite(v) for v in pair))
+            except OverflowError:  # an int beyond the float range
+                valid = False
+            if not valid:
                 raise ValueError(f"a ladder pair must be two finite positive numbers, got {pair!r}")
 
 
@@ -213,8 +215,6 @@ def _fmt(value: float | None, suffix: str = "") -> str:
 
 
 def _check_threshold(threshold: float, name: str = "threshold") -> None:
-    if type(threshold) is bool:  # it would compare as 0 or 1
-        raise ValueError(f"{name} must be a number, not a bool, got {threshold}")
     # a float skips _reals' ABC test: the sweep checks each of its points
     if type(threshold) is not float and not _reals(threshold):
         raise ValueError(f"{name} must be a number, got {threshold!r}")
@@ -249,21 +249,30 @@ class Evaluation:
                  ladder: ThresholdLadder = DEFAULT_LADDER):
         pred_by_id = _index_by_image(pred_records, "predictions")
         gt_by_id = _index_by_image(gt_records, "ground truth")
-        gt_count = Counter(a.class_id for r in gt_by_id.values() for a in r.items)
-        loosest = max(t_m for t_m, _ in ladder.pairs)
-        hits: list[list[tuple]] = [[] for _ in ladder.pairs]  # dataset-wide, per pair
+        # as floats: against a numpy float32 gate, a distance would compare in float32
+        pairs = [(float(t_m), float(r_rad)) for t_m, r_rad in ladder.pairs]
+        loosest = max(t_m for t_m, _ in pairs)
+        hits: list[list[tuple]] = [[] for _ in pairs]  # dataset-wide, per pair
         dets: list[Detection] = []  # indexed by flat detection index
-        for image_id in list(gt_by_id) + [i for i in pred_by_id if i not in gt_by_id]:
-            anns = gt_by_id[image_id].items if image_id in gt_by_id else ()
-            items = pred_by_id[image_id].items if image_id in pred_by_id else ()
-            for flat, found in zip(hits, _match_image(items, anns, ladder.pairs, loosest, len(dets))):
-                flat += found
-            dets += items
         members: dict[int, list[int]] = defaultdict(list)  # flat detection indices per class
         confidences: list[float] = []
-        for i, d in enumerate(dets):
-            members[d.class_id].append(i)
-            confidences.append(d.confidence)
+        try:
+            gt_count = Counter(a.class_id for r in gt_by_id.values() for a in r.items)
+            for image_id in list(gt_by_id) + [i for i in pred_by_id if i not in gt_by_id]:
+                anns = gt_by_id[image_id].items if image_id in gt_by_id else ()
+                items = pred_by_id[image_id].items if image_id in pred_by_id else ()
+                for flat, found in zip(hits, _match_image(items, anns, pairs, loosest, len(dets))):
+                    flat += found
+                dets += items
+            for i, d in enumerate(dets):
+                members[d.class_id].append(i)
+                confidences.append(d.confidence)
+        except AttributeError:
+            for by_id, kind, side in ((pred_by_id, Detection, "predictions, "),
+                                      (gt_by_id, Annotation, "ground truth, ")):
+                for record in by_id.values():
+                    _refuse_kind("scoring", record, (kind,), side)
+            raise
         flags = np.zeros((len(hits), len(dets)), dtype=bool)
         for row, flat in zip(flags, hits):
             row[[h[0] for h in flat]] = True

@@ -26,9 +26,9 @@ from typing import Iterable, Sequence
 from .geometry import BBox2D, CameraIntrinsics, Pose, Translation, _halved_iou, _reals
 from .metrics import DEFAULT_LADDER, Evaluation, NoClassesError, ThresholdLadder, _check_threshold, _class_mean
 from .records import (Annotation, Detection, IgnoreRegions, ImageRecord, NonFiniteError,
-                      _index_by_image, _new, _non_finite_pose, _set_bbox, _set_class_id,
-                      _set_confidence, _set_pose, _set_rotation, _set_translation, _set_tx, _set_ty,
-                      _set_tz)
+                      _index_by_image, _item_at, _new, _non_finite_pose, _refuse_kind, _set_bbox,
+                      _set_class_id, _set_confidence, _set_pose, _set_rotation, _set_translation,
+                      _set_tx, _set_ty, _set_tz)
 
 _MAX_GRID_POINTS = 100_001  # a 1e-5 step over [0, 1]
 
@@ -45,26 +45,9 @@ class RecoveryOverflowError(NonFiniteError):
     """A lateral position recovered from a box center is beyond the float range."""
 
 
-def _item_at(record: ImageRecord, item) -> str:
-    """``item``'s place in ``record``. The stages scan in order and refuse
-    the first bad item, so no earlier item equals it."""
-    return f"image {record.image_id!r}, item {record.items.index(item)}"
-
-
 def _missing_box(stage: str, record: ImageRecord, item, where: str = "") -> MissingBoxError:
     return MissingBoxError(f"{stage} requires items with a bbox; {where}{_item_at(record, item)} "
                            "has none")
-
-
-def _refuse_kind(stage: str, record: ImageRecord, kinds: tuple[type, ...],
-                 where: str = "") -> None:
-    """Raise ValueError at ``record``'s first item that is none of ``kinds``. The
-    stages call it only after an AttributeError, so accepted items go unchecked."""
-    for item in record.items:
-        if not isinstance(item, kinds):
-            expected = " or ".join(k.__name__ for k in kinds)
-            raise ValueError(f"{stage}: {where}{_item_at(record, item)}: expected {expected}, "
-                             f"got {type(item).__name__}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,8 +55,6 @@ class EnsembleConfig:
     iou_threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        if type(self.iou_threshold) is bool:  # it would compare as 0 or 1
-            raise ValueError(f"iou_threshold must be a number, not a bool, got {self.iou_threshold}")
         if not _reals(self.iou_threshold):
             raise ValueError(f"iou_threshold must be a number, got {self.iou_threshold!r}")
         if not (0.0 < self.iou_threshold <= 1.0):
@@ -87,9 +68,6 @@ class ThresholdSweep:
     step: float = 0.05
 
     def __post_init__(self) -> None:
-        if bool in (type(self.lo), type(self.hi), type(self.step)):  # 0 or 1 as a number
-            raise ValueError(f"sweep bounds and step must be numbers, not bools, got lo={self.lo}, "
-                             f"hi={self.hi}, step={self.step}")
         for name, value in (("lo", self.lo), ("hi", self.hi), ("step", self.step)):
             if not _reals(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")

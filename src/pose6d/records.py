@@ -55,16 +55,14 @@ def _check_item(item: Detection | Annotation, kind: str) -> None:
         raise NonFiniteError(_non_finite_pose(kind, pose)) from None
     except TypeError:  # a value that does not compare or convert as a number
         raise ValueError(f"{kind} pose must hold numbers, got {pose!r}") from None
-    if (type(t.x) is bool or type(t.y) is bool or type(t.z) is bool or type(q.w) is bool
-            or type(q.x) is bool or type(q.y) is bool or type(q.z) is bool):
+    w, x, y, z = q.w, q.x, q.y, q.z
+    plain = type(w) is float and type(x) is float and type(y) is float and type(z) is float
+    if (type(t.x) is bool or type(t.y) is bool or type(t.z) is bool
+            or not plain and bool in (type(w), type(x), type(y), type(z))):
         raise ValueError(f"{kind} has a bool in its pose: {pose}")
-    try:  # a float quaternion's squared norm, in Quaternion.dot's order
-        norm_sq = q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z
-    except (OverflowError, TypeError):  # an int's square or a Decimal added to a float
-        norm_sq = None
-    if type(norm_sq) is not float:  # an int's, or a numpy float32's: test the floats written
-        w, x, y, z = float(q.w), float(q.x), float(q.y), float(q.z)
-        norm_sq = w * w + x * x + y * y + z * z
+    if not plain:  # an int, or a numpy float32 whose square can overflow: the floats written
+        w, x, y, z = float(w), float(x), float(y), float(z)
+    norm_sq = w * w + x * x + y * y + z * z  # in Quaternion.dot's order
     if abs(norm_sq - 1.0) > _UNIT_NORM_SQ_TOL:  # the reader's test, and quat_normalize's
         raise ValueError(f"{kind} rotation must be a unit quaternion (normalize it with "
                          f"quat_normalize first), got {q} with squared norm {norm_sq!r}")
@@ -116,6 +114,24 @@ class ImageRecord:
 
     def __post_init__(self) -> None:
         _check_record(self.image_id, self.items, "items")
+
+
+def _item_at(record: ImageRecord, item) -> str:
+    """``item``'s place in ``record``. The stages scan in order and refuse
+    the first bad item, so no earlier item equals it."""
+    return f"image {record.image_id!r}, item {record.items.index(item)}"
+
+
+def _refuse_kind(stage: str, record: ImageRecord, kinds: tuple[type, ...],
+                 where: str = "") -> None:
+    """Raise ValueError at ``record``'s first item that is none of ``kinds``.
+    The post stages and scoring call it only after an AttributeError, so
+    accepted items go unchecked."""
+    for item in record.items:
+        if not isinstance(item, kinds):
+            expected = " or ".join(k.__name__ for k in kinds)
+            raise ValueError(f"{stage}: {where}{_item_at(record, item)}: expected {expected}, "
+                             f"got {type(item).__name__}") from None
 
 
 def _index_by_image(records: Sequence[ImageRecord], what: str) -> dict[str, ImageRecord]:

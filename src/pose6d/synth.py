@@ -349,6 +349,7 @@ def oracle_map(pred_records: Sequence[ImageRecord], gt_records: Sequence[ImageRe
         num_gt = sum(1 for _, anns in images for a in anns if a.class_id == c)
         pair_aps = []
         for t_m, r_rad in ladder.pairs:
+            t_m, r_rad = float(t_m), float(r_rad)  # a numpy float32 gate would compare in float32
             rows = []  # (confidence, image seq, det index, is TP)
             for seq, (dets, anns) in enumerate(images):
                 cdets = [(i, d) for i, d in enumerate(dets) if d.class_id == c]

@@ -82,6 +82,12 @@ class TestQuatAlgebra:
     def test_normalize_survives_an_overflowing_norm(self, q, expected):
         assert quat_normalize(q) == expected
 
+    @pytest.mark.filterwarnings("error")
+    def test_normalize_takes_a_float32_square_that_overflows_as_floats(self):
+        # squared in float32 it overflowed, with numpy's RuntimeWarning
+        unit = quat_normalize(Quaternion(*map(np.float32, (2e19, 0.0, 0.0, 0.0))))
+        assert (unit, type(unit.w)) == (Quaternion(1.0, 0.0, 0.0, 0.0), float)
+
     @given(st.tuples(*[st.floats(-1e150, 1e150)] * 4))
     def test_normalize_keeps_its_bits_while_the_squared_norm_is_finite(self, comps):
         q = Quaternion(*comps)
@@ -333,7 +339,7 @@ class TestPinholeCamera:
     def test_intrinsics_must_not_be_bools(self, values, shown):
         with pytest.raises(ValueError) as err:
             CameraIntrinsics(*values)
-        assert str(err.value) == f"camera intrinsics must be numbers, not bools, got {shown}"
+        assert str(err.value) == f"camera intrinsics must be numbers, got {shown}"
 
 
 class TestBoxes:

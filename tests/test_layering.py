@@ -6,7 +6,8 @@ import counts, a lazy one inside a function too, so no cycle can hide
 behind one, and stage code cannot move back down into ``records``. Only
 ``formats`` opens a file, and only its ``_write`` opens one for writing;
 ``cli`` may import ``json`` to encode its report, which it hands to
-``_write``.
+``_write``. A configuration value is tested for "a real number, and not a
+bool" by ``geometry._reals`` alone, never by a bool test of its own.
 """
 
 import ast
@@ -95,3 +96,43 @@ def test_only_formats_write_opens_a_file_for_writing():
 def test_file_access_is_seen():
     assert file_access("formats") == {"io", "json", "open"}
     assert file_access("cli") == {"json"}
+
+
+# the checks of configuration values, by module
+CONFIG_CHECKS = [("metrics", "_check_threshold"), ("metrics", "ThresholdLadder"),
+                 ("postprocess", "EnsembleConfig"), ("postprocess", "ThresholdSweep"),
+                 ("geometry", "CameraIntrinsics"), ("synth", "NoiseSpec"), ("synth", "SceneSpec"),
+                 ("losses", "LossWeights")]
+
+
+def bool_tests(module: str, name: str) -> int:
+    """The bool tests in the top-level function or class ``name`` of
+    ``module``: ``type(...) is bool`` (or ``is not``), ``bool in ...`` (or
+    ``not in``) and ``isinstance(..., bool)``."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    [definition] = [n for n in tree.body if getattr(n, "name", None) == name]
+    count = 0
+    for node in ast.walk(definition):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for op, left, right in zip(node.ops, operands, operands[1:]):
+                names = {getattr(side, "id", None) for side in (left, right)}
+                calls = {getattr(getattr(side, "func", None), "id", None) for side in (left, right)}
+                is_test = isinstance(op, (ast.Is, ast.IsNot)) and "type" in calls
+                in_test = isinstance(op, (ast.In, ast.NotIn)) and getattr(left, "id", None) == "bool"
+                count += is_test and "bool" in names or in_test
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            count += getattr(node.args[1], "id", None) == "bool"
+    return count
+
+
+@pytest.mark.parametrize("module, name", CONFIG_CHECKS, ids=[name for _, name in CONFIG_CHECKS])
+def test_a_configuration_value_is_tested_for_a_bool_only_by_reals(module, name):
+    assert bool_tests(module, name) == 0, f"{module}.{name} tests for a bool outside _reals"
+
+
+def test_bool_tests_are_seen():
+    assert bool_tests("geometry", "BBox2D") == 4  # type(x1) is bool, ... for each coordinate
+    assert bool_tests("synth", "_integers") == 1  # bool not in map(type, values)
+    assert bool_tests("formats", "_number") == 1  # isinstance(value, bool)
+    assert bool_tests("geometry", "_reals") == 1  # type(v) is not bool

@@ -136,6 +136,16 @@ class TestTotalLoss:
         with pytest.raises(ValueError):
             total_loss(bad, 0.0, 0.0)
 
+    @pytest.mark.parametrize("args, message", [
+        ((True, 0.0, 0.0), "cls loss must be a number, got True"),  # it added as 1
+        (("a", 0.0, 0.0), "cls loss must be a number, got 'a'"),  # math.isfinite raised TypeError
+        ((0.0, 0.0, None), "trans loss must be a number, got None"),
+    ], ids=["bool", "str", "None"])
+    def test_a_loss_that_is_no_number_is_rejected(self, args, message):
+        with pytest.raises(ValueError) as err:
+            total_loss(*args)
+        assert str(err.value) == message
+
 
 class TestFiniteDiffCheck:
     def test_translation_gradient_on_random_points(self):
@@ -211,3 +221,12 @@ class TestFiniteDiffCheck:
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
             finite_diff_check(lambda v: 0.0, lambda v: np.zeros(1), np.zeros(1), epsilon=0.0)
+
+    @pytest.mark.parametrize("epsilon, message", [
+        ("a", "epsilon must be a number, got 'a'"),  # '>' raised TypeError
+        (True, "epsilon must be a number, got True"),  # it stepped by 1
+    ], ids=["str", "bool"])
+    def test_an_epsilon_that_is_no_number_is_rejected(self, epsilon, message):
+        with pytest.raises(ValueError) as err:
+            finite_diff_check(lambda v: 0.0, lambda v: np.zeros(1), np.zeros(1), epsilon=epsilon)
+        assert str(err.value) == message

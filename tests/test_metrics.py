@@ -72,6 +72,8 @@ class TestLadder:
         # failed with a bare "too many values to unpack"
         ((1.0, 0.1, 7),),
         ((1.0, math.nan),), ((10**400, 0.1),), ((1.0,),), (("1", 0.1),), ([1.0, 0.1],),
+        # a float32 inf: sys.float_info.max, cast to float32 to compare with it, is inf too
+        ((np.float32(math.inf), 0.1),),
     ])
     def test_invalid_ladders_are_rejected(self, pairs):
         with pytest.raises(ValueError, match=r"^(ladder must contain at least one threshold pair"
@@ -425,7 +427,21 @@ class TestMeanAveragePrecision:
         preds, gts = perfect_setup()
         with pytest.raises(ValueError) as err:
             Evaluation(preds, gts).per_class_ap(True)
-        assert str(err.value) == "threshold must be a number, not a bool, got True"
+        assert str(err.value) == "threshold must be a number, got True"
+
+    # each raised AttributeError from the first field that scoring read
+    @pytest.mark.parametrize("preds, gts, message", [
+        ([image("a", det(0.0, 0.0, 10.0)), image("b", det(0.0, 0.0, 10.0), ann(0.0, 0.0, 10.0))],
+         [image("a", ann(0.0, 0.0, 10.0))],
+         "scoring: predictions, image 'b', item 1: expected Detection, got Annotation"),
+        ([image("a", det(0.0, 0.0, 10.0))], [image("b"), image("a", ann(0.0, 0.0, 10.0), "x")],
+         "scoring: ground truth, image 'a', item 1: expected Annotation, got str"),
+    ], ids=["predictions", "ground truth"])
+    def test_an_item_of_the_wrong_kind_is_named(self, preds, gts, message):
+        for score in (mean_average_precision, sweep_threshold):
+            with pytest.raises(ValueError) as err:
+                score(preds, gts)
+            assert str(err.value) == message
 
     def test_a_scoring_threshold_that_is_no_number_is_rejected(self):
         # '0.5' raised TypeError from its comparison with 0.0

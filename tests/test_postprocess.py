@@ -1,5 +1,6 @@
 """Recovery, thresholding, ignore filtering, ensembling, and sweep tests."""
 
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -21,6 +22,7 @@ from pose6d import (
     Pose,
     Quaternion,
     RecoveryOverflowError,
+    ThresholdLadder,
     ThresholdSweep,
     Translation,
     apply_confidence_threshold,
@@ -28,12 +30,14 @@ from pose6d import (
     extent_bbox,
     filter_ignore,
     mean_average_precision,
+    oracle_map,
     recover_xy_records,
     sweep_threshold,
 )
 
 from helpers import (ann, as_detection, crowded_scene, det, image, reference_evaluation,
                      reference_recover_xy_records, reference_thresholds, with_extra)
+from test_records import mixed_items
 
 K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0)
 
@@ -176,35 +180,23 @@ class TestConfidenceThreshold:
             apply_confidence_threshold([], threshold)
 
 
-class TestABoolIsNoThreshold:
-    # each took True as 1 and False as 0: the threshold kept only confidence
-    # 1.0, the filter dropped nothing, and the sweep built
+class TestANonNumberIsNoThreshold:
+    # a bool took True as 1 and False as 0: the threshold kept only confidence
+    # 1.0, the filter dropped nothing, and the sweep built; each other value
+    # raised TypeError from a comparison or a subtraction
     RECORDS = [image("a", det(0.0, 0.0, 10.0, confidence=1.0, bbox=BBox2D(0.0, 0.0, 4.0, 4.0)))]
 
     @pytest.mark.parametrize("build, message", [
-        (lambda: apply_confidence_threshold(TestABoolIsNoThreshold.RECORDS, True),
-         "threshold must be a number, not a bool, got True"),
-        (lambda: filter_ignore(TestABoolIsNoThreshold.RECORDS,
+        (lambda: apply_confidence_threshold(TestANonNumberIsNoThreshold.RECORDS, True),
+         "threshold must be a number, got True"),
+        (lambda: filter_ignore(TestANonNumberIsNoThreshold.RECORDS,
                                [IgnoreRegions("a", (BBox2D(0.0, 0.0, 4.0, 4.0),))], True),
-         "overlap_frac must be a number, not a bool, got True"),
-        (lambda: EnsembleConfig(iou_threshold=True),
-         "iou_threshold must be a number, not a bool, got True"),
-        (lambda: ThresholdSweep(lo=False, hi=True, step=0.5),
-         "sweep bounds and step must be numbers, not bools, got lo=False, hi=True, step=0.5"),
-        (lambda: ThresholdSweep(lo=0.0, hi=1.0, step=True),
-         "sweep bounds and step must be numbers, not bools, got lo=0.0, hi=1.0, step=True"),
-    ], ids=["threshold", "overlap_frac", "iou_threshold", "sweep bounds", "sweep step"])
-    def test_is_refused(self, build, message):
-        with pytest.raises(ValueError) as err:
-            build()
-        assert str(err.value) == message
-
-
-class TestANonNumberIsNoThreshold:
-    # each raised TypeError from a comparison or a subtraction
-    RECORDS = TestABoolIsNoThreshold.RECORDS
-
-    @pytest.mark.parametrize("build, message", [
+         "overlap_frac must be a number, got True"),
+        (lambda: EnsembleConfig(iou_threshold=True), "iou_threshold must be a number, got True"),
+        (lambda: ThresholdSweep(lo=False, hi=True, step=0.5), "lo must be a number, got False"),
+        (lambda: ThresholdSweep(lo=0.0, hi=1.0, step=True), "step must be a number, got True"),
+        (lambda: CameraIntrinsics(1000.0, True, 960.0, 540.0),
+         "camera intrinsics must be numbers, got fx=1000.0, fy=True, cx=960.0, cy=540.0"),
         (lambda: apply_confidence_threshold([], "0.5"), "threshold must be a number, got '0.5'"),
         (lambda: filter_ignore([], [], None), "overlap_frac must be a number, got None"),
         (lambda: EnsembleConfig("a"), "iou_threshold must be a number, got 'a'"),
@@ -213,8 +205,13 @@ class TestANonNumberIsNoThreshold:
         (lambda: ThresholdSweep(lo=Decimal("0.1")), "lo must be a number, got Decimal('0.1')"),
         (lambda: ThresholdSweep(hi="0.8"), "hi must be a number, got '0.8'"),
         (lambda: ThresholdSweep(step=[0.05]), "step must be a number, got [0.05]"),
-    ], ids=["threshold", "overlap_frac", "iou_threshold", "sweep lo", "decimal lo", "sweep hi",
-            "sweep step"])
+        # it built, and project and extent_bbox then raised TypeError
+        (lambda: CameraIntrinsics(Decimal(1000), 1000.0, 960.0, 540.0),
+         "camera intrinsics must be numbers, got fx=Decimal('1000'), fy=1000.0, cx=960.0, "
+         "cy=540.0"),
+    ], ids=["bool threshold", "bool overlap_frac", "bool iou_threshold", "bool sweep bounds",
+            "bool sweep step", "bool camera", "threshold", "overlap_frac", "iou_threshold",
+            "sweep lo", "decimal lo", "sweep hi", "sweep step", "decimal camera"])
     def test_is_refused(self, build, message):
         with pytest.raises(ValueError) as err:
             build()
@@ -226,6 +223,24 @@ class TestANonNumberIsNoThreshold:
         assert filter_ignore(self.RECORDS, [], f32(0.5)) == self.RECORDS
         assert EnsembleConfig(f32(0.5)).iou_threshold == 0.5
         assert ThresholdSweep(lo=f32(0.25), hi=f32(0.75), step=f32(0.25))._size() == 3
+
+    def test_a_numpy_ladder_scores_as_its_float_twin(self):
+        # ThresholdLadder refused a numpy float32 that every threshold accepts.
+        # A detection 0.50000001 m from its target misses a 0.5 m gate, but
+        # compared in float32 that distance rounds to 0.5 and would match.
+        f32 = np.float32
+        ladder = ThresholdLadder(((f32(0.5), f32(0.1)), (f32(2.0), f32(0.5))))
+        twin = ThresholdLadder(tuple((float(t), float(r)) for t, r in ladder.pairs))
+        preds = [image("a", det(0.50000001, 0.0, 10.0, confidence=0.9),
+                       det(5.0, 0.0, 10.0, confidence=0.4))]
+        gts = [image("a", ann(0.0, 0.0, 10.0), ann(5.0, 0.0, 11.0))]
+        assert (mean_average_precision(preds, gts, ladder)
+                == mean_average_precision(preds, gts, twin))
+        assert mean_average_precision(preds, gts, twin)[1].per_class_ap == {0: (0.0, 1.0)}
+        assert oracle_map(preds, gts, ladder) == oracle_map(preds, gts, twin) == 0.5
+        sweep = ThresholdSweep(0.0, 1.0, 0.25)
+        assert (sweep_threshold(preds, gts, sweep, ladder)
+                == sweep_threshold(preds, gts, sweep, twin))
 
 
 class TestIgnoreFilter:
@@ -431,6 +446,88 @@ class TestItemsOfTheWrongKind:
         with pytest.raises(ValueError) as err:
             run()
         assert str(err.value) == message
+
+
+@st.composite
+def loose_records(draw):
+    """Records on distinct image ids holding the ``mixed_items`` that construct,
+    detections mostly, and now and then a str."""
+    def built():
+        if draw(st.integers(0, 19)) == 0:
+            return ["x"]
+        try:
+            return [draw(mixed_items(Detection))]
+        except ValueError:  # a drawn item that its constructor refuses
+            return []
+
+    return [ImageRecord(image_id, tuple(item for _ in range(draw(st.integers(0, 4)))
+                                        for item in built()))
+            for image_id in draw(st.lists(st.sampled_from(["a", "b", "c"]), unique=True,
+                                          max_size=3))]
+
+
+WRONG_KIND = re.compile(r"(recover_xy|apply_confidence_threshold|ensemble_max|filter_ignore): "
+                        r"(input \d, )?image '[abc]', item \d: expected Detection( or Annotation)?, "
+                        r"got (Annotation|str)")
+
+
+def returned(call):
+    """The records ``call`` returns, or None when it refuses by name: a
+    MissingBoxError, a RecoveryOverflowError, or an item of the wrong kind."""
+    try:
+        return call()
+    except (MissingBoxError, RecoveryOverflowError):
+        return None
+    except ValueError as exc:
+        assert WRONG_KIND.fullmatch(str(exc)), exc
+        return None
+
+
+def is_kept_from(out: ImageRecord, records) -> bool:
+    """Whether each item of ``out`` is, in order, one of the items of the
+    input records with its image_id."""
+    pool = iter([item for r in records if r.image_id == out.image_id for item in r.items])
+    return all(any(item is candidate for candidate in pool) for item in out.items)
+
+
+class TestEveryConstructibleRecordPostProcesses:
+    # the library property for the post stages: whatever the constructors
+    # build is post-processed into records or refused by name
+    @settings(max_examples=200, deadline=None)
+    @given(loose_records(), CAMERAS)
+    def test_recovery_keeps_every_count(self, records, camera):
+        out = returned(lambda: recover_xy_records(records, camera))
+        if out is not None:
+            assert [(r.image_id, len(r.items)) for r in out] == [
+                (r.image_id, len(r.items)) for r in records]
+
+    @settings(max_examples=200, deadline=None)
+    @given(loose_records(), st.floats(0.0, 1.0))
+    def test_the_threshold_keeps_input_items(self, records, threshold):
+        out = returned(lambda: apply_confidence_threshold(records, threshold))
+        if out is not None:
+            assert [r.image_id for r in out] == [r.image_id for r in records]
+            assert all(is_kept_from(r, records) for r in out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(loose_records(), min_size=1, max_size=3), st.floats(0.0, 1.0, exclude_min=True))
+    def test_the_ensemble_keeps_input_items(self, outputs, iou_threshold):
+        out = returned(lambda: ensemble_max(outputs, EnsembleConfig(iou_threshold)))
+        if out is not None:
+            pooled = [r for records in outputs for r in records]
+            assert sorted(r.image_id for r in out) == sorted({r.image_id for r in pooled})
+            assert all(all(any(item is i for r in pooled for i in r.items) for item in o.items)
+                       for o in out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(loose_records(), st.lists(st.tuples(st.sampled_from(["a", "b", "c"]), boxes())),
+           st.floats(0.0, 1.0))
+    def test_the_ignore_filter_keeps_input_items(self, records, rects, overlap_frac):
+        regions = [IgnoreRegions(image_id, (rect,)) for image_id, rect in rects]
+        out = returned(lambda: filter_ignore(records, regions, overlap_frac))
+        if out is not None:
+            assert [r.image_id for r in out] == [r.image_id for r in records]
+            assert all(is_kept_from(r, records) for r in out)
 
 
 class TestThresholdSweepGrid:

@@ -854,6 +854,16 @@ class TestConstructorValidation:
                                              f"with squared norm 1.0000000476837165$"):
             make(Pose(quat, FINITE_POSE.translation))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind, make", ITEM_KINDS, ids=["detection", "annotation"])
+    def test_a_float32_quaternion_whose_square_overflows_is_named(self, kind, make):
+        # squared in float32 it overflowed, with numpy's RuntimeWarning, which
+        # under -W error escaped in place of this ValueError
+        quat = Quaternion(*map(np.float32, (2e19, 0.0, 0.0, 0.0)))
+        with pytest.raises(ValueError, match=f"^{kind} rotation must be a unit quaternion .* "
+                                             r"with squared norm 3\.999999984405158e\+38$"):
+            make(Pose(quat, FINITE_POSE.translation))
+
     @pytest.mark.parametrize("quat", [
         Quaternion(2.0, 0.0, 0.0, 0.0), Quaternion(1e308, 0.0, 0.0, 0.0),
         Quaternion(np.float32(HALF_SQRT2), np.float32(HALF_SQRT2), 0.0, 0.0),
